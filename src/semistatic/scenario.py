@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate, special, stats
+from scipy import special
 
 # Jump breakpoints are bracketed by a node pair at value*(1 -/+ this) so that
 # payouts are linear on every grid cell even across discontinuities.
@@ -71,13 +71,17 @@ class VGParams:
 
 
 def _gamma_bracket(shape: float, scale: float, tail: float = _GAMMA_TAIL) -> tuple[float, float]:
-    lo = stats.gamma.ppf(tail, a=shape, scale=scale)
-    hi = stats.gamma.isf(tail, a=shape, scale=scale)
+    # the gamma quantiles through scipy.special: scipy.stats costs about a
+    # second of import and is needed only by the reference quadrature
+    lo = special.gammaincinv(shape, tail) * scale
+    hi = special.gammainccinv(shape, tail) * scale
     lo = max(lo, np.finfo(float).tiny)
     return lo, hi
 
 
 def _mixture_integrand(g, u, theta, sigma, shape, scale):
+    from scipy import stats
+
     return stats.norm.pdf(u, loc=theta * g, scale=sigma * np.sqrt(g)) * stats.gamma.pdf(
         g, a=shape, scale=scale
     )
@@ -85,6 +89,8 @@ def _mixture_integrand(g, u, theta, sigma, shape, scale):
 
 def vg_log_increment_density(params: VGParams, dt: float, u: float) -> float:
     """Density of the VG log-increment over ``dt`` at ``u`` (adaptive quadrature)."""
+    from scipy import integrate
+
     if dt <= 0:
         raise ValueError("dt must be positive")
     shape, scale = dt / params.nu, params.nu
@@ -170,6 +176,8 @@ def vg_increment_moments(params: VGParams, dt: float) -> tuple[float, float]:
     Conditionally on the time change g the increment is N(theta*g, sigma^2*g),
     so only gamma moments need numerical integration.
     """
+    from scipy import integrate, stats
+
     shape, scale = dt / params.nu, params.nu
     lo, hi = _gamma_bracket(shape, scale, tail=1e-15)
 

@@ -9,13 +9,24 @@ scaled: budget shifts move it by an exact additive constant.  Reported
 objective values are exponentiated back.
 
 Determinism: all reductions run in a fixed order (einsum / numpy sums per
-output element); no randomness, no time-dependent branching.  Repeated solves
-of the same program give bit-identical results regardless of BLAS thread
-count.
+output element); no randomness, no time-dependent branching.  The BLAS calls
+inside a barrier solve (the Hessian products and the Cholesky factorization)
+would round differently with the number of BLAS threads, so every barrier
+solve runs on exactly one thread: each OpenBLAS copy loaded by numpy and scipy
+is set to one thread for the solve and back to the caller's count after it.
+Repeated solves of the same program therefore give bit-identical results
+whatever thread count the process uses.  A BLAS that is not OpenBLAS (MKL,
+Accelerate) or a system without ``/proc`` is not pinned; there the promise
+holds only at a fixed thread count.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import functools
+import os
+import threading
 import time
 from dataclasses import dataclass, field, replace
 
@@ -153,6 +164,70 @@ def _program_faces(program: AssembledProgram):
     return np.zeros((0, n)), np.zeros(0), labels
 
 
+@functools.cache
+def _openblas_thread_controls():
+    """(getter, setter) of the thread count of every loaded OpenBLAS copy.
+
+    The numpy and scipy wheels each bundle their own OpenBLAS under prefixed
+    symbols; numpy's 64-bit-integer copy adds the suffix ``64_``.  The copies
+    are found in ``/proc/self/maps`` at the first solve and opened without
+    loading anything new.  Empty when there is no ``/proc`` or no OpenBLAS.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        for suffix in ("64_", ""):
+            getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if getter is None or setter is None:
+                continue
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            controls.append((getter, setter))
+    return tuple(controls)
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Runs the wrapped code with every OpenBLAS copy on one thread.
+
+    The thread count is process-wide, so concurrent solves share one scope:
+    the first to enter saves the caller's counts and sets one thread, the last
+    to leave restores them.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = ()
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                controls = _openblas_thread_controls()
+                self._saved = tuple(getter() for getter, _ in controls)
+                for _, setter in controls:
+                    setter(1)
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for (_, setter), count in zip(_openblas_thread_controls(), self._saved):
+                    setter(count)
+        return False
+
+
+@_OneBlasThread()
 def _barrier_core(objective, G, h, lower, upper, y0, settings, gap_scale):
     """Damped-Newton log-barrier loop shared by the exponential and LP paths.
 
@@ -217,7 +292,10 @@ def _barrier_core(objective, G, h, lower, upper, y0, settings, gap_scale):
             hess = t * h_f if h_f is not None else np.zeros((n, n))
             if G.shape[0]:
                 grad = grad + np.einsum("ij,i->j", G, inv_s)
-                hess = hess + (G * inv_s[:, None] ** 2).T @ G
+                # W.T @ W on one buffer is a symmetric rank-k update (SYRK),
+                # half the flops of the general product
+                scaled_rows = G * inv_s[:, None]
+                hess = hess + scaled_rows.T @ scaled_rows
             diag = np.zeros(n)
             lo_s = y[fin_lo] - lower[fin_lo]
             up_s = upper[fin_up] - y[fin_up]
@@ -227,7 +305,7 @@ def _barrier_core(objective, G, h, lower, upper, y0, settings, gap_scale):
             grad = grad + gb
             diag[fin_lo] += 1.0 / lo_s**2
             diag[fin_up] += 1.0 / up_s**2
-            hess = hess + np.diag(diag)
+            hess[np.diag_indices(n)] += diag
 
             direction = _newton_direction(hess, grad)
             dec2 = max(float(-grad @ direction), 0.0)
@@ -246,7 +324,9 @@ def _barrier_core(objective, G, h, lower, upper, y0, settings, gap_scale):
             # Long Newton steps capped strictly inside the feasible region,
             # backtracked under an Armijo test that tolerates merit noise at
             # the double-precision floor of t * F.  Trial values only move
-            # cached quantities along the direction.
+            # cached quantities along the direction; a step is accepted only
+            # if the slacks recomputed at the new point stay positive, since
+            # h - G y can cancel to zero where the carried s - alpha G d does not.
             gd = np.einsum("ij,j->i", G, direction) if G.shape[0] else np.zeros(0)
             alpha = _max_step(direction, gd, s, y, lower, upper, fin_lo, fin_up)
             lo_s0 = y[fin_lo] - lower[fin_lo]
@@ -278,9 +358,11 @@ def _barrier_core(objective, G, h, lower, upper, y0, settings, gap_scale):
                 psi_new = t * objective.trial_value(line, alpha) + trial_barrier(alpha)
                 if psi_new <= psi0 + settings.ls_sufficient_decrease * alpha * slope + noise:
                     step = alpha * direction
-                    y = y + step
-                    accepted = True
-                    break
+                    y_new = y + step
+                    if strictly_feasible(y_new):
+                        y = y_new
+                        accepted = True
+                        break
                 alpha *= settings.ls_backtrack
             if not accepted:
                 break
@@ -569,6 +651,7 @@ def objective_and_gradient(program: AssembledProgram, point: np.ndarray):
     p = np.exp(e - c)
     total = p.sum()
     log_value = c + np.log(total)
-    value = float(np.exp(log_value))
+    with np.errstate(over="ignore"):
+        value = float(np.exp(log_value))
     grad = program.kappa * value * np.einsum("i,ij->j", p / total, program.rows)
     return value, grad

@@ -1,5 +1,9 @@
+import os
+
 import numpy as np
 import pytest
+
+import semistatic
 
 from semistatic.fixtures import (
     BASE_MODEL,
@@ -96,3 +100,11 @@ def make_lp_program(cost, rows, rhs, lower, upper, start):
         start=np.asarray(start, dtype=float),
         grid=None,
     )
+
+
+def package_env(**extra) -> dict:
+    """Environment for a child interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(semistatic.__file__))
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return env

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,17 @@ class TestReplication:
             assert price / per_option == pytest.approx(quote.ask_price, rel=1e-4)
         assert not report.flags["bounds_active"]
         assert report.flags["ordering_ok"]
+
+    def test_legs_stay_finite_where_slacks_cancel(self, market_replication, agent):
+        # the budget-row slack of this market cancels to exactly zero unless a
+        # step is accepted only where the recomputed slacks stay positive
+        claim = vanilla_call(market_replication.quotes[0].strike)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = price_report(market_replication, agent, claim, check_arbitrage=False)
+        for name, leg in report.legs.items():
+            assert leg["status"] == "optimal", name
+            assert np.isfinite(leg["kkt_residual"]), name
 
 
 class TestHedgingBounds:

@@ -1,7 +1,10 @@
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from semistatic.fixtures import BASE_MODEL
 from semistatic.pricing import AgentSpec, Market, optimal_value
@@ -12,9 +15,10 @@ from semistatic.solver import (
     minimize,
     objective_and_gradient,
     solve_lp,
+    _openblas_thread_controls,
 )
 
-from conftest import make_exp_program, make_lp_program
+from conftest import make_exp_program, make_lp_program, package_env
 
 TIGHT = SolveSettings(gap_tol=1e-12)
 
@@ -325,3 +329,56 @@ class TestObjectiveAndGradient:
         assert np.isinf(value)
         value2, grad2 = objective_and_gradient(program, np.array([-650.0]))
         assert np.isfinite(value2) and np.isfinite(grad2[0])
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+def openblas_controls():
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS copy with thread controls is loaded")
+    return controls
+
+
+class TestBlasThreads:
+    def test_solve_runs_on_one_thread_and_restores_counts(self, monkeypatch):
+        controls = openblas_controls()
+
+        def counts():
+            return tuple(getter() for getter, _ in controls)
+
+        seen = []
+        factor = scipy.linalg.cho_factor
+
+        def spy(*args, **kwargs):
+            seen.append(counts())
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
+        saved = counts()
+        try:
+            for _, setter in controls:
+                setter(2)
+            sol = minimize(random_exp_instance(np.random.default_rng(3), 2, 5))
+            after = counts()
+        finally:
+            for (_, setter), count in zip(controls, saved):
+                setter(count)
+        assert sol.status == "optimal"
+        assert seen and set(seen) == {(1,) * len(controls)}
+        assert after == (2,) * len(controls)
+
+    def test_price_report_bytes_independent_of_thread_count(self, tmp_path):
+        openblas_controls()
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            subprocess.run(
+                [sys.executable, "-m", "semistatic.cli", "price", "--out", str(out)],
+                env=package_env(OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, check=True, timeout=300,
+            )
+            reports.append((out / "price_report.json").read_bytes())
+        assert reports[0] == reports[1]
