@@ -19,13 +19,15 @@ import numpy as np
 
 from . import claims as claims_mod
 from .claims import Claim
-from .galerkin import AssembledProgram
+from .galerkin import AssembledProgram, claim_liability
 from .instruments import OptionKind, Quote
 from .pricing import (
     AgentSpec,
+    HedgePortfolio,
     Market,
     SolverFailure,
     _assemble,
+    _portfolio,
     find_arbitrage,
     price_report,
     subhedge_cost,
@@ -242,18 +244,6 @@ def ingest_quotes(csv_path, maturities) -> IngestResult:
     return result
 
 
-def write_quotes_csv(quotes, path, maturities) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ticker", "type", "bid_qty", "bid_price", "ask_price", "ask_qty"])
-        for q in quotes:
-            base_id = q.id.split("#")[0]
-            writer.writerow(
-                [base_id, q.kind.value, repr(float(q.bid_qty)), repr(float(q.bid_price)),
-                 repr(float(q.ask_price)), repr(float(q.ask_qty))]
-            )
-
-
 def _merge(base: dict, override: dict) -> dict:
     out = dict(base)
     for key, value in override.items():
@@ -368,15 +358,16 @@ def _write_surface(path, grid, values, header) -> None:
             writer.writerow([repr(float(v)) for v in grid.points[i]] + [repr(float(values[i]))])
 
 
-def _write_portfolio(path, layout, y) -> None:
-    positions = layout.net_positions(y)
+def _portfolio_rows(portfolio: HedgePortfolio):
+    """(instrument, position) rows: cash, every quote in chain order, dynamic legs."""
+    return [("cash", portfolio.cash), *portfolio.positions.items(), *portfolio.dynamic.items()]
+
+
+def _write_portfolio(path, portfolio: HedgePortfolio) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["instrument", "position"])
-        writer.writerow(["cash", repr(float(layout.cash(y)))])
-        for qid in layout.quote_ids:
-            writer.writerow([qid, repr(float(positions[qid]))])
-        for name, value in layout.dynamic_coefficients(y).items():
+        for name, value in _portfolio_rows(portfolio):
             writer.writerow([name, repr(float(value))])
 
 
@@ -392,7 +383,10 @@ def _cmd_optimize(config, market, outdir, args) -> int:
     grid = market.grid_for(terms)
     program = _assemble(market, terms, config.agent, grid, None, config.delta_pct)
     solution = _solve_program(program, config.solver)
-    _write_portfolio(os.path.join(outdir, "optimize_portfolio.csv"), program.layout, solution.x)
+    _write_portfolio(
+        os.path.join(outdir, "optimize_portfolio.csv"),
+        _portfolio(program, solution.x, program.budget),
+    )
     _write_surface(
         os.path.join(outdir, "optimize_payout.csv"),
         grid,
@@ -440,28 +434,16 @@ def _cmd_hedge(config, market, outdir, args) -> int:
     base = _solve_program(base_prog, config.solver)
     loaded = _solve_program(with_prog, config.solver)
 
-    diff = loaded.x - base.x
+    base_held = dict(_portfolio_rows(_portfolio(base_prog, base.x, base_prog.budget)))
     with open(os.path.join(outdir, "hedge_portfolio.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["instrument", "base", "with_claim", "hedge"])
-        base_pos = base_prog.layout.net_positions(base.x)
-        with_pos = with_prog.layout.net_positions(loaded.x)
-        writer.writerow(
-            ["cash", repr(float(base_prog.layout.cash(base.x))), repr(float(with_prog.layout.cash(loaded.x))),
-             repr(float(with_prog.layout.cash(loaded.x) - base_prog.layout.cash(base.x)))]
-        )
-        for qid in with_prog.layout.quote_ids:
-            writer.writerow(
-                [qid, repr(float(base_pos[qid])), repr(float(with_pos[qid])), repr(float(with_pos[qid] - base_pos[qid]))]
-            )
-        base_dyn = base_prog.layout.dynamic_coefficients(base.x)
-        with_dyn = with_prog.layout.dynamic_coefficients(loaded.x)
-        for name in with_dyn:
-            b = base_dyn.get(name, 0.0)
-            writer.writerow([name, repr(float(b)), repr(float(with_dyn[name])), repr(float(with_dyn[name] - b))])
+        for name, held in _portfolio_rows(_portfolio(with_prog, loaded.x, with_prog.budget)):
+            b = base_held.get(name, 0.0)
+            writer.writerow([name, repr(float(b)), repr(float(held)), repr(float(held - b))])
 
     hedge_payout = with_prog.portfolio_payout(loaded.x) - base_prog.portfolio_payout(base.x)
-    claim_payout = with_prog.offsets
+    claim_payout = claim_liability(terms, grid)
     with open(os.path.join(outdir, "hedge_error.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -493,14 +475,7 @@ def _cmd_superhedge(config, market, outdir, args, side="superhedge") -> int:
     _dump_json(os.path.join(outdir, f"{side}_summary.json"), summary)
     if portfolio is None:
         return 2
-    with open(os.path.join(outdir, f"{side}_portfolio.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instrument", "position"])
-        writer.writerow(["cash", repr(float(portfolio.cash))])
-        for qid, pos in portfolio.positions.items():
-            writer.writerow([qid, repr(float(pos))])
-        for name, value in portfolio.dynamic.items():
-            writer.writerow([name, repr(float(value))])
+    _write_portfolio(os.path.join(outdir, f"{side}_portfolio.csv"), portfolio)
     return 0
 
 
@@ -517,14 +492,7 @@ def _cmd_arbitrage(config, market, outdir, args) -> int:
     }
     _dump_json(os.path.join(outdir, "arbitrage_summary.json"), summary)
     if report.found and report.strategy is not None:
-        with open(os.path.join(outdir, "arbitrage_strategy.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["instrument", "position"])
-            writer.writerow(["cash", repr(float(report.strategy.cash))])
-            for qid, pos in report.strategy.positions.items():
-                writer.writerow([qid, repr(float(pos))])
-            for name, value in report.strategy.dynamic.items():
-                writer.writerow([name, repr(float(value))])
+        _write_portfolio(os.path.join(outdir, "arbitrage_strategy.csv"), report.strategy)
     expect = args.expect
     if expect == "any":
         return 0
@@ -554,7 +522,8 @@ def _terminal_wealth(program, y, market, config, terms, paths) -> np.ndarray:
     """Out-of-sample terminal wealth of the solved strategy on simulated paths.
 
     Rebuilds the loss-argument rows on the sample paths through the same
-    assembler used for the grid, then evaluates claim terms directly.
+    assembler used for the grid; wealth is the budget less the rows, so its
+    cash is the budget less the acquisition cost, as in every portfolio file.
     """
     from .scenario import QuadratureGrid
 
@@ -575,7 +544,7 @@ def _terminal_wealth(program, y, market, config, terms, paths) -> np.ndarray:
     name_to_value = dict(zip(program.layout.names, y))
     for i, name in enumerate(sample_prog.layout.names):
         full[i] = name_to_value.get(name, 0.0)
-    return -(sample_prog.loss_arguments(full)) + sample_prog.offsets
+    return sample_prog.portfolio_payout(full)
 
 
 def _dump_json(path, payload) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import brentq
 
-from .instruments import OptionKind, Quote
+from .instruments import OptionKind, Quote, option_payoff
 from .pricing import Market
 from .scenario import QuadratureGrid, VGParams
 
@@ -63,13 +63,6 @@ def martingale_grid_measure(grid: QuadratureGrid) -> np.ndarray:
     return (marginal[:, None] * rows).ravel()
 
 
-def _grid_payoff(grid: QuadratureGrid, kind: OptionKind, strike: float, maturity: int) -> np.ndarray:
-    level = grid.points[:, maturity - 1]
-    if kind is OptionKind.CALL:
-        return np.maximum(level - strike, 0.0)
-    return np.maximum(strike - level, 0.0)
-
-
 def _round_out(mid: float, half_spread: float) -> tuple[float, float]:
     bid = round(float(np.floor((mid - half_spread) / TICK)) * TICK, 2)
     ask = round(float(np.ceil((mid + half_spread) / TICK)) * TICK, 2)
@@ -112,7 +105,7 @@ def synthetic_chain(
     for t, date in enumerate(maturities[: model.periods], start=1):
         for kind in (OptionKind.CALL, OptionKind.PUT):
             for k in strikes:
-                mid = float(q_measure @ _grid_payoff(grid, kind, k, t))
+                mid = float(q_measure @ option_payoff(kind, k, grid.points[:, t - 1]))
                 if mid < min_mid:
                     continue
                 half = 0.5 * max(spread_floor, spread_rel * mid)
@@ -202,7 +195,7 @@ def replication_market(
     measure, in effectively unlimited quantity, on a full grid ladder."""
     grid = _pricing_grid(model, DEFAULT_STRIKES)
     q_measure = martingale_grid_measure(grid)
-    price = float(q_measure @ _grid_payoff(grid, OptionKind.CALL, strike, model.periods))
+    price = float(q_measure @ option_payoff(OptionKind.CALL, strike, grid.points[:, -1]))
     quote = Quote(
         id=f"RC{strike:g}",
         kind=OptionKind.CALL,

@@ -4,17 +4,21 @@ transaction-cost variant on the underlying.
 
 The decision vector is laid out as
 
-    [x+ per quote | x- per quote | cash | dynamic trading variables]
+    [x+ per quote | x- per quote | dynamic trading variables]
 
 where the dynamic block is either a time-0 position plus piecewise-constant
 rebalance coefficients per period (frictionless), or nonnegative per-cell
-purchase/sale legs per trading period (transaction costs).  Every grid point
-contributes one affine loss-argument row
+purchase/sale legs per trading period (transaction costs).  Cash is not a
+variable: the agent spends the budget w on quotes at the ask (buys) or the bid
+(sells) and holds the rest, cash = w - cost @ y, which costs and pays 1.  Every
+grid point therefore contributes one affine loss-argument row
 
-    a_i = claim terms - option payoffs - cash - dynamic trading payout
+    a_i = claim_i - w + sum_j (price_j - payoff_ij) y_j - dynamic gain_i
 
-and the expected-loss objective is sum_i m_i * exp(kappa * a_i) with
-kappa = risk_aversion / reference_wealth.
+with price_j the ask for a buy column and minus the bid for a sell column, and
+the expected-loss objective is sum_i m_i * exp(kappa * a_i) with
+kappa = risk_aversion / reference_wealth.  The program has only its boxes (and
+pointwise rows, where a caller adds them); terminal wealth is w - a_i + claim_i.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .claims import claim_payout_grid
-from .instruments import OptionKind, position_bounds
+from .instruments import option_payoff, position_bounds
 from .scenario import QuadratureGrid
 
 
@@ -116,9 +120,6 @@ class DecisionLayout:
     def block(self, name: str) -> VariableBlock:
         return self.blocks[name]
 
-    def cash(self, y: np.ndarray) -> float:
-        return float(y[self.block("cash").start])
-
     def net_positions(self, y: np.ndarray) -> dict[str, float]:
         """Net option count per quote id (buys minus sells), zeros included."""
         out = dict.fromkeys(self.quote_ids, 0.0)
@@ -146,7 +147,9 @@ class AssembledProgram:
     Loss-argument rows are ``offsets + rows @ y``; the objective is either the
     exponential sum over those rows ("exp_sum") or ``cost @ y`` ("linear").
     ``point_upper`` (if set) bounds every row from above, which expresses
-    pointwise payout-domination constraints.
+    pointwise payout-domination constraints.  The offsets already subtract
+    ``budget``, and the cash left after buying the positions ``y`` is
+    ``budget - cost @ y``.
     """
 
     objective: str  # "exp_sum" | "linear"
@@ -156,8 +159,7 @@ class AssembledProgram:
     masses: np.ndarray        # (M,)
     kappa: float
     cost: np.ndarray          # (n,) acquisition-cost row; the LP objective
-    budget_row: np.ndarray | None
-    budget_rhs: float | None
+    budget: float
     point_upper: np.ndarray | None
     lower: np.ndarray
     upper: np.ndarray
@@ -170,41 +172,16 @@ class AssembledProgram:
 
     @property
     def constraint_count(self) -> int:
-        """Scalar inequality faces: budget, pointwise rows, finite box edges."""
-        n = 0
-        if self.budget_row is not None:
-            n += 1
-        if self.point_upper is not None:
-            n += self.point_upper.shape[0]
-        n += int(np.isfinite(self.lower).sum()) + int(np.isfinite(self.upper).sum())
-        return n
+        """Scalar inequality faces: pointwise rows and finite box edges."""
+        n = 0 if self.point_upper is None else self.point_upper.shape[0]
+        return n + int(np.isfinite(self.lower).sum()) + int(np.isfinite(self.upper).sum())
 
     def loss_arguments(self, y: np.ndarray) -> np.ndarray:
         return self.offsets + self.rows @ y
 
     def portfolio_payout(self, y: np.ndarray) -> np.ndarray:
-        """Terminal portfolio payout per grid point (claim liability excluded)."""
-        return -(self.rows @ y)
-
-    def replace(self, **changes) -> "AssembledProgram":
-        fields = {
-            "objective": self.objective,
-            "layout": self.layout,
-            "rows": self.rows,
-            "offsets": self.offsets,
-            "masses": self.masses,
-            "kappa": self.kappa,
-            "cost": self.cost,
-            "budget_row": self.budget_row,
-            "budget_rhs": self.budget_rhs,
-            "point_upper": self.point_upper,
-            "lower": self.lower,
-            "upper": self.upper,
-            "start": self.start,
-            "grid": self.grid,
-        }
-        fields.update(changes)
-        return AssembledProgram(**fields)
+        """Terminal wealth per grid point, cash included (claim liability excluded)."""
+        return self.budget - self.rows @ y
 
     def to_json(self, path, max_cells: int = 200_000) -> None:
         """Diagnostic dump for regression tests; full matrices only when small."""
@@ -216,7 +193,7 @@ class AssembledProgram:
             "variable_count": self.variable_count,
             "constraint_count": self.constraint_count,
             "kappa": self.kappa,
-            "budget_rhs": self.budget_rhs,
+            "budget": self.budget,
             "cost": self.cost.tolist(),
             "lower": [v if np.isfinite(v) else None for v in self.lower],
             "upper": [v if np.isfinite(v) else None for v in self.upper],
@@ -240,19 +217,8 @@ def _strikes_by_period(quotes, periods: int) -> list[list[float]]:
     return [sorted(set(s)) for s in out]
 
 
-def _payoff_columns(quotes, points: np.ndarray) -> np.ndarray:
-    """(M, J) per-option payoffs of each quote at its own maturity."""
-    cols = np.empty((points.shape[0], len(quotes)))
-    for j, q in enumerate(quotes):
-        level = points[:, q.maturity - 1]
-        if q.kind is OptionKind.CALL:
-            cols[:, j] = np.maximum(level - q.strike, 0.0)
-        else:
-            cols[:, j] = np.maximum(q.strike - level, 0.0)
-    return cols
-
-
-def _claim_offsets(claim_terms, grid: QuadratureGrid) -> np.ndarray:
+def claim_liability(claim_terms, grid: QuadratureGrid) -> np.ndarray:
+    """USD owed per grid point on the (claim, units) terms; sold units count positive."""
     offsets = np.zeros(grid.size)
     for claim, units in claim_terms or ():
         offsets = offsets + units * claim.contract_size * claim_payout_grid(claim, grid.points)
@@ -274,30 +240,22 @@ def _assemble(quotes, claim_terms, agent, grid, lot_size, budget, delta_pct):
     upper: list[float] = []
     start: list[float] = []
 
-    payoff = _payoff_columns(quotes, points)
+    payoff = [option_payoff(q.kind, q.strike, points[:, q.maturity - 1]) for q in quotes]
     boxes = [position_bounds(q, lot_size) for q in quotes]
     for j, q in enumerate(quotes):
         names.append(f"buy:{q.id}")
-        columns.append(-payoff[:, j])
+        columns.append(q.ask_price - payoff[j])
         cost_coeffs.append(q.ask_price)
         lower.append(0.0)
         upper.append(boxes[j].upper)
         start.append(0.5 * min(boxes[j].upper, 1.0))
     for j, q in enumerate(quotes):
         names.append(f"sell:{q.id}")
-        columns.append(payoff[:, j])
+        columns.append(payoff[j] - q.bid_price)
         cost_coeffs.append(-q.bid_price)
         lower.append(0.0)
         upper.append(-boxes[j].lower)
         start.append(0.5 * min(-boxes[j].lower, 1.0))
-
-    names.append("cash")
-    columns.append(np.full(M, -1.0))
-    cost_coeffs.append(1.0)
-    lower.append(-np.inf)
-    upper.append(np.inf)
-    start.append(0.0)  # patched below once the option start cost is known
-    cash_pos = len(names) - 1
 
     rebalance_cells = {s: trading_cells(basis_strikes[s - 1]) for s in range(1, T)}
 
@@ -356,31 +314,28 @@ def _assemble(quotes, claim_terms, agent, grid, lot_size, budget, delta_pct):
     upper_arr = np.array(upper)
     start_arr = np.array(start)
 
-    # drop variables fixed by a zero-width box, and dynamic cells that no grid
-    # point activates (their columns are identically zero).  Dynamic variables
-    # whose cells carry negligible probability mass are unidentifiable from
-    # the objective and would drift to arbitrary values, so they go too.
-    touched = (np.abs(rows).max(axis=0) > 0) | (cost != 0)
+    # drop variables fixed by a zero-width box, and variables whose columns
+    # are identically zero (such as dynamic cells no grid point activates).
+    # Dynamic variables whose cells carry negligible probability mass are
+    # unidentifiable from the objective and would drift to arbitrary values,
+    # so they go too.
+    J = len(quotes)
+    touched = np.abs(rows).max(axis=0) > 0
     keep = (upper_arr - lower_arr > 0) & touched
-    n_static = 2 * len(quotes) + 1
-    active_mass = grid.masses @ (rows[:, n_static:] != 0)
-    keep[n_static:] &= active_mass >= 1e-12
-    keep[cash_pos] = True
+    active_mass = grid.masses @ (rows[:, 2 * J :] != 0)
+    keep[2 * J :] &= active_mass >= 1e-12
     dropped = tuple(n for n, k in zip(names, keep) if not k)
     rows = rows[:, keep]
     cost = cost[keep]
     lower_arr, upper_arr, start_arr = lower_arr[keep], upper_arr[keep], start_arr[keep]
     kept_names = tuple(n for n, k in zip(names, keep) if k)
 
-    J = len(quotes)
     n_buy = int(keep[:J].sum())
-    n_sell = int(keep[J : 2 * J].sum())
-    cash_new = n_buy + n_sell
+    n_options = n_buy + int(keep[J : 2 * J].sum())
     blocks = {
         "buy": VariableBlock("buy", 0, n_buy),
-        "sell": VariableBlock("sell", n_buy, n_sell),
-        "cash": VariableBlock("cash", cash_new, 1),
-        "dynamic": VariableBlock("dynamic", cash_new + 1, rows.shape[1] - cash_new - 1),
+        "sell": VariableBlock("sell", n_buy, n_options - n_buy),
+        "dynamic": VariableBlock("dynamic", n_options, rows.shape[1] - n_options),
     }
     layout = DecisionLayout(
         mode=mode,
@@ -393,21 +348,15 @@ def _assemble(quotes, claim_terms, agent, grid, lot_size, budget, delta_pct):
     )
 
     w = agent.initial_wealth if budget is None else float(budget)
-    # start strictly inside the budget with slack pinned to half the reference
-    # wealth, so budget-shifted twin programs start at corresponding points
-    opt_cost = float(cost[:cash_new] @ start_arr[:cash_new])
-    start_arr[cash_new] = w - 0.5 * agent.initial_wealth - opt_cost
-
     return AssembledProgram(
         objective="exp_sum",
         layout=layout,
         rows=rows,
-        offsets=_claim_offsets(claim_terms, grid),
+        offsets=claim_liability(claim_terms, grid) - w,
         masses=grid.masses,
         kappa=agent.risk_aversion / agent.initial_wealth,
         cost=cost,
-        budget_row=cost.copy(),
-        budget_rhs=w,
+        budget=w,
         point_upper=None,
         lower=lower_arr,
         upper=upper_arr,

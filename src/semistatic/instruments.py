@@ -2,13 +2,16 @@
 
 Quantities on a :class:`Quote` are stored as quoted (contracts at the best bid
 and ask); ``position_bounds`` converts them to option counts via the market lot
-size.  Cash is an always-available instrument with unit bid and ask and no
-position limit, so budget slack carries into terminal wealth.
+size.  Cash is not an instrument: wealth not spent on quotes is held as cash,
+which costs and pays 1 per unit, so the program assembler folds it into the
+loss rows as the budget minus the quotes' acquisition cost.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 
 class OptionKind(str, Enum):
@@ -50,17 +53,6 @@ class Quote:
     @property
     def zero_width(self) -> bool:
         return self.bid_price == self.ask_price
-
-
-@dataclass(frozen=True)
-class CashAsset:
-    """Perfectly liquid zero-interest cash: bid = ask = 1, pays 1 at the horizon."""
-
-    unit_price: float = 1.0
-
-    @property
-    def payoff(self) -> float:
-        return 1.0
 
 
 @dataclass(frozen=True)
@@ -109,3 +101,11 @@ def quoted_payoff(quote: Quote, path) -> float:
     if quote.kind is OptionKind.CALL:
         return max(level - quote.strike, 0.0)
     return max(quote.strike - level, 0.0)
+
+
+def option_payoff(kind: OptionKind, strike: float, levels: np.ndarray) -> np.ndarray:
+    """Payoff per option at an array of maturity levels: the vectorized
+    counterpart of :func:`quoted_payoff`, for scenario grids."""
+    if kind is OptionKind.CALL:
+        return np.maximum(levels - strike, 0.0)
+    return np.maximum(strike - levels, 0.0)

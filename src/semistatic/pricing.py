@@ -167,11 +167,11 @@ def _strip_dynamic(program: AssembledProgram) -> AssembledProgram:
         dropped=program.layout.dropped
         + tuple(n for n, k in zip(program.layout.names, keep) if not k),
     )
-    return program.replace(
+    return replace(
+        program,
         layout=layout,
         rows=program.rows[:, keep],
         cost=program.cost[keep],
-        budget_row=None if program.budget_row is None else program.budget_row[keep],
         lower=program.lower[keep],
         upper=program.upper[keep],
         start=program.start[keep],
@@ -192,7 +192,7 @@ def optimal_value(
 ):
     """Optimal expected exponential loss for the given budget and claim terms.
 
-    Strictly decreasing in the budget (cash is always available).  Returns the
+    Strictly decreasing in the budget (unspent wealth is held as cash).  Returns the
     optimum value, or (value, Solution) with ``return_solution``.
     """
     terms = _claim_terms(agent, claim, claim_units)
@@ -320,45 +320,52 @@ def indifference_bisection(
 
 @dataclass(frozen=True)
 class HedgePortfolio:
-    """Positions backing a hedging cost: net options per quote, cash, and the
-    dynamic-leg coefficients by variable name."""
+    """Positions bought with a budget ``cost``: net options per quote, the
+    cash left over, and the dynamic-leg coefficients by variable name."""
 
     positions: dict
     cash: float
     dynamic: dict
     cost: float
 
-    def to_rows(self):
-        rows = [("cash", self.cash, self.cash)]
-        rows += [(qid, pos, None) for qid, pos in sorted(self.positions.items())]
-        rows += [(name, val, None) for name, val in self.dynamic.items()]
-        return rows
 
-
-def _portfolio(program: AssembledProgram, y: np.ndarray, cost: float) -> HedgePortfolio:
+def _portfolio(program: AssembledProgram, y: np.ndarray, budget: float) -> HedgePortfolio:
+    """The positions ``y`` of ``program`` bought with ``budget``; the rest is cash."""
     layout = program.layout
     return HedgePortfolio(
         positions=layout.net_positions(y),
-        cash=layout.cash(y),
+        cash=budget - float(program.cost @ y),
         dynamic=layout.dynamic_coefficients(y),
-        cost=cost,
+        cost=budget,
     )
 
 
-def _domination_lp(market, claim, units, delta_pct, grid, allow_dynamic=True):
-    program = _assemble(market, [(claim, units)], _LP_AGENT, grid, None, delta_pct, allow_dynamic)
-    lp = program.replace(
+def _least_dominating_wealth(market, claim, units, delta_pct, grid, settings, allow_dynamic):
+    """Least initial wealth w whose strategy dominates the claim at every grid
+    point: minimize w subject to a_i(y) - w <= 0, with the loss rows a_i
+    assembled at budget 0 and w as the LP's last variable, started one above
+    the largest loss at the program's start.  Returns (HedgePortfolio or
+    None, Solution)."""
+    program = _assemble(market, [(claim, units)], _LP_AGENT, grid, 0.0, delta_pct, allow_dynamic)
+    M, n = program.rows.shape
+    rows = np.hstack([program.rows, -np.ones((M, 1))])
+    # the program keeps a view of the LP's rows, so the grid-sized matrix exists once
+    program = replace(program, rows=rows[:, :n])
+    start = program.start
+    lp = replace(
+        program,
         objective="linear",
-        budget_row=None,
-        budget_rhs=None,
-        point_upper=np.zeros(grid.size),
+        rows=rows,
+        cost=np.append(np.zeros(n), 1.0),
+        point_upper=np.zeros(M),
+        lower=np.append(program.lower, -np.inf),
+        upper=np.append(program.upper, np.inf),
+        start=np.append(start, max(0.5, float(program.loss_arguments(start).max()) + 1.0)),
     )
-    start = lp.start.copy()
-    cash_idx = lp.layout.block("cash").start
-    slack = -(lp.offsets + lp.rows @ start)
-    bump = max(0.0, 1.0 - float(slack.min()))
-    start[cash_idx] += bump
-    return lp.replace(start=start)
+    solution = solve_lp(lp, settings)
+    if solution.status == "infeasible":
+        return None, solution
+    return _portfolio(program, solution.x[:n], solution.objective), solution
 
 
 def superhedge_cost(
@@ -375,12 +382,12 @@ def superhedge_cost(
     infinite sentinel."""
     if grid is None:
         grid = market.grid_for([(claim, units)])
-    lp = _domination_lp(market, claim, units, delta_pct, grid, allow_dynamic)
-    solution = solve_lp(lp, settings)
-    if solution.status == "infeasible":
+    portfolio, solution = _least_dominating_wealth(
+        market, claim, units, delta_pct, grid, settings, allow_dynamic
+    )
+    if portfolio is None:
         return INFEASIBLE_SENTINEL, None, solution
-    cost = solution.objective
-    return cost, _portfolio(lp, solution.x, cost), solution
+    return portfolio.cost, portfolio, solution
 
 
 def subhedge_cost(
@@ -396,12 +403,12 @@ def subhedge_cost(
     point (least cost of superhedging the negated claim, sign flipped)."""
     if grid is None:
         grid = market.grid_for([(claim, units)])
-    lp = _domination_lp(market, claim, -units, delta_pct, grid, allow_dynamic)
-    solution = solve_lp(lp, settings)
-    if solution.status == "infeasible":
+    portfolio, solution = _least_dominating_wealth(
+        market, claim, -units, delta_pct, grid, settings, allow_dynamic
+    )
+    if portfolio is None:
         return -INFEASIBLE_SENTINEL, None, solution
-    revenue = -solution.objective
-    return revenue, _portfolio(lp, solution.x, -revenue), solution
+    return -portfolio.cost, portfolio, solution
 
 
 @dataclass(frozen=True)
@@ -445,7 +452,7 @@ def find_arbitrage(
     agent = AgentSpec(initial_wealth=budget, risk_aversion=2.0)
     grid = market.grid_for(())
     program = _assemble(market, [], agent, grid, budget, delta_pct)
-    program = program.replace(point_upper=np.full(grid.size, -budget))
+    program = replace(program, point_upper=np.full(grid.size, -budget))
 
     margin = 1e-9 * (1.0 + abs(budget))
     s_star, feasible = feasibility_start(program, settings)
@@ -457,7 +464,7 @@ def find_arbitrage(
             found=found, expected_excess=-s_star, min_uniform_slack=s_star
         )
 
-    solution = minimize(program.replace(start=feasible), settings)
+    solution = minimize(replace(program, start=feasible), settings)
     if solution.status in ("infeasible", "unbounded"):
         return ArbitrageReport(found=False, expected_excess=0.0, min_uniform_slack=s_star)
     payout = program.portfolio_payout(solution.x)
@@ -468,7 +475,7 @@ def find_arbitrage(
         found=True,
         expected_excess=excess,
         min_uniform_slack=s_star,
-        strategy=_portfolio(program, solution.x, float("nan")),
+        strategy=_portfolio(program, solution.x, budget),
         payout_floor=float(payout.min()),
         solution=solution,
     )

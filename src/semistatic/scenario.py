@@ -16,6 +16,7 @@ with fixed Gauss-Legendre nodes in log-g and must agree with the reference to
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,22 +89,35 @@ def _mixture_integrand(g, u, theta, sigma, shape, scale):
 
 
 def vg_log_increment_density(params: VGParams, dt: float, u: float) -> float:
-    """Density of the VG log-increment over ``dt`` at ``u`` (adaptive quadrature)."""
+    """Density of the VG log-increment over ``dt`` at ``u`` (adaptive quadrature).
+
+    The relative tolerance is 1e-11, or a few ``shape * eps`` where the gamma
+    shape ``dt / nu`` is large: the gamma pdf is computed from terms of size
+    ``shape`` and rounds at that level, so no tighter result exists.  A
+    quadrature that misses its tolerance raises ``FloatingPointError``.
+    """
     from scipy import integrate
 
     if dt <= 0:
         raise ValueError("dt must be positive")
     shape, scale = dt / params.nu, params.nu
     lo, hi = _gamma_bracket(shape, scale, tail=1e-15)
-    value, _ = integrate.quad(
-        _mixture_integrand,
-        lo,
-        hi,
-        args=(float(u), params.theta, params.sigma, shape, scale),
-        limit=300,
-        epsabs=1e-13,
-        epsrel=1e-11,
-    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        try:
+            value, _ = integrate.quad(
+                _mixture_integrand,
+                lo,
+                hi,
+                args=(float(u), params.theta, params.sigma, shape, scale),
+                limit=300,
+                epsabs=1e-13,
+                epsrel=max(1e-11, 4.0 * shape * np.finfo(float).eps),
+            )
+        except integrate.IntegrationWarning as exc:
+            raise FloatingPointError(
+                f"VG density quadrature missed its tolerance for dt={dt}, u={u}: {exc}"
+            ) from exc
     if not np.isfinite(value):
         raise FloatingPointError(
             f"VG density quadrature failed for dt={dt}, u={u}: got {value}"

@@ -5,8 +5,8 @@ the hedging and arbitrage linear programs.
 
 The exponential-sum objective is minimized through its logarithm (log-sum-exp
 of affine rows), which is also convex, immune to overflow, and naturally
-scaled: budget shifts move it by an exact additive constant.  Reported
-objective values are exponentiated back.
+scaled: a constant shift of every row moves it by an exact additive constant.
+Reported objective values are exponentiated back.
 
 Determinism: all reductions run in a fixed order (einsum / numpy sums per
 output element); no randomness, no time-dependent branching.  The BLAS calls
@@ -92,6 +92,13 @@ class _ExpSumObjective:
     cached and trial values cost O(M) instead of O(M n).
     """
 
+    # Where almost all mass sits on one scenario the Hessian is numerically
+    # singular and the Newton direction astronomically long.  Faces bound such
+    # a step; without faces (a quote-less market) only this cap on the move of
+    # any exponent does.  Exponents of doubles span about 1,400 units, so a
+    # solve needs few capped steps.
+    MAX_EXPONENT_STEP = 50.0
+
     def __init__(self, rows, offsets, masses, kappa):
         self.rows = rows
         self.offsets = offsets
@@ -121,6 +128,12 @@ class _ExpSumObjective:
         hess = self.kappa**2 * (scaled.T @ scaled) - np.outer(grad, grad)
         return value, grad, hess
 
+    def bounded(self, direction):
+        reach = self.kappa * float(np.abs(np.einsum("ij,j->i", self.rows, direction)).max())
+        if reach > self.MAX_EXPONENT_STEP:
+            return direction * (self.MAX_EXPONENT_STEP / reach)
+        return direction
+
     def line_cache(self, y, direction):
         return self._exponents(y), self.kappa * np.einsum("ij,j->i", self.rows, direction)
 
@@ -139,6 +152,9 @@ class _LinearObjective:
     def value_grad_hess(self, y):
         return self.value(y), self.cost.copy(), None
 
+    def bounded(self, direction):
+        return direction
+
     def line_cache(self, y, direction):
         return self.value(y), float(np.einsum("j,j->", self.cost, direction))
 
@@ -148,20 +164,10 @@ class _LinearObjective:
 
 
 def _program_faces(program: AssembledProgram):
-    """General inequality rows G y <= h (budget first, then pointwise rows)."""
-    rows, rhs, labels = [], [], []
-    if program.budget_row is not None:
-        rows.append(program.budget_row[None, :])
-        rhs.append(np.array([program.budget_rhs]))
-        labels.append(("budget", 1))
-    if program.point_upper is not None:
-        rows.append(program.rows)
-        rhs.append(program.point_upper - program.offsets)
-        labels.append(("point", program.rows.shape[0]))
-    if rows:
-        return np.vstack(rows), np.concatenate(rhs), labels
-    n = program.variable_count
-    return np.zeros((0, n)), np.zeros(0), labels
+    """General inequality rows G y <= h: the pointwise rows, if any."""
+    if program.point_upper is None:
+        return np.zeros((0, program.variable_count)), np.zeros(0)
+    return program.rows, program.point_upper - program.offsets
 
 
 @functools.cache
@@ -235,15 +241,14 @@ def _barrier_core(objective, G, h, lower, upper, y0, settings, gap_scale):
     ``gap_tol`` as absolute on the objective (the log objective for
     exponential programs, the slack for phase-1), "relative" as relative to
     the objective magnitude (the hedging LPs).  It also sets the first barrier
-    weight: m for "absolute", m / max(1, |f0|) for "relative".
+    weight: m for "absolute", m / max(1, |f0|) for "relative".  A program
+    without faces (m = 0) is solved by a single Newton stage at weight 1.
     """
     y = np.asarray(y0, dtype=float).copy()
     n = y.shape[0]
     fin_lo = np.isfinite(lower)
     fin_up = np.isfinite(upper)
     m_faces = G.shape[0] + int(fin_lo.sum()) + int(fin_up.sum())
-    if m_faces == 0:
-        raise ValueError("program has no inequality faces; nothing for the barrier to do")
 
     def slack_rows(v):
         return h - np.einsum("ij,j->i", G, v) if G.shape[0] else np.zeros(0)
@@ -261,7 +266,7 @@ def _barrier_core(objective, G, h, lower, upper, y0, settings, gap_scale):
 
     relative = gap_scale == "relative"
     f0 = objective.value(y)
-    t = m_faces / max(1.0, abs(f0)) if relative else float(m_faces)
+    t = max(m_faces, 1) / max(1.0, abs(f0)) if relative else float(max(m_faces, 1))
 
     trace = []
     newton_total = 0
@@ -320,6 +325,7 @@ def _barrier_core(objective, G, h, lower, upper, y0, settings, gap_scale):
                 last_dec2 = min(dec2, last_dec2)
                 break
             last_dec2 = dec2
+            direction = objective.bounded(direction)
 
             # Long Newton steps capped strictly inside the feasible region,
             # backtracked under an Armijo test that tolerates merit noise at
@@ -456,14 +462,12 @@ def _kkt_residual(f_val, t, m_faces, dec2):
     return max(m_faces / scale, centering)
 
 
-def _split_duals(core, labels):
-    duals = {"budget": None, "point": None, "lower": core["lower_duals"], "upper": core["upper_duals"]}
-    cursor = 0
-    for name, count in labels:
-        block = core["row_duals"][cursor : cursor + count]
-        duals[name] = float(block[0]) if name == "budget" else block
-        cursor += count
-    return duals
+def _duals(core, program):
+    return {
+        "point": None if program.point_upper is None else core["row_duals"],
+        "lower": core["lower_duals"],
+        "upper": core["upper_duals"],
+    }
 
 
 def _write_trace(trace, path):
@@ -479,7 +483,7 @@ def feasibility_start(program: AssembledProgram, settings: SolveSettings | None 
     """Phase-1 slack minimization for pointwise-constrained programs.
 
     Minimizes the uniform relaxation ``s`` of the pointwise rows over the
-    budget and boxes.  Returns (minimum slack, strictly feasible point or
+    boxes.  Returns (minimum slack, strictly feasible point or
     None).  A negative minimum certifies a strictly feasible interior point
     for the original rows.
 
@@ -500,9 +504,6 @@ def feasibility_start(program: AssembledProgram, settings: SolveSettings | None 
 
     rows = np.hstack([program.rows, -np.ones((M, 1))])
     rhs = program.point_upper - program.offsets
-    if program.budget_row is not None:
-        rows = np.vstack([np.append(program.budget_row, 0.0)[None, :], rows])
-        rhs = np.concatenate([[program.budget_rhs], rhs])
     lower = np.append(program.lower, -10.0 * scale)
     upper = np.append(program.upper, np.inf)
     cost = np.zeros(n + 1)
@@ -543,7 +544,18 @@ def minimize(program: AssembledProgram, settings: SolveSettings | None = None) -
             start = feasible
 
     objective = _ExpSumObjective(program.rows, program.offsets, program.masses, program.kappa)
-    G, h, labels = _program_faces(program)
+    if program.variable_count == 0:
+        # nothing to choose: the optimum is the objective itself, in closed form
+        log_value = objective.value(start)
+        return Solution(
+            x=start.copy(),
+            objective=float(np.exp(log_value)),
+            log_objective=log_value,
+            status="optimal",
+            wall_time=time.perf_counter() - started,
+            kkt_residual=0.0,
+        )
+    G, h = _program_faces(program)
     core = _barrier_core(objective, G, h, program.lower, program.upper, start, settings, "absolute")
     if settings.trace_path:
         _write_trace(core["trace"], settings.trace_path)
@@ -552,7 +564,7 @@ def minimize(program: AssembledProgram, settings: SolveSettings | None = None) -
         objective=float(np.exp(core["objective"])),
         log_objective=core["objective"],
         status=core["status"],
-        duals=_split_duals(core, labels),
+        duals=_duals(core, program),
         outer_iterations=core["stages"],
         newton_iterations=core["newtons"],
         wall_time=time.perf_counter() - started,
@@ -589,17 +601,16 @@ def solve_lp(program: AssembledProgram, settings: SolveSettings | None = None) -
             start = feasible
 
     objective = _LinearObjective(program.cost)
-    G, h, labels = _program_faces(program)
+    G, h = _program_faces(program)
     core = _barrier_core(objective, G, h, program.lower, program.upper, start, settings, "relative")
     if settings.trace_path:
         _write_trace(core["trace"], settings.trace_path)
-    duals = _split_duals(core, labels)
     return Solution(
         x=core["y"],
         objective=core["objective"],
         log_objective=None,
         status=core["status"],
-        duals=duals,
+        duals=_duals(core, program),
         outer_iterations=core["stages"],
         newton_iterations=core["newtons"],
         wall_time=time.perf_counter() - started,
@@ -617,15 +628,11 @@ def dual_bound(program: AssembledProgram, solution: Solution) -> float:
     if program.objective != "linear":
         raise ValueError("dual bound is defined for linear programs")
     lam_point = solution.duals.get("point")
-    lam_budget = solution.duals.get("budget")
     coeff = program.cost.copy()
     constant = 0.0
     if lam_point is not None:
         coeff = coeff + np.einsum("i,ij->j", lam_point, program.rows)
         constant -= float(lam_point @ (program.point_upper - program.offsets))
-    if lam_budget is not None and program.budget_row is not None:
-        coeff = coeff + lam_budget * program.budget_row
-        constant -= lam_budget * program.budget_rhs
     value = constant
     for j in range(coeff.shape[0]):
         c = coeff[j]

@@ -49,16 +49,14 @@ def stub_layout(n: int) -> DecisionLayout:
         blocks={
             "buy": VariableBlock("buy", 0, 0),
             "sell": VariableBlock("sell", 0, 0),
-            "cash": VariableBlock("cash", 0, 1),
-            "dynamic": VariableBlock("dynamic", 1, max(n - 1, 0)),
+            "dynamic": VariableBlock("dynamic", 0, n),
         },
         cells={},
     )
 
 
 def make_exp_program(rows, offsets, masses, kappa, lower, upper, start, *,
-                     budget_row=None, budget_rhs=None, point_upper=None,
-                     cost=None, grid=None):
+                     point_upper=None, cost=None, grid=None):
     """Hand-built exponential-sum program for solver-level tests."""
     rows = np.asarray(rows, dtype=float)
     n = rows.shape[1]
@@ -70,8 +68,7 @@ def make_exp_program(rows, offsets, masses, kappa, lower, upper, start, *,
         masses=np.asarray(masses, dtype=float),
         kappa=float(kappa),
         cost=np.zeros(n) if cost is None else np.asarray(cost, dtype=float),
-        budget_row=None if budget_row is None else np.asarray(budget_row, dtype=float),
-        budget_rhs=budget_rhs,
+        budget=0.0,
         point_upper=None if point_upper is None else np.asarray(point_upper, dtype=float),
         lower=np.asarray(lower, dtype=float),
         upper=np.asarray(upper, dtype=float),
@@ -92,8 +89,7 @@ def make_lp_program(cost, rows, rhs, lower, upper, start):
         masses=np.full(m, 1.0 / max(m, 1)),
         kappa=1.0,
         cost=np.asarray(cost, dtype=float),
-        budget_row=None,
-        budget_rhs=None,
+        budget=0.0,
         point_upper=np.asarray(rhs, dtype=float),
         lower=np.asarray(lower, dtype=float),
         upper=np.asarray(upper, dtype=float),

@@ -67,12 +67,17 @@ def test_index_trade_cost():
     assert index_trade_cost(0.0, 2360.0, 5.0) == 0.0
 
 
-def _independent_loss(program, quotes, claim_terms, spot, y):
+def _independent_loss(program, quotes, claim_terms, spot, wealth, y):
     """Straightforward per-path evaluation of the loss argument, sharing no
-    code with the assembler's row construction."""
+    code with the assembler's row construction.  The wealth not spent on
+    quotes is held as cash: cash = wealth - acquisition cost."""
     layout = program.layout
     names = layout.names
     values = dict(zip(names, y))
+    cash = wealth
+    for q in quotes:
+        cash -= q.ask_price * values.get(f"buy:{q.id}", 0.0)
+        cash += q.bid_price * values.get(f"sell:{q.id}", 0.0)
     out = np.empty(program.grid.size)
     for i, path in enumerate(program.grid.points):
         total = 0.0
@@ -81,7 +86,7 @@ def _independent_loss(program, quotes, claim_terms, spot, y):
         for q in quotes:
             pos = values.get(f"buy:{q.id}", 0.0) - values.get(f"sell:{q.id}", 0.0)
             total -= pos * quoted_payoff(q, path)
-        total -= values["cash"]
+        total -= cash
         if layout.mode == "frictionless":
             levels = [spot] + list(path)
             for t in range(len(path)):
@@ -139,7 +144,9 @@ def test_rows_match_independent_evaluator(market, claim_terms):
     rng = np.random.default_rng(17)
     y = rng.uniform(-3.0, 3.0, size=program.variable_count)
     got = program.loss_arguments(y)
-    want = _independent_loss(program, market.quotes, claim_terms, market.model.spot, y)
+    want = _independent_loss(
+        program, market.quotes, claim_terms, market.model.spot, AGENT.initial_wealth, y
+    )
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
 
 
@@ -151,7 +158,9 @@ def test_transaction_rows_match_independent_evaluator(market, claim_terms):
     rng = np.random.default_rng(23)
     y = rng.uniform(0.0, 3.0, size=program.variable_count)
     got = program.loss_arguments(y)
-    want = _independent_loss(program, market.quotes, claim_terms, market.model.spot, y)
+    want = _independent_loss(
+        program, market.quotes, claim_terms, market.model.spot, AGENT.initial_wealth, y
+    )
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
 
 
@@ -188,21 +197,23 @@ def test_two_point_hand_instance():
                   bid_price=50.0, ask_price=60.0, bid_qty=1, ask_qty=1)
     grid = build_grid(model, [(2000.0, 2400.0)], truncation=[(1800.0, 2600.0)])
     program = assemble_frictionless([quote], [], AGENT, grid, 100.0)
-    # variables: buy, sell, cash, z0
-    assert program.layout.names == ("buy:C", "sell:C", "cash", "z0")
-    y = np.array([2.0, 1.0, 500.0, 0.25])
+    # variables: buy, sell, z0; cash is the wealth left after the quotes
+    assert program.layout.names == ("buy:C", "sell:C", "z0")
+    y = np.array([2.0, 1.0, 0.25])
     m1, m2 = grid.masses
-    kappa = AGENT.risk_aversion / AGENT.initial_wealth
-    # hand-assembled: payoffs (0, 200), price moves (-200, +200)
-    a1 = -(2.0 - 1.0) * 0.0 - 500.0 - 0.25 * (2000.0 - 2200.0)
-    a2 = -(2.0 - 1.0) * 200.0 - 500.0 - 0.25 * (2400.0 - 2200.0)
+    w = AGENT.initial_wealth
+    kappa = AGENT.risk_aversion / w
+    # hand-assembled: payoffs (0, 200), price moves (-200, +200), ask 60, bid 50
+    cash = w - 60.0 * 2.0 + 50.0 * 1.0
+    a1 = -(2.0 - 1.0) * 0.0 - cash - 0.25 * (2000.0 - 2200.0)
+    a2 = -(2.0 - 1.0) * 200.0 - cash - 0.25 * (2400.0 - 2200.0)
     want_value = m1 * np.exp(kappa * a1) + m2 * np.exp(kappa * a2)
     value, grad = objective_and_gradient(program, y)
     assert value == pytest.approx(want_value, rel=1e-12)
     w1 = m1 * np.exp(kappa * a1) * kappa
     w2 = m2 * np.exp(kappa * a2) * kappa
     want_grad = np.array(
-        [w1 * 0.0 + w2 * (-200.0), w1 * 0.0 + w2 * 200.0, -(w1 + w2),
+        [w1 * (60.0 - 0.0) + w2 * (60.0 - 200.0), w1 * (0.0 - 50.0) + w2 * (200.0 - 50.0),
          w1 * 200.0 + w2 * (-200.0)]
     )
     np.testing.assert_allclose(grad, want_grad, rtol=1e-12)
@@ -261,15 +272,18 @@ def test_dynamic_columns_are_measurable(market):
         np.testing.assert_allclose(col[in_cell], -dx[in_cell])
 
 
-def test_budget_row_prices_positions(market):
+def test_option_columns_carry_price_minus_payoff(market):
     grid = market.grid_for(())
     program = assemble_frictionless(market.quotes, [], AGENT, grid, market.lot_size)
     q = market.quotes[0]
+    payoff = np.array([quoted_payoff(q, path) for path in grid.points])
     j_buy = program.layout.names.index(f"buy:{q.id}")
     j_sell = program.layout.names.index(f"sell:{q.id}")
-    assert program.budget_row[j_buy] == q.ask_price
-    assert program.budget_row[j_sell] == -q.bid_price
-    assert program.budget_row[program.layout.block("cash").start] == 1.0
+    np.testing.assert_array_equal(program.rows[:, j_buy], q.ask_price - payoff)
+    np.testing.assert_array_equal(program.rows[:, j_sell], payoff - q.bid_price)
+    assert program.cost[j_buy] == q.ask_price
+    assert program.cost[j_sell] == -q.bid_price
+    np.testing.assert_array_equal(program.offsets, np.full(grid.size, -AGENT.initial_wealth))
 
 
 def test_program_json_dump(tmp_path, market):

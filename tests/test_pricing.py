@@ -96,8 +96,8 @@ class TestReplication:
         assert report.flags["ordering_ok"]
 
     def test_legs_stay_finite_where_slacks_cancel(self, market_replication, agent):
-        # the budget-row slack of this market cancels to exactly zero unless a
-        # step is accepted only where the recomputed slacks stay positive
+        # a zero-spread quote in effectively unlimited quantity: no leg may
+        # build a non-finite iterate on the way to its optimum
         claim = vanilla_call(market_replication.quotes[0].strike)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

@@ -1,12 +1,14 @@
 import itertools
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from semistatic.fixtures import BASE_MODEL
+from semistatic.galerkin import assemble_frictionless
 from semistatic.pricing import AgentSpec, Market, optimal_value
 from semistatic.solver import (
     SolveSettings,
@@ -159,34 +161,24 @@ class TestMinimize:
     def test_mass_scaling_leaves_argmin(self):
         rng = np.random.default_rng(6)
         program = random_exp_instance(rng, 2, 6)
-        scaled = program.replace(masses=10.0 * program.masses)
+        scaled = replace(program, masses=10.0 * program.masses)
         a = minimize(program, TIGHT)
         b = minimize(scaled, TIGHT)
         np.testing.assert_allclose(a.x, b.x, atol=1e-10)
         assert b.objective == pytest.approx(10.0 * a.objective, rel=1e-12)
 
-    def test_budget_shift_identity(self):
-        # with a cash-like column and a budget row, raising the budget by h
-        # scales the optimum by exp(-kappa h) exactly
-        rng = np.random.default_rng(9)
-        rows = np.hstack([rng.uniform(-1, 1, size=(6, 2)), np.full((6, 1), -1.0)])
-        masses = rng.uniform(0.5, 1, size=6)
-        masses /= masses.sum()
-        kappa = 0.8
-
-        def prog(budget):
-            return make_exp_program(
-                rows, np.zeros(6), masses, kappa,
-                lower=[-1, -1, -np.inf], upper=[1, 1, np.inf],
-                start=[0, 0, budget - 0.5],
-                budget_row=[0.3, -0.2, 1.0], budget_rhs=budget,
-            )
-
-        base = minimize(prog(2.0), TIGHT)
-        shifted = minimize(prog(2.0 + 0.7), TIGHT)
-        assert shifted.objective == pytest.approx(
-            base.objective * np.exp(-kappa * 0.7), rel=1e-9
-        )
+    def test_program_without_faces(self):
+        # a quote-less market with dynamic trading leaves only free index
+        # positions: no box edge and no pointwise row for a barrier.  Almost
+        # all grid mass sits on one of its four scenarios, so the Hessian at
+        # the start is numerically singular.
+        agent = AgentSpec(100000.0, 2.0)
+        empty = Market(quotes=(), model=BASE_MODEL)
+        program = assemble_frictionless((), [], agent, empty.grid_for(()))
+        assert program.variable_count == 2 and program.constraint_count == 0
+        sol = minimize(program)
+        assert sol.status == "optimal"
+        assert sol.log_objective == pytest.approx(-30.369855986106803, rel=1e-8)
 
     def test_infeasible_pointwise_program(self):
         program = make_exp_program(
@@ -202,7 +194,7 @@ class TestMinimize:
         rng = np.random.default_rng(12)
         program = random_exp_instance(rng, 2, 5)
         cap = 1.2
-        constrained = program.replace(point_upper=np.full(5, cap))
+        constrained = replace(program, point_upper=np.full(5, cap))
         sol = minimize(constrained, TIGHT)
         assert sol.status == "optimal"
         assert constrained.loss_arguments(sol.x).max() <= cap + 1e-10
