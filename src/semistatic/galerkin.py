@@ -107,7 +107,6 @@ class DecisionLayout:
 
     mode: str  # "frictionless" | "transaction_cost"
     quote_ids: tuple[str, ...]
-    kept_quote_ids: tuple[str, ...]
     names: tuple[str, ...]
     blocks: dict = field(hash=False, default_factory=dict)
     cells: dict = field(hash=False, default_factory=dict)  # period -> ((lo, hi), ...)
@@ -340,7 +339,6 @@ def _assemble(quotes, claim_terms, agent, grid, lot_size, budget, delta_pct):
     layout = DecisionLayout(
         mode=mode,
         quote_ids=tuple(q.id for q in quotes),
-        kept_quote_ids=tuple(q.id for q, k in zip(quotes, keep[:J]) if k),
         names=kept_names,
         blocks=blocks,
         cells=layout_cells,

@@ -208,11 +208,12 @@ def optimal_value(
 
 
 def _log_value(market, agent, terms, budget, delta_pct, grid, settings, allow_dynamic=True):
+    """(log optimal value, Solution, AssembledProgram) of one exponential leg."""
     program = _assemble(market, terms, agent, grid, budget, delta_pct, allow_dynamic)
     solution = minimize(program, settings)
     if solution.status in ("infeasible", "unbounded"):
         raise SolverFailure(f"solve ended with status {solution.status}")
-    return solution.log_objective, solution
+    return solution.log_objective, solution, program
 
 
 def indifference_sell(
@@ -229,8 +230,8 @@ def indifference_sell(
     terms = _claim_terms(agent, claim, units)
     if grid is None:
         grid = market.grid_for(terms)
-    log_with, _ = _log_value(market, agent, terms, None, delta_pct, grid, settings)
-    log_base, _ = _log_value(market, agent, agent.baseline_terms(), None, delta_pct, grid, settings)
+    log_with, *_ = _log_value(market, agent, terms, None, delta_pct, grid, settings)
+    log_base, *_ = _log_value(market, agent, agent.baseline_terms(), None, delta_pct, grid, settings)
     return agent.initial_wealth / agent.risk_aversion * (log_with - log_base)
 
 
@@ -247,8 +248,8 @@ def indifference_buy(
     terms = _claim_terms(agent, claim, -units)
     if grid is None:
         grid = market.grid_for(_claim_terms(agent, claim, units))
-    log_base, _ = _log_value(market, agent, agent.baseline_terms(), None, delta_pct, grid, settings)
-    log_minus, _ = _log_value(market, agent, terms, None, delta_pct, grid, settings)
+    log_base, *_ = _log_value(market, agent, agent.baseline_terms(), None, delta_pct, grid, settings)
+    log_minus, *_ = _log_value(market, agent, terms, None, delta_pct, grid, settings)
     return agent.initial_wealth / agent.risk_aversion * (log_base - log_minus)
 
 
@@ -275,13 +276,13 @@ def indifference_bisection(
     terms = _claim_terms(agent, claim, units if side == "sell" else -units)
     if grid is None:
         grid = market.grid_for(_claim_terms(agent, claim, units))
-    base_log, _ = _log_value(market, agent, agent.baseline_terms(), None, delta_pct, grid, settings)
+    base_log, *_ = _log_value(market, agent, agent.baseline_terms(), None, delta_pct, grid, settings)
 
     sign = 1.0 if side == "sell" else -1.0
 
     def shortfall(price):
         # positive while the compensated position is still worse than baseline
-        log_v, _ = _log_value(
+        log_v, *_ = _log_value(
             market, agent, terms, agent.initial_wealth + sign * price, delta_pct, grid, settings
         )
         return sign * (log_v - base_log)
@@ -561,20 +562,22 @@ def price_report(
     grid = hedging.grid_for(terms)
     w, lam = agent.initial_wealth, agent.risk_aversion
 
-    log_base, sol_base = _log_value(
+    log_base, sol_base, _ = _log_value(
         hedging, agent, agent.baseline_terms(), None, delta_pct, grid, settings
     )
-    log_sell, sol_sell = _log_value(hedging, agent, terms, None, delta_pct, grid, settings)
+    log_sell, sol_sell, sell_prog = _log_value(
+        hedging, agent, terms, None, delta_pct, grid, settings
+    )
     minus = _claim_terms(agent, claim, -units)
-    log_buy, sol_buy = _log_value(hedging, agent, minus, None, delta_pct, grid, settings)
+    log_buy, sol_buy, _ = _log_value(hedging, agent, minus, None, delta_pct, grid, settings)
     seller = w / lam * (log_sell - log_base)
     buyer = w / lam * (log_base - log_buy)
 
     sup, _sup_port, sol_sup = superhedge_cost(hedging, claim, units, delta_pct, grid, settings)
     sub, _sub_port, sol_sub = subhedge_cost(hedging, claim, units, delta_pct, grid, settings)
 
-    base_prog = _assemble(hedging, terms, agent, grid, None, delta_pct)
-    bounds_active = _bounds_active(base_prog, sol_sell.x) or _bounds_active(base_prog, sol_buy.x)
+    # every exponential leg shares the seller's layout and boxes
+    bounds_active = _bounds_active(sell_prog, sol_sell.x) or _bounds_active(sell_prog, sol_buy.x)
     arbitrage = None
     if check_arbitrage:
         arbitrage = find_arbitrage(hedging, agent.initial_wealth, delta_pct, settings, quick=True)

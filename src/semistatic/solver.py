@@ -8,12 +8,17 @@ of affine rows), which is also convex, immune to overflow, and naturally
 scaled: a constant shift of every row moves it by an exact additive constant.
 Reported objective values are exponentiated back.
 
-Determinism: all reductions run in a fixed order (einsum / numpy sums per
-output element); no randomness, no time-dependent branching.  The BLAS calls
-inside a barrier solve (the Hessian products and the Cholesky factorization)
-would round differently with the number of BLAS threads, so every barrier
-solve runs on exactly one thread: each OpenBLAS copy loaded by numpy and scipy
-is set to one thread for the solve and back to the caller's count after it.
+Inside a barrier solve every product with the loss rows goes through one row
+operator per solve, which splits the columns by the grid axis they depend on
+and builds each Hessian from per-period blocks instead of the dense rows.
+
+Determinism: all reductions run per block in a fixed order (numpy sums over
+one grid axis, then one matrix product per block); no randomness, no
+time-dependent branching.  The BLAS calls inside a barrier solve (the block
+products and the Cholesky factorization) would round differently with the
+number of BLAS threads, so every barrier solve runs on exactly one thread:
+each OpenBLAS copy loaded by numpy and scipy is set to one thread for the
+solve and back to the caller's count after it.
 Repeated solves of the same program therefore give bit-identical results
 whatever thread count the process uses.  A BLAS that is not OpenBLAS (MKL,
 Accelerate) or a system without ``/proc`` is not pinned; there the promise
@@ -85,6 +90,95 @@ class Solution:
     trace: list = field(default_factory=list)
 
 
+def _last_axis_length(grid, M: int) -> int:
+    """Levels N_T of the last period when the M rows follow the C-ordered
+    Cartesian product that ``grid.point_index`` spells out; 1 otherwise."""
+    if grid is None:
+        return 1
+    index = grid.point_index
+    shape = tuple(int(v) + 1 for v in index.max(axis=0))
+    if int(np.prod(shape)) != M or not np.array_equal(
+        index, np.indices(shape).reshape(len(shape), M).T
+    ):
+        return 1
+    return shape[-1]
+
+
+class _RowOperator:
+    """Products with the loss rows R (M, n) of one program on its product grid.
+
+    Viewed as (M', N_T, n), with the last period's level on the middle axis,
+    most columns depend on one axis only: group A is constant along the last
+    period (maturity-1 options, ``z0``, a wealth or slack column of -1), group
+    B along the leading periods (last-maturity options).  The rest (rebalance
+    cells, ``dz`` legs) stays a thin dense block.  Splitting is by exact
+    equality, so every product equals the dense one up to rounding.  For a
+    weight vector w, W = w as (M', N_T), r = W 1 and q = W^T 1, the Gram
+    R^T diag(w) R has blocks A^T diag(r) A, B^T diag(q) B and A^T W B; the
+    rest meets A and B through w * rest summed over the last and the leading
+    axis (Van Loan 2000).  Rows without a Cartesian grid are the case N_T = 1:
+    every column lands in A and the products are the dense ones.
+    """
+
+    def __init__(self, rows, grid):
+        M, n = rows.shape
+        self.shape = (M, n)
+        n_last = _last_axis_length(grid, M)
+        self._grid_shape = (M // n_last, n_last)
+        cube = rows.reshape(M // n_last, n_last, n)
+        in_a = (cube == cube[:, :1]).all(axis=(0, 1))
+        in_b = ~in_a & (cube == cube[:1]).all(axis=(0, 1))
+        in_c = ~(in_a | in_b)
+        self._a, self._b, self._c = (np.flatnonzero(g) for g in (in_a, in_b, in_c))
+        self._A = np.ascontiguousarray(cube[:, 0][:, in_a])   # (M', nA)
+        self._B = np.ascontiguousarray(cube[0][:, in_b])      # (N_T, nB)
+        self._C = np.ascontiguousarray(rows[:, in_c])         # (M, k)
+        # position of each column in the block order [A | B | rest]
+        self._inverse = np.argsort(np.concatenate([self._a, self._b, self._c]))
+
+    def matvec(self, y):
+        """R y."""
+        out = (self._A @ y[self._a])[:, None] + (self._B @ y[self._b])[None, :]
+        out += (self._C @ y[self._c]).reshape(self._grid_shape)
+        return out.ravel()
+
+    def rmatvec(self, v):
+        """R^T v."""
+        grid_v = v.reshape(self._grid_shape)
+        out = np.empty(self.shape[1])
+        out[self._a] = self._A.T @ grid_v.sum(axis=1)
+        out[self._b] = self._B.T @ grid_v.sum(axis=0)
+        out[self._c] = self._C.T @ v
+        return out
+
+    def gram(self, w):
+        """R^T diag(w) R for nonnegative weights w, in blocks.
+
+        Each diagonal block is X^T X of one scaled buffer, a symmetric rank-k
+        update (SYRK); off-diagonal blocks are written once and mirrored.
+        """
+        W = w.reshape(self._grid_shape)
+        A, B, C = self._A, self._B, self._C
+        na, nb = A.shape[1], B.shape[1]
+        out = np.empty(self.shape[1:] * 2)
+        sa, sb, sc = slice(0, na), slice(na, na + nb), slice(na + nb, None)
+        scaled_a = A * np.sqrt(W.sum(axis=1))[:, None]
+        out[sa, sa] = scaled_a.T @ scaled_a
+        scaled_b = B * np.sqrt(W.sum(axis=0))[:, None]
+        out[sb, sb] = scaled_b.T @ scaled_b
+        out[sa, sb] = A.T @ (W @ B)
+        out[sb, sa] = out[sa, sb].T
+        scaled_c = C * np.sqrt(w)[:, None]
+        out[sc, sc] = scaled_c.T @ scaled_c
+        weighted = (C * w[:, None]).reshape(*self._grid_shape, C.shape[1])
+        out[sc, sa] = weighted.sum(axis=1).T @ A
+        out[sc, sb] = weighted.sum(axis=0).T @ B
+        out[sa, sc] = out[sc, sa].T
+        out[sb, sc] = out[sc, sb].T
+        # two one-axis gathers are several times faster than one np.ix_ gather
+        return out[self._inverse][:, self._inverse]
+
+
 class _ExpSumObjective:
     """log sum_i m_i exp(kappa * (r0_i + R_i y)) and its derivatives.
 
@@ -100,13 +194,13 @@ class _ExpSumObjective:
     MAX_EXPONENT_STEP = 50.0
 
     def __init__(self, rows, offsets, masses, kappa):
-        self.rows = rows
+        self.rows = rows  # a _RowOperator
         self.offsets = offsets
         self.log_masses = np.log(masses)
         self.kappa = kappa
 
     def _exponents(self, y):
-        return self.log_masses + self.kappa * (self.offsets + np.einsum("ij,j->i", self.rows, y))
+        return self.log_masses + self.kappa * (self.offsets + self.rows.matvec(y))
 
     @staticmethod
     def _logsumexp(e):
@@ -123,19 +217,18 @@ class _ExpSumObjective:
         total = p.sum()
         pi = p / total
         value = float(c + np.log(total))
-        grad = self.kappa * np.einsum("i,ij->j", pi, self.rows)
-        scaled = self.rows * np.sqrt(pi)[:, None]
-        hess = self.kappa**2 * (scaled.T @ scaled) - np.outer(grad, grad)
+        grad = self.kappa * self.rows.rmatvec(pi)
+        hess = self.kappa**2 * self.rows.gram(pi) - np.outer(grad, grad)
         return value, grad, hess
 
     def bounded(self, direction):
-        reach = self.kappa * float(np.abs(np.einsum("ij,j->i", self.rows, direction)).max())
+        reach = self.kappa * float(np.abs(self.rows.matvec(direction)).max())
         if reach > self.MAX_EXPONENT_STEP:
             return direction * (self.MAX_EXPONENT_STEP / reach)
         return direction
 
     def line_cache(self, y, direction):
-        return self._exponents(y), self.kappa * np.einsum("ij,j->i", self.rows, direction)
+        return self._exponents(y), self.kappa * self.rows.matvec(direction)
 
     def trial_value(self, cache, alpha):
         base, step = cache
@@ -163,11 +256,11 @@ class _LinearObjective:
         return base + alpha * step
 
 
-def _program_faces(program: AssembledProgram):
-    """General inequality rows G y <= h: the pointwise rows, if any."""
+def _program_faces(program: AssembledProgram, rows: _RowOperator):
+    """General inequality rows G y <= h: the pointwise rows, or None."""
     if program.point_upper is None:
-        return np.zeros((0, program.variable_count)), np.zeros(0)
-    return program.rows, program.point_upper - program.offsets
+        return None, np.zeros(0)
+    return rows, program.point_upper - program.offsets
 
 
 @functools.cache
@@ -248,10 +341,10 @@ def _barrier_core(objective, G, h, lower, upper, y0, settings, gap_scale):
     n = y.shape[0]
     fin_lo = np.isfinite(lower)
     fin_up = np.isfinite(upper)
-    m_faces = G.shape[0] + int(fin_lo.sum()) + int(fin_up.sum())
+    m_faces = h.shape[0] + int(fin_lo.sum()) + int(fin_up.sum())
 
     def slack_rows(v):
-        return h - np.einsum("ij,j->i", G, v) if G.shape[0] else np.zeros(0)
+        return h - G.matvec(v) if G is not None else np.zeros(0)
 
     def strictly_feasible(v):
         s = slack_rows(v)
@@ -295,12 +388,9 @@ def _barrier_core(objective, G, h, lower, upper, y0, settings, gap_scale):
             inv_s = 1.0 / s if s.shape[0] else s
             grad = t * g_f
             hess = t * h_f if h_f is not None else np.zeros((n, n))
-            if G.shape[0]:
-                grad = grad + np.einsum("ij,i->j", G, inv_s)
-                # W.T @ W on one buffer is a symmetric rank-k update (SYRK),
-                # half the flops of the general product
-                scaled_rows = G * inv_s[:, None]
-                hess = hess + scaled_rows.T @ scaled_rows
+            if G is not None:
+                grad = grad + G.rmatvec(inv_s)
+                hess = hess + G.gram(inv_s**2)
             diag = np.zeros(n)
             lo_s = y[fin_lo] - lower[fin_lo]
             up_s = upper[fin_up] - y[fin_up]
@@ -333,7 +423,7 @@ def _barrier_core(objective, G, h, lower, upper, y0, settings, gap_scale):
             # cached quantities along the direction; a step is accepted only
             # if the slacks recomputed at the new point stay positive, since
             # h - G y can cancel to zero where the carried s - alpha G d does not.
-            gd = np.einsum("ij,j->i", G, direction) if G.shape[0] else np.zeros(0)
+            gd = G.matvec(direction) if G is not None else np.zeros(0)
             alpha = _max_step(direction, gd, s, y, lower, upper, fin_lo, fin_up)
             lo_s0 = y[fin_lo] - lower[fin_lo]
             up_s0 = upper[fin_up] - y[fin_up]
@@ -418,9 +508,13 @@ def _core_result(status, y, f_val, t, stages, newtons, trace, kkt, s, fin_lo, fi
 
 
 def _newton_direction(hess, grad):
-    scale = max(float(np.trace(hess)) / hess.shape[0], 1e-300)
+    # The jitter is scaled by the largest diagonal entry: a numerically
+    # singular Hessian's trace can cancel to <= 0.  It grows from 1e-14 to 100
+    # times that entry, past any negative eigenvalue that rounding leaves in a
+    # positive semidefinite matrix.
+    scale = float(np.abs(np.diag(hess)).max()) or 1.0
     jitter = 0.0
-    for _ in range(8):
+    for _ in range(10):
         try:
             factor = scipy.linalg.cho_factor(
                 hess if jitter == 0.0 else hess + jitter * np.eye(hess.shape[0]),
@@ -513,7 +607,8 @@ def feasibility_start(program: AssembledProgram, settings: SolveSettings | None 
         program.start,
         float((program.offsets + program.rows @ program.start - program.point_upper).max()) + scale,
     )
-    core = _barrier_core(_LinearObjective(cost), rows, rhs, lower, upper, y0, settings, "absolute")
+    faces = _RowOperator(rows, program.grid)
+    core = _barrier_core(_LinearObjective(cost), faces, rhs, lower, upper, y0, settings, "absolute")
     s_star = core["objective"]
     point = core["y"][:n] if s_star < 0 else None
     return s_star, point
@@ -543,7 +638,8 @@ def minimize(program: AssembledProgram, settings: SolveSettings | None = None) -
                 )
             start = feasible
 
-    objective = _ExpSumObjective(program.rows, program.offsets, program.masses, program.kappa)
+    rows = _RowOperator(program.rows, program.grid)
+    objective = _ExpSumObjective(rows, program.offsets, program.masses, program.kappa)
     if program.variable_count == 0:
         # nothing to choose: the optimum is the objective itself, in closed form
         log_value = objective.value(start)
@@ -555,7 +651,7 @@ def minimize(program: AssembledProgram, settings: SolveSettings | None = None) -
             wall_time=time.perf_counter() - started,
             kkt_residual=0.0,
         )
-    G, h = _program_faces(program)
+    G, h = _program_faces(program, rows)
     core = _barrier_core(objective, G, h, program.lower, program.upper, start, settings, "absolute")
     if settings.trace_path:
         _write_trace(core["trace"], settings.trace_path)
@@ -601,7 +697,7 @@ def solve_lp(program: AssembledProgram, settings: SolveSettings | None = None) -
             start = feasible
 
     objective = _LinearObjective(program.cost)
-    G, h = _program_faces(program)
+    G, h = _program_faces(program, _RowOperator(program.rows, program.grid))
     core = _barrier_core(objective, G, h, program.lower, program.upper, start, settings, "relative")
     if settings.trace_path:
         _write_trace(core["trace"], settings.trace_path)

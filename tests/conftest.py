@@ -44,7 +44,6 @@ def stub_layout(n: int) -> DecisionLayout:
     return DecisionLayout(
         mode="frictionless",
         quote_ids=(),
-        kept_quote_ids=(),
         names=tuple(f"y{i}" for i in range(n)),
         blocks={
             "buy": VariableBlock("buy", 0, 0),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semistatic.claims import knockout_call, lookback_call, lookback_digital, vanilla_call
-from semistatic.fixtures import BASE_MODEL, crossed_quote_market
+from semistatic.fixtures import BASE_MODEL, crossed_quote_market, planted_arbitrage_market
 from semistatic.instruments import OptionKind, Quote
 from semistatic.pricing import (
     AgentSpec,
@@ -18,6 +18,7 @@ from semistatic.pricing import (
     subhedge_cost,
     superhedge_cost,
 )
+from semistatic.solver import PHASE1_GAP
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +176,22 @@ class TestArbitrage:
         quick = find_arbitrage(market, 100000.0, quick=True)
         assert quick.found
         assert quick.expected_excess == pytest.approx(1500.0, rel=1e-6)
+
+    def test_friction_removes_planted_arbitrage(self):
+        # a deep in-the-money call offered `edge` below its cash-and-short-index
+        # bound: riskless with a free index, not once index trades cost 0.1%
+        edge, contracts = 0.5, 2
+        market = planted_arbitrage_market(edge=edge, contracts=contracts)
+        budget = 1e5
+        free = find_arbitrage(market, budget, quick=True)
+        assert free.found
+        assert free.expected_excess == pytest.approx(
+            edge * contracts * market.lot_size, abs=PHASE1_GAP * (1.0 + budget)
+        )
+        # with costs the best uniform excess is that of holding cash: zero
+        costly = find_arbitrage(market, budget, delta_pct=0.1, quick=True)
+        assert not costly.found
+        assert 0.0 <= costly.min_uniform_slack <= PHASE1_GAP * (1.0 + budget)
 
 
 class TestPriceReport:

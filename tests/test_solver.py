@@ -17,6 +17,7 @@ from semistatic.solver import (
     minimize,
     objective_and_gradient,
     solve_lp,
+    _newton_direction,
     _openblas_thread_controls,
 )
 
@@ -199,6 +200,34 @@ class TestMinimize:
         assert sol.status == "optimal"
         assert constrained.loss_arguments(sol.x).max() <= cap + 1e-10
         assert sol.duals["point"] is not None
+
+
+class TestNewtonDirection:
+    def test_jitter_scaled_where_the_trace_cancels(self, monkeypatch):
+        # the Hessian seen on a quote-less market before the exponent cap:
+        # kappa^2 S^T S - g g^T cancels to eigenvalues -2.7e-20 and 1e-22, so
+        # its trace is negative and carries no scale for the jitter
+        c, s = np.cos(0.3), np.sin(0.3)
+        rotation = np.array([[c, -s], [s, c]])
+        hess = rotation @ np.diag([-2.7e-20, 1e-22]) @ rotation.T
+        assert np.trace(hess) < 0
+        grad = np.array([3e-12, -1e-12])
+        solves = []
+        solve = scipy.linalg.cho_solve
+
+        def spy(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_solve", spy)
+        direction = _newton_direction(hess, grad)
+        assert len(solves) == 1  # a Cholesky attempt, not the -grad/scale fallback
+        assert np.isfinite(direction).all()
+        assert grad @ direction < 0
+        # (hess + jitter I) direction = -grad for a jitter just past -lambda_min
+        jitter = -direction @ (hess @ direction + grad) / (direction @ direction)
+        assert 2.7e-20 < jitter <= 100.0 * np.abs(np.diag(hess)).max()
+        np.testing.assert_allclose(hess @ direction + jitter * direction, -grad, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
