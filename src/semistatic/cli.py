@@ -95,10 +95,8 @@ CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "grad_tol": {"type": "number"},
-                "barrier_reduction": {"type": "number"},
-                "max_outer": {"type": "integer"},
-                "max_newton": {"type": "integer"},
                 "gap_tol": {"type": "number"},
+                "max_iter": {"type": "integer"},
             },
             "additionalProperties": False,
         },

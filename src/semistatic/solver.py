@@ -1,39 +1,62 @@
-"""Self-contained solvers for the assembled programs: a primal log-barrier
-interior-point method with a damped Newton inner loop for the exponential-sum
-objective, and the same barrier machinery specialized to linear objectives for
-the hedging and arbitrage linear programs.
+"""Self-contained solvers for the assembled programs: one primal-dual
+interior-point method (Mehrotra 1992; Wright 1997, ch. 10-11) for the
+exponential-sum programs, the hedging linear programs and the phase-1 slack
+program.
 
 The exponential-sum objective is minimized through its logarithm (log-sum-exp
 of affine rows), which is also convex, immune to overflow, and naturally
 scaled: a constant shift of every row moves it by an exact additive constant.
 Reported objective values are exponentiated back.
 
-Inside a barrier solve every product with the loss rows goes through one row
+Method.  Every face G_i y <= h_i, pointwise rows and finite box edges alike,
+carries a slack s_i > 0 and a dual z_i > 0, started at z = mu0 / s with
+mu0 = max(1, |f0|) / m.  The primal iterate stays strictly feasible: the
+slacks are h - G y, recomputed at every accepted point.  Each iteration
+factors one Newton system H = Hess f + G^T diag(z/s) G by Cholesky and
+solves it for the affine predictor and for the corrector, whose centering
+weight is sigma = min(1, (mu_aff / mu)^3).  Primal and dual steps go 0.99 of
+the way to the nearest face, each with its own length; for the exponential
+objective the primal step is also backtracked on the merit
+f - sigma mu sum(log s).  Without faces the loop is damped Newton on f.
+
+Stopping rule.  The loop stops when the duality gap s^T z and the Newton
+decrement r^T H^-1 r of the dual residual r = grad f + G^T z are both at most
+``gap_tol`` times the objective's scale (see ``SolveSettings``); the larger
+of the two over that scale is the reported ``kkt_residual``.  At the stop the
+duals take the dual part of one more Newton step, which cancels the dual
+residual of a linear program.  Statuses: ``optimal``; ``max_iter`` when the
+iterations run out, or no step is possible, with the residual above
+``grad_tol``; ``unbounded`` below ``objective_floor``; ``infeasible`` from
+phase-1; ``numerical_error`` as soon as f, y, s, z or a direction is not
+finite, never ``optimal``.
+
+Inside a solve every product with the loss rows goes through one row
 operator per solve, which splits the columns by the grid axis they depend on
 and builds each Hessian from per-period blocks instead of the dense rows.
+An iteration makes three row products: R d for the predictor's and for the
+corrector's direction, and R y at the accepted point, whose row values serve
+as the next slacks and exponents (a shortened step costs one more).
 
 Determinism: all reductions run per block in a fixed order (numpy sums over
 one grid axis, then one matrix product per block); no randomness, no
-time-dependent branching.  The BLAS calls inside a barrier solve (the block
-products and the Cholesky factorization) would round differently with the
-number of BLAS threads, so every barrier solve runs on exactly one thread:
-each OpenBLAS copy loaded by numpy and scipy is set to one thread for the
-solve and back to the caller's count after it.
-Repeated solves of the same program therefore give bit-identical results
-whatever thread count the process uses.  A BLAS that is not OpenBLAS (MKL,
-Accelerate) or a system without ``/proc`` is not pinned; there the promise
-holds only at a fixed thread count.
+time-dependent branching.  The BLAS calls inside a solve (the block products
+and the Cholesky factorization) would round differently with the number of
+BLAS threads, so every solve runs on exactly one thread: each OpenBLAS copy
+loaded by numpy and scipy is set to one thread for the solve and back to the
+caller's count after it.  Repeated solves of the same program therefore give
+bit-identical results whatever thread count the process uses.  A BLAS that
+is not OpenBLAS (MKL, Accelerate) or a system without ``/proc`` is not
+pinned; there the promise holds only at a fixed thread count.
 """
 from __future__ import annotations
 
 import contextlib
-import csv
 import ctypes
 import functools
 import os
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -41,6 +64,8 @@ import scipy.linalg
 from .galerkin import AssembledProgram
 
 _STEP_SHRINK_MIN = 1e-18
+# share of the step to the nearest face that an iterate may take
+_FRACTION_TO_BOUNDARY = 0.99
 # phase-1 gap target per unit of pointwise scale: a quarter of the 1e-9
 # strictness margin that callers test the minimum slack against
 PHASE1_GAP = 2.5e-10
@@ -48,40 +73,43 @@ PHASE1_GAP = 2.5e-10
 
 @dataclass
 class SolveSettings:
-    """Barrier method controls.
+    """Interior-point controls.
 
-    ``grad_tol`` is the scaled KKT residual required for an ``optimal`` status;
-    ``gap_tol`` is the complementarity target on the solver's internal
-    objective scale (the log objective for exponential programs) and decides
-    how far the barrier parameter is pushed.
+    ``gap_tol`` is the stopping target on the duality gap and the Newton
+    decrement, in units of the objective's scale: 1 for the log value of an
+    exponential program, so that ``gap_tol`` bounds the relative error of the
+    value itself, and 1 + |f| for a linear objective f.  An indifference
+    price is a difference of two log values times w / lambda, so its error
+    stays below about 2 * gap_tol * w / lambda (1e-6 USD at the defaults and
+    w / lambda = 5e4).  ``grad_tol`` is the scaled residual below which a
+    solve that runs out of ``max_iter`` iterations, or cannot step, still
+    reports ``optimal``.  An objective below ``objective_floor`` is reported
+    ``unbounded``.
     """
 
     grad_tol: float = 1e-8
-    barrier_reduction: float = 0.2
-    max_outer: int = 60
-    max_newton: int = 50
-    ls_backtrack: float = 0.5
-    ls_sufficient_decrease: float = 1e-4
-    gap_tol: float = 1e-9
-    newton_tol: float = 1e-10
+    gap_tol: float = 1e-11
     objective_floor: float = -1e15
-    trace_path: str | None = None
+    max_iter: int = 200
 
     def __post_init__(self):
-        if not (0 < self.barrier_reduction < 1):
-            raise ValueError("barrier reduction factor must lie in (0, 1)")
-        if self.grad_tol <= 0 or self.grad_tol >= 1:
-            raise ValueError("gradient tolerance must lie in (0, 1)")
-        if min(self.max_outer, self.max_newton) <= 0:
-            raise ValueError("iteration limits must be positive")
+        if not (0 < self.gap_tol < 1 and 0 < self.grad_tol < 1):
+            raise ValueError("tolerances must lie in (0, 1)")
+        if self.max_iter <= 0:
+            raise ValueError("iteration limit must be positive")
 
 
 @dataclass
 class Solution:
+    """A solve's point and value.  ``outer_iterations`` counts
+    predictor-corrector steps, ``newton_iterations`` the Newton systems
+    factored (one per step and one at the final point), ``trace`` holds one
+    row per system with the objective, gap and decrement there."""
+
     x: np.ndarray
     objective: float
     log_objective: float | None
-    status: str  # optimal | infeasible | unbounded | max_iter
+    status: str  # optimal | infeasible | unbounded | max_iter | numerical_error
     duals: dict = field(default_factory=dict)
     outer_iterations: int = 0
     newton_iterations: int = 0
@@ -179,11 +207,17 @@ class _RowOperator:
         return out[self._inverse][:, self._inverse]
 
 
-class _ExpSumObjective:
-    """log sum_i m_i exp(kappa * (r0_i + R_i y)) and its derivatives.
+def _logsumexp(e):
+    c = e.max()
+    return float(c + np.log(np.exp(e - c).sum()))
 
-    Line searches move along a fixed direction, so the exponent vector is
-    cached and trial values cost O(M) instead of O(M n).
+
+class _ExpSumObjective:
+    """log sum_i m_i exp(kappa * (r0_i + r_i)) of the row values r = R y.
+
+    The interior-point loop hands in the row values of its current point, so
+    no method here multiplies by the rows except for the gradient and the
+    Hessian; a trial value along a direction d costs O(M) given R d.
     """
 
     # Where almost all mass sits on one scenario the Hessian is numerically
@@ -199,68 +233,40 @@ class _ExpSumObjective:
         self.log_masses = np.log(masses)
         self.kappa = kappa
 
-    def _exponents(self, y):
-        return self.log_masses + self.kappa * (self.offsets + self.rows.matvec(y))
+    def _exponents(self, r):
+        return self.log_masses + self.kappa * (self.offsets + r)
 
-    @staticmethod
-    def _logsumexp(e):
-        c = e.max()
-        return float(c + np.log(np.exp(e - c).sum()))
+    def value(self, y, r):
+        return _logsumexp(self._exponents(r))
 
-    def value(self, y):
-        return self._logsumexp(self._exponents(y))
-
-    def value_grad_hess(self, y):
-        e = self._exponents(y)
+    def derivatives(self, y, r):
+        e = self._exponents(r)
         c = e.max()
         p = np.exp(e - c)
         total = p.sum()
         pi = p / total
-        value = float(c + np.log(total))
         grad = self.kappa * self.rows.rmatvec(pi)
         hess = self.kappa**2 * self.rows.gram(pi) - np.outer(grad, grad)
-        return value, grad, hess
+        return float(c + np.log(total)), grad, hess
 
-    def bounded(self, direction):
-        reach = self.kappa * float(np.abs(self.rows.matvec(direction)).max())
-        if reach > self.MAX_EXPONENT_STEP:
-            return direction * (self.MAX_EXPONENT_STEP / reach)
-        return direction
-
-    def line_cache(self, y, direction):
-        return self._exponents(y), self.kappa * self.rows.matvec(direction)
-
-    def trial_value(self, cache, alpha):
-        base, step = cache
-        return self._logsumexp(base + alpha * step)
+    def along(self, r, rd):
+        """The value at y + a d as a function of a, and the largest a that
+        moves no exponent by more than ``MAX_EXPONENT_STEP``."""
+        base, step = self._exponents(r), self.kappa * rd
+        reach = float(np.abs(step).max(initial=0.0))
+        cap = self.MAX_EXPONENT_STEP / reach if reach > 0 else np.inf
+        return (lambda a: _logsumexp(base + a * step)), cap
 
 
 class _LinearObjective:
     def __init__(self, cost):
         self.cost = cost
 
-    def value(self, y):
-        return float(np.einsum("j,j->", self.cost, y))
+    def value(self, y, r):
+        return float(self.cost @ y)
 
-    def value_grad_hess(self, y):
-        return self.value(y), self.cost.copy(), None
-
-    def bounded(self, direction):
-        return direction
-
-    def line_cache(self, y, direction):
-        return self.value(y), float(np.einsum("j,j->", self.cost, direction))
-
-    def trial_value(self, cache, alpha):
-        base, step = cache
-        return base + alpha * step
-
-
-def _program_faces(program: AssembledProgram, rows: _RowOperator):
-    """General inequality rows G y <= h: the pointwise rows, or None."""
-    if program.point_upper is None:
-        return None, np.zeros(0)
-    return rows, program.point_upper - program.offsets
+    def derivatives(self, y, r):
+        return self.value(y, r), self.cost, None
 
 
 @functools.cache
@@ -326,193 +332,174 @@ class _OneBlasThread(contextlib.ContextDecorator):
         return False
 
 
+def _step_to_boundary(v, dv):
+    """Largest a with v + a dv >= 0; inf when no entry decreases."""
+    falling = dv < 0
+    return float((v[falling] / -dv[falling]).min()) if falling.any() else np.inf
+
+
 @_OneBlasThread()
-def _barrier_core(objective, G, h, lower, upper, y0, settings, gap_scale):
-    """Damped-Newton log-barrier loop shared by the exponential and LP paths.
+def _interior_point(objective, rows, h, lower, upper, y0, settings, tol, scale):
+    """Mehrotra predictor-corrector for min f(y) s.t. R y <= h and the boxes,
+    from the strictly feasible ``y0`` (see the module docstring).
 
-    ``gap_scale`` selects the stage-termination scale: "absolute" treats
-    ``gap_tol`` as absolute on the objective (the log objective for
-    exponential programs, the slack for phase-1), "relative" as relative to
-    the objective magnitude (the hedging LPs).  It also sets the first barrier
-    weight: m for "absolute", m / max(1, |f0|) for "relative".  A program
-    without faces (m = 0) is solved by a single Newton stage at weight 1.
+    ``rows`` is the row operator R, which the exponential objective reads
+    too; ``h`` bounds the rows, or is None when they are no faces.  The loop
+    stops when the gap and the decrement are at most ``tol * scale(f)``.
     """
-    y = np.asarray(y0, dtype=float).copy()
+    y = np.array(y0, dtype=float)
     n = y.shape[0]
-    fin_lo = np.isfinite(lower)
-    fin_up = np.isfinite(upper)
-    m_faces = h.shape[0] + int(fin_lo.sum()) + int(fin_up.sum())
+    lo = np.flatnonzero(np.isfinite(lower))
+    up = np.flatnonzero(np.isfinite(upper))
+    k = 0 if h is None else h.shape[0]
+    m = k + lo.size + up.size
 
-    def slack_rows(v):
-        return h - G.matvec(v) if G is not None else np.zeros(0)
+    def slacks(v, r):
+        return np.concatenate([h - r if k else np.zeros(0), v[lo] - lower[lo], upper[up] - v[up]])
 
-    def strictly_feasible(v):
-        s = slack_rows(v)
-        return (
-            (s > 0).all()
-            and (v[fin_lo] - lower[fin_lo] > 0).all()
-            and (upper[fin_up] - v[fin_up] > 0).all()
-        )
+    def faces(d, rd):
+        """G d."""
+        return np.concatenate([rd if k else np.zeros(0), -d[lo], d[up]])
 
-    if not strictly_feasible(y):
-        raise ValueError("barrier start point is not strictly feasible")
+    def faces_t(v):
+        """G^T v."""
+        out = rows.rmatvec(v[:k]) if k else np.zeros(n)
+        out[lo] -= v[k:k + lo.size]
+        out[up] += v[k + lo.size:]
+        return out
 
-    relative = gap_scale == "relative"
-    f0 = objective.value(y)
-    t = max(m_faces, 1) / max(1.0, abs(f0)) if relative else float(max(m_faces, 1))
+    def faces_gram(w):
+        """G^T diag(w) G."""
+        out = rows.gram(w[:k]) if k else np.zeros((n, n))
+        diag = np.zeros(n)
+        diag[lo] += w[k:k + lo.size]
+        diag[up] += w[k + lo.size:]
+        out[np.diag_indices(n)] += diag
+        return out
+
+    r = rows.matvec(y)
+    s = slacks(y, r)
+    if not (s > 0).all():
+        raise ValueError("interior-point start is not strictly feasible")
+    f = objective.value(y, r)
+    z = max(1.0, abs(f)) / max(m, 1) / s
 
     trace = []
-    newton_total = 0
     status = "max_iter"
-    f_val = f0
     kkt = np.inf
-    stage = 0
-
-    last_dec2 = np.inf
-    for stage in range(1, settings.max_outer + 1):
-        # loose centering while the barrier weight is still being pushed,
-        # tight centering once this stage can meet the gap target
-        gap_target = settings.gap_tol * (1.0 + abs(f_val)) if relative else settings.gap_tol
-        final_stage = (m_faces / t <= gap_target) or (stage == settings.max_outer)
-        inner_tol = settings.newton_tol if final_stage else max(settings.newton_tol, 5e-3)
-        last_dec2 = np.inf
-        for _ in range(settings.max_newton):
-            f_val, g_f, h_f = objective.value_grad_hess(y)
-            # the hedging LPs can be unbounded; phase-1 has its slack boxed
-            if relative and f_val < settings.objective_floor:
-                return _core_result(
-                    "unbounded", y, f_val, t, stage, newton_total, trace, np.inf,
-                    slack_rows(y), fin_lo, fin_up, lower, upper,
-                )
-            s = slack_rows(y)
-            inv_s = 1.0 / s if s.shape[0] else s
-            grad = t * g_f
-            hess = t * h_f if h_f is not None else np.zeros((n, n))
-            if G is not None:
-                grad = grad + G.rmatvec(inv_s)
-                hess = hess + G.gram(inv_s**2)
-            diag = np.zeros(n)
-            lo_s = y[fin_lo] - lower[fin_lo]
-            up_s = upper[fin_up] - y[fin_up]
-            gb = np.zeros(n)
-            gb[fin_lo] -= 1.0 / lo_s
-            gb[fin_up] += 1.0 / up_s
-            grad = grad + gb
-            diag[fin_lo] += 1.0 / lo_s**2
-            diag[fin_up] += 1.0 / up_s**2
-            hess[np.diag_indices(n)] += diag
-
-            direction = _newton_direction(hess, grad)
-            dec2 = max(float(-grad @ direction), 0.0)
-            decrement = np.sqrt(dec2)
-            newton_total += 1
-            if 0.5 * dec2 <= inner_tol:
-                last_dec2 = dec2
-                break
-            # well centered and no longer improving: the decrement has reached
-            # its floating-point noise floor for this barrier weight
-            if decrement < 1e-3 and dec2 >= 0.25 * last_dec2:
-                last_dec2 = min(dec2, last_dec2)
-                break
-            last_dec2 = dec2
-            direction = objective.bounded(direction)
-
-            # Long Newton steps capped strictly inside the feasible region,
-            # backtracked under an Armijo test that tolerates merit noise at
-            # the double-precision floor of t * F.  Trial values only move
-            # cached quantities along the direction; a step is accepted only
-            # if the slacks recomputed at the new point stay positive, since
-            # h - G y can cancel to zero where the carried s - alpha G d does not.
-            gd = G.matvec(direction) if G is not None else np.zeros(0)
-            alpha = _max_step(direction, gd, s, y, lower, upper, fin_lo, fin_up)
-            lo_s0 = y[fin_lo] - lower[fin_lo]
-            up_s0 = upper[fin_up] - y[fin_up]
-            d_lo = direction[fin_lo]
-            d_up = direction[fin_up]
-
-            def trial_barrier(a):
-                s_a = s - a * gd
-                lo_a = lo_s0 + a * d_lo
-                up_a = up_s0 - a * d_up
-                if (s_a <= 0).any() or (lo_a <= 0).any() or (up_a <= 0).any():
-                    return np.inf
-                out = 0.0
-                if s_a.shape[0]:
-                    out -= np.log(s_a).sum()
-                if lo_a.shape[0]:
-                    out -= np.log(lo_a).sum()
-                if up_a.shape[0]:
-                    out -= np.log(up_a).sum()
-                return out
-
-            line = objective.line_cache(y, direction)
-            psi0 = t * f_val + trial_barrier(0.0)
-            slope = float(grad @ direction)
-            noise = 64.0 * np.finfo(float).eps * (abs(psi0) + abs(t * f_val))
-            accepted = False
-            while alpha >= _STEP_SHRINK_MIN:
-                psi_new = t * objective.trial_value(line, alpha) + trial_barrier(alpha)
-                if psi_new <= psi0 + settings.ls_sufficient_decrease * alpha * slope + noise:
-                    step = alpha * direction
-                    y_new = y + step
-                    if strictly_feasible(y_new):
-                        y = y_new
-                        accepted = True
-                        break
-                alpha *= settings.ls_backtrack
-            if not accepted:
-                break
-            if float(np.abs(step).max()) <= 1e-16 * (1.0 + float(np.abs(y).max())):
-                break
-
-        f_val = objective.value(y)
-        gap = m_faces / t
-        kkt = _kkt_residual(f_val, t, m_faces, last_dec2)
-        trace.append({"stage": stage, "t": t, "objective": f_val, "gap": gap, "kkt": kkt})
-        gap_target = settings.gap_tol * (1.0 + abs(f_val)) if relative else settings.gap_tol
-        if gap <= gap_target:
-            status = "optimal" if kkt <= settings.grad_tol else "max_iter"
+    for steps in range(settings.max_iter + 1):
+        f, g, hess_f = objective.derivatives(y, r)
+        residual = g + faces_t(z)
+        if not (np.isfinite(f) and np.isfinite(y).all() and np.isfinite(z).all()
+                and np.isfinite(s).all() and np.isfinite(residual).all()):
+            status = "numerical_error"
             break
-        t /= settings.barrier_reduction
-    else:
-        stage = settings.max_outer
-        status = "optimal" if kkt <= settings.grad_tol else "max_iter"
+        if f < settings.objective_floor:
+            status = "unbounded"
+            break
+        hess = faces_gram(z / s)
+        if hess_f is not None:
+            hess += hess_f
+        solve = _newton_solver(hess)
+        solved = solve(np.column_stack([residual, g]))
+        gap = float(s @ z)
+        decrement = float(residual @ solved[:, 0])
+        trace.append({"objective": f, "gap": gap, "decrement": decrement})
+        if not np.isfinite(solved).all():
+            status = "numerical_error"
+            break
+        kkt = max(gap, abs(decrement)) / scale(f)
+        if kkt <= tol:
+            status = "optimal"
+            # the dual part of one more Newton step at fixed slacks: for a
+            # linear objective G^T dz cancels the dual residual
+            u = solved[:, 0]
+            z = np.maximum(z - z / s * faces(u, rows.matvec(u) if k else None), 0.0)
+            break
+        if steps == settings.max_iter:
+            break
 
-    return _core_result(
-        status, y, f_val, t, stage, newton_total, trace, kkt,
-        slack_rows(y), fin_lo, fin_up, lower, upper,
-    )
+        # predictor: the affine direction, then the centering weight
+        dy = -solved[:, 1]
+        centering = np.zeros(m)
+        if m:
+            mu = gap / m
+            ds = -faces(dy, rows.matvec(dy) if k else None)
+            dz = -z - z / s * ds
+            alpha_p = min(1.0, _step_to_boundary(s, ds))
+            alpha_d = min(1.0, _step_to_boundary(z, dz))
+            mu_aff = float((s + alpha_p * ds) @ (z + alpha_d * dz)) / m
+            sigma = min(1.0, (mu_aff / mu) ** 3)
+            # corrector: sigma * mu less the second-order term ds * dz
+            centering = sigma * mu - ds * dz
+            dy = -solve(g + faces_t(centering / s))
+        rdy = rows.matvec(dy)
+        ds = -faces(dy, rdy)
+        dz = -z + (centering - z * ds) / s
+        if not (np.isfinite(dy).all() and np.isfinite(dz).all()):
+            status = "numerical_error"
+            break
 
+        alpha = min(1.0, _FRACTION_TO_BOUNDARY * _step_to_boundary(s, ds))
+        accepts = None
+        if hess_f is not None:
+            # backtrack on the barrier merit f - sigma mu sum log s
+            trial, cap = objective.along(r, rdy)
+            alpha = min(alpha, cap)
+            weight = sigma * mu if m else 0.0
+            merit0 = f - weight * float(np.log(s).sum())
+            slope = float(g @ dy) - weight * float((ds / s).sum())
+            noise = 64.0 * np.finfo(float).eps * (abs(merit0) + abs(f))
 
-def _core_result(status, y, f_val, t, stages, newtons, trace, kkt, s, fin_lo, fin_up, lower, upper):
-    n = y.shape[0]
-    lam_lo = np.full(n, np.nan)
-    lam_up = np.full(n, np.nan)
-    with np.errstate(divide="ignore"):
-        lam_rows = 1.0 / (t * s) if s.shape[0] else s
-        lam_lo[fin_lo] = 1.0 / (t * (y[fin_lo] - lower[fin_lo]))
-        lam_up[fin_up] = 1.0 / (t * (upper[fin_up] - y[fin_up]))
+            def accepts(a):
+                s_a = s + a * ds
+                if (s_a <= 0).any():
+                    return False
+                merit = trial(a) - weight * float(np.log(s_a).sum())
+                return merit <= merit0 + 1e-4 * a * min(slope, 0.0) + noise
+
+        # a step is taken only where the slacks recomputed at the new point
+        # stay positive: h - G y can cancel to zero where s + a ds does not
+        while alpha >= _STEP_SHRINK_MIN:
+            if accepts is None or accepts(alpha):
+                y_new = y + alpha * dy
+                r_new = rows.matvec(y_new)
+                s_new = slacks(y_new, r_new)
+                if (s_new > 0).all():
+                    break
+            alpha *= 0.5
+        else:
+            break
+        y, r, s = y_new, r_new, s_new
+        z = z + min(1.0, _FRACTION_TO_BOUNDARY * _step_to_boundary(z, dz)) * dz
+    if status == "max_iter" and kkt <= settings.grad_tol:
+        status = "optimal"
+
+    lower_z = np.full(n, np.nan)
+    upper_z = np.full(n, np.nan)
+    lower_z[lo] = z[k:k + lo.size]
+    upper_z[up] = z[k + lo.size:]
     return {
         "status": status,
         "y": y,
-        "objective": f_val,
-        "t": t,
-        "stages": stages,
-        "newtons": newtons,
+        "objective": objective.value(y, r),
+        "steps": steps,
+        "systems": len(trace),
         "trace": trace,
         "kkt": kkt,
-        "row_duals": lam_rows,
-        "lower_duals": lam_lo,
-        "upper_duals": lam_up,
+        "duals": {"point": None if h is None else z[:k], "lower": lower_z, "upper": upper_z},
     }
 
 
-def _newton_direction(hess, grad):
-    # The jitter is scaled by the largest diagonal entry: a numerically
-    # singular Hessian's trace can cancel to <= 0.  It grows from 1e-14 to 100
-    # times that entry, past any negative eigenvalue that rounding leaves in a
-    # positive semidefinite matrix.
-    scale = float(np.abs(np.diag(hess)).max()) or 1.0
+def _newton_solver(hess):
+    """solve(b) = H^-1 b from one Cholesky factorization of H.
+
+    The jitter is scaled by the largest diagonal entry: a numerically
+    singular Hessian's trace can cancel to <= 0.  It grows from 1e-14 to 100
+    times that entry, past any negative eigenvalue that rounding leaves in a
+    positive semidefinite matrix.
+    """
+    scale = float(np.abs(np.diag(hess)).max(initial=0.0)) or 1.0
     jitter = 0.0
     for _ in range(10):
         try:
@@ -521,56 +508,11 @@ def _newton_direction(hess, grad):
                 lower=True,
                 check_finite=False,
             )
-            return -scipy.linalg.cho_solve(factor, grad, check_finite=False)
+            return lambda rhs: scipy.linalg.cho_solve(factor, rhs, check_finite=False)
         except scipy.linalg.LinAlgError:
             jitter = max(jitter * 100.0, 1e-14 * scale)
-    # last resort: steepest descent step in a badly conditioned corner
-    return -grad / scale
-
-
-def _max_step(direction, gd, s, y, lower, upper, fin_lo, fin_up, frac=0.99):
-    alpha = 1.0 / frac
-    if gd.shape[0]:
-        hit = gd > 0
-        if hit.any():
-            alpha = min(alpha, float((s[hit] / gd[hit]).min()))
-    lo_move = fin_lo & (direction < 0)
-    if lo_move.any():
-        alpha = min(alpha, float(((y[lo_move] - lower[lo_move]) / -direction[lo_move]).min()))
-    up_move = fin_up & (direction > 0)
-    if up_move.any():
-        alpha = min(alpha, float(((upper[up_move] - y[up_move]) / direction[up_move]).min()))
-    return min(1.0, frac * alpha)
-
-
-def _kkt_residual(f_val, t, m_faces, dec2):
-    """Scaled KKT residual: remaining objective improvement, relative.
-
-    The multipliers 1/(t s) satisfy stationarity up to the centering residual,
-    whose objective cost is the Newton decrement squared over 2t; the
-    complementarity products are exactly 1/t each.  Both are measured in
-    objective units against 1 + |f|.
-    """
-    scale = t * (1.0 + abs(f_val))
-    centering = 0.5 * min(dec2, 1.0) / scale if np.isfinite(dec2) else np.inf
-    return max(m_faces / scale, centering)
-
-
-def _duals(core, program):
-    return {
-        "point": None if program.point_upper is None else core["row_duals"],
-        "lower": core["lower_duals"],
-        "upper": core["upper_duals"],
-    }
-
-
-def _write_trace(trace, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "barrier_weight", "objective", "gap", "kkt"])
-        for row in trace:
-            writer.writerow([row["stage"], repr(float(1.0 / row["t"])), repr(float(row["objective"])),
-                             repr(float(row["gap"])), repr(float(row["kkt"]))])
+    # last resort: a steepest-descent step in a badly conditioned corner
+    return lambda rhs: rhs / scale
 
 
 def feasibility_start(program: AssembledProgram, settings: SolveSettings | None = None):
@@ -591,27 +533,81 @@ def feasibility_start(program: AssembledProgram, settings: SolveSettings | None 
     settings = settings or SolveSettings()
     M, n = program.rows.shape
     scale = 1.0 + float(np.abs(program.point_upper).max())
-    # Callers accept the point when the slack lies below -1e-9 * scale.  The
-    # gap target is absolute, a quarter of that margin: a target relative to
-    # |s| would let the error grow with the slack.
-    settings = replace(settings, gap_tol=PHASE1_GAP * scale)
-
     rows = np.hstack([program.rows, -np.ones((M, 1))])
-    rhs = program.point_upper - program.offsets
-    lower = np.append(program.lower, -10.0 * scale)
-    upper = np.append(program.upper, np.inf)
     cost = np.zeros(n + 1)
     cost[-1] = 1.0
-
-    y0 = np.append(
-        program.start,
-        float((program.offsets + program.rows @ program.start - program.point_upper).max()) + scale,
+    violation = float((program.loss_arguments(program.start) - program.point_upper).max())
+    # Callers accept the point when the slack lies below -1e-9 * scale.  The
+    # target is absolute, a quarter of that margin: a target relative to |s|
+    # would let the error grow with the slack.
+    core = _interior_point(
+        _LinearObjective(cost),
+        _RowOperator(rows, program.grid),
+        program.point_upper - program.offsets,
+        np.append(program.lower, -10.0 * scale),
+        np.append(program.upper, np.inf),
+        np.append(program.start, violation + scale),
+        settings,
+        PHASE1_GAP,
+        lambda f: scale,
     )
-    faces = _RowOperator(rows, program.grid)
-    core = _barrier_core(_LinearObjective(cost), faces, rhs, lower, upper, y0, settings, "absolute")
     s_star = core["objective"]
-    point = core["y"][:n] if s_star < 0 else None
-    return s_star, point
+    return s_star, (core["y"][:n] if s_star < 0 else None)
+
+
+def _interior_start(program: AssembledProgram, settings: SolveSettings):
+    """The program's start when it lies strictly inside the pointwise rows,
+    else a phase-1 point; None when the rows leave no interior."""
+    if program.point_upper is None:
+        return program.start
+    margin = 1e-9 * (1.0 + float(np.abs(program.point_upper).max()))
+    if (program.point_upper - program.loss_arguments(program.start)).min() > margin:
+        return program.start
+    s_star, feasible = feasibility_start(program, settings)
+    return feasible if s_star < -margin else None
+
+
+def _solve(program: AssembledProgram, settings: SolveSettings) -> Solution:
+    started = time.perf_counter()
+    exponential = program.objective == "exp_sum"
+    start = _interior_start(program, settings)
+    if start is None:
+        return Solution(
+            x=program.start.copy(),
+            objective=np.inf,
+            log_objective=np.inf if exponential else None,
+            status="infeasible",
+            wall_time=time.perf_counter() - started,
+        )
+    rows = _RowOperator(program.rows, program.grid)
+    if exponential:
+        objective = _ExpSumObjective(rows, program.offsets, program.masses, program.kappa)
+    else:
+        objective = _LinearObjective(program.cost)
+    core = _interior_point(
+        objective,
+        rows,
+        None if program.point_upper is None else program.point_upper - program.offsets,
+        program.lower,
+        program.upper,
+        start,
+        settings,
+        settings.gap_tol,
+        (lambda f: 1.0) if exponential else (lambda f: 1.0 + abs(f)),
+    )
+    value = core["objective"]
+    return Solution(
+        x=core["y"],
+        objective=float(np.exp(value)) if exponential else value,
+        log_objective=value if exponential else None,
+        status=core["status"],
+        duals=core["duals"],
+        outer_iterations=core["steps"],
+        newton_iterations=core["systems"],
+        wall_time=time.perf_counter() - started,
+        kkt_residual=core["kkt"],
+        trace=core["trace"],
+    )
 
 
 def minimize(program: AssembledProgram, settings: SolveSettings | None = None) -> Solution:
@@ -619,126 +615,18 @@ def minimize(program: AssembledProgram, settings: SolveSettings | None = None) -
     point, with phase-1 fallback when pointwise rows make the start infeasible."""
     if program.objective != "exp_sum":
         raise ValueError("minimize expects an exponential-sum program")
-    settings = settings or SolveSettings()
-    started = time.perf_counter()
-
-    start = program.start
-    if program.point_upper is not None:
-        margin = 1e-9 * (1.0 + float(np.abs(program.point_upper).max()))
-        point_slack = program.point_upper - program.loss_arguments(start)
-        if point_slack.min() <= margin:
-            s_star, feasible = feasibility_start(program, settings)
-            if s_star >= -margin:
-                return Solution(
-                    x=start.copy(),
-                    objective=np.inf,
-                    log_objective=np.inf,
-                    status="infeasible",
-                    wall_time=time.perf_counter() - started,
-                )
-            start = feasible
-
-    rows = _RowOperator(program.rows, program.grid)
-    objective = _ExpSumObjective(rows, program.offsets, program.masses, program.kappa)
-    if program.variable_count == 0:
-        # nothing to choose: the optimum is the objective itself, in closed form
-        log_value = objective.value(start)
-        return Solution(
-            x=start.copy(),
-            objective=float(np.exp(log_value)),
-            log_objective=log_value,
-            status="optimal",
-            wall_time=time.perf_counter() - started,
-            kkt_residual=0.0,
-        )
-    G, h = _program_faces(program, rows)
-    core = _barrier_core(objective, G, h, program.lower, program.upper, start, settings, "absolute")
-    if settings.trace_path:
-        _write_trace(core["trace"], settings.trace_path)
-    return Solution(
-        x=core["y"],
-        objective=float(np.exp(core["objective"])),
-        log_objective=core["objective"],
-        status=core["status"],
-        duals=_duals(core, program),
-        outer_iterations=core["stages"],
-        newton_iterations=core["newtons"],
-        wall_time=time.perf_counter() - started,
-        kkt_residual=core["kkt"],
-        trace=core["trace"],
-    )
+    return _solve(program, settings or SolveSettings())
 
 
 def solve_lp(program: AssembledProgram, settings: SolveSettings | None = None) -> Solution:
     """Minimize ``cost @ y`` under the program's rows and boxes.
 
     Unboundedness is reported when the objective passes below the configured
-    floor during centering; infeasibility comes from phase-1.
+    floor; infeasibility comes from phase-1.
     """
     if program.objective != "linear":
         raise ValueError("solve_lp expects a linear-objective program")
-    settings = settings or SolveSettings()
-    started = time.perf_counter()
-
-    start = program.start
-    if program.point_upper is not None:
-        margin = 1e-9 * (1.0 + float(np.abs(program.point_upper).max()))
-        point_slack = program.point_upper - program.loss_arguments(start)
-        if point_slack.min() <= margin:
-            s_star, feasible = feasibility_start(program, settings)
-            if s_star >= -margin:
-                return Solution(
-                    x=start.copy(),
-                    objective=np.inf,
-                    log_objective=None,
-                    status="infeasible",
-                    wall_time=time.perf_counter() - started,
-                )
-            start = feasible
-
-    objective = _LinearObjective(program.cost)
-    G, h = _program_faces(program, _RowOperator(program.rows, program.grid))
-    core = _barrier_core(objective, G, h, program.lower, program.upper, start, settings, "relative")
-    if settings.trace_path:
-        _write_trace(core["trace"], settings.trace_path)
-    return Solution(
-        x=core["y"],
-        objective=core["objective"],
-        log_objective=None,
-        status=core["status"],
-        duals=_duals(core, program),
-        outer_iterations=core["stages"],
-        newton_iterations=core["newtons"],
-        wall_time=time.perf_counter() - started,
-        kkt_residual=core["kkt"],
-        trace=core["trace"],
-    )
-
-
-def dual_bound(program: AssembledProgram, solution: Solution) -> float:
-    """Weak-duality lower bound on the LP optimum from the returned multipliers.
-
-    The Lagrangian drops the pointwise rows with their multipliers and
-    minimizes the remaining linear function over the boxes in closed form.
-    """
-    if program.objective != "linear":
-        raise ValueError("dual bound is defined for linear programs")
-    lam_point = solution.duals.get("point")
-    coeff = program.cost.copy()
-    constant = 0.0
-    if lam_point is not None:
-        coeff = coeff + np.einsum("i,ij->j", lam_point, program.rows)
-        constant -= float(lam_point @ (program.point_upper - program.offsets))
-    value = constant
-    for j in range(coeff.shape[0]):
-        c = coeff[j]
-        if abs(c) < 1e-14:
-            continue
-        edge = program.lower[j] if c > 0 else program.upper[j]
-        if not np.isfinite(edge):
-            return -np.inf
-        value += c * edge
-    return value
+    return _solve(program, settings or SolveSettings())
 
 
 def objective_and_gradient(program: AssembledProgram, point: np.ndarray):

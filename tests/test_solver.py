@@ -7,21 +7,23 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from semistatic.fixtures import BASE_MODEL
+from semistatic import cli, pricing, solver
+from semistatic.claims import knockout_call
+from semistatic.fixtures import BASE_MODEL, small_market
 from semistatic.galerkin import assemble_frictionless
 from semistatic.pricing import AgentSpec, Market, optimal_value
 from semistatic.solver import (
     SolveSettings,
-    dual_bound,
     feasibility_start,
     minimize,
     objective_and_gradient,
     solve_lp,
-    _newton_direction,
+    _newton_solver,
     _openblas_thread_controls,
 )
 
 from conftest import make_exp_program, make_lp_program, package_env
+from oracles import dual_bound, highs_value
 
 TIGHT = SolveSettings(gap_tol=1e-12)
 
@@ -152,12 +154,18 @@ class TestMinimize:
         _, z_star = refine_grid_search(f, [-1.0, -1.0], [1.0, 1.0])
         np.testing.assert_allclose(sol.x, z_star, atol=1e-4)
 
-    def test_monotone_stage_objectives(self):
+    def test_trace_has_one_finite_row_per_system(self):
         rng = np.random.default_rng(5)
         program = random_exp_instance(rng, 3, 8)
         sol = minimize(program, TIGHT)
-        objs = [row["objective"] for row in sol.trace]
-        assert all(b <= a + 1e-9 for a, b in zip(objs, objs[1:]))
+        assert sol.status == "optimal"
+        assert len(sol.trace) == sol.newton_iterations == sol.outer_iterations + 1
+        assert all(np.isfinite(list(row.values())).all() for row in sol.trace)
+        # the log objective's targets are absolute: gap_tol on the gap and
+        # on the decrement, which kkt_residual reports
+        last = sol.trace[-1]
+        assert last["gap"] <= TIGHT.gap_tol and abs(last["decrement"]) <= TIGHT.gap_tol
+        assert sol.kkt_residual == max(last["gap"], abs(last["decrement"]))
 
     def test_mass_scaling_leaves_argmin(self):
         rng = np.random.default_rng(6)
@@ -220,7 +228,7 @@ class TestNewtonDirection:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "cho_solve", spy)
-        direction = _newton_direction(hess, grad)
+        direction = -_newton_solver(hess)(grad)
         assert len(solves) == 1  # a Cholesky attempt, not the -grad/scale fallback
         assert np.isfinite(direction).all()
         assert grad @ direction < 0
@@ -295,6 +303,125 @@ class TestSolveLP:
         s_star, point = feasibility_start(program, SolveSettings(gap_tol=gap_tol))
         assert -1500.0 <= s_star <= -1500.0 + 2.5e-10 * scale
         assert np.all(program.rows @ point < program.point_upper)
+
+
+class TestNumericalError:
+    @pytest.mark.parametrize("after", [0, 3])
+    def test_non_finite_objective(self, monkeypatch, after):
+        derivatives = solver._ExpSumObjective.derivatives
+        calls = []
+
+        def poisoned(self, y, r):
+            value, grad, hess = derivatives(self, y, r)
+            calls.append(value)
+            return (np.nan if len(calls) > after else value), grad, hess
+
+        monkeypatch.setattr(solver._ExpSumObjective, "derivatives", poisoned)
+        sol = minimize(random_exp_instance(np.random.default_rng(21), 2, 5), TIGHT)
+        assert sol.status == "numerical_error"
+        assert sol.outer_iterations == after
+
+    @pytest.mark.parametrize("after", [0, 3])
+    def test_non_finite_direction(self, monkeypatch, after):
+        newton_solver = solver._newton_solver
+        factors = []
+
+        def poisoned(hess):
+            solve = newton_solver(hess)
+            factors.append(hess)
+            return solve if len(factors) <= after else (lambda rhs: np.full_like(rhs, np.inf))
+
+        monkeypatch.setattr(solver, "_newton_solver", poisoned)
+        rng = np.random.default_rng(300)
+        G = rng.uniform(-1.0, 1.0, size=(5, 3))
+        program = make_lp_program(rng.uniform(-1.0, 1.0, size=3), G, rng.uniform(0.5, 1.5, size=5),
+                                  np.zeros(3), np.full(3, 2.0), start=np.full(3, 0.25))
+        sol = solve_lp(program, TIGHT)
+        assert sol.status == "numerical_error"
+        assert sol.outer_iterations == after
+
+
+# ---------------------------------------------------------------------------
+# hedging linear programs against an exact LP solver
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def packaged():
+    config = cli.load_config()
+    return config, cli._market(config)
+
+
+def hedging_lp(monkeypatch, cost_fn, market, claim, units):
+    """(LP program, Solution) of one superhedge or subhedge cost."""
+    seen = []
+    solve = pricing.solve_lp
+
+    def spy(program, settings=None):
+        seen.append((program, solve(program, settings)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(pricing, "solve_lp", spy)
+    cost_fn(market, claim, units)
+    (program, sol), = seen
+    return program, sol
+
+
+class TestHedgingLPs:
+    @pytest.mark.parametrize("cost_fn", [pricing.superhedge_cost, pricing.subhedge_cost])
+    @pytest.mark.parametrize("market_name", ["small", "packaged"])
+    def test_costs_match_highs_and_dual_bound(self, monkeypatch, packaged, cost_fn, market_name):
+        config, chain = packaged
+        if market_name == "small":
+            market, claim, units = small_market(), knockout_call(2350.0, 2400.0), 1.0
+        else:
+            market, claim, units = chain, config.claim, config.claim_units
+        program, sol = hedging_lp(monkeypatch, cost_fn, market, claim, units)
+        assert sol.status == "optimal"
+        exact = highs_value(program)
+        assert sol.objective == pytest.approx(exact, rel=1e-9, abs=1e-9)
+        # weak duality from the returned duals, within the stated gap
+        stated = sol.kkt_residual * (1.0 + abs(sol.objective))
+        rounding = 1e-12 * (1.0 + abs(sol.objective))
+        bound = dual_bound(program, sol)
+        assert bound <= exact + rounding
+        assert sol.objective - bound <= stated + rounding
+
+    def test_three_row_products_per_iteration(self, monkeypatch, packaged):
+        config, market = packaged
+        calls = []
+        matvec = solver._RowOperator.matvec
+
+        def spy(self, y):
+            calls.append(y)
+            return matvec(self, y)
+
+        monkeypatch.setattr(solver._RowOperator, "matvec", spy)
+        _, sol = hedging_lp(monkeypatch, pricing.superhedge_cost, market, config.claim,
+                            config.claim_units)
+        assert sol.status == "optimal"
+        assert len(calls) <= 3 * sol.newton_iterations
+
+    def test_packaged_report_legs_within_sixty_systems(self, packaged):
+        config, market = packaged
+        report = pricing.price_report(
+            market, config.agent, config.claim, units=config.claim_units,
+            delta_pct=config.delta_pct, exclude_claim_quote=config.exclude_claim_strike,
+            settings=config.solver,
+        )
+        for name, leg in report.legs.items():
+            assert leg["status"] == "optimal", name
+            assert leg["newton_iterations"] <= 60, name
+
+    def test_price_report_never_loads_the_lp_oracle(self, tmp_path):
+        # HiGHS serves only the tests: a CLI price run never loads scipy.optimize
+        code = (
+            "import sys; from semistatic import cli; "
+            "cli.main(['price', '--out', sys.argv[1]]); "
+            "print('scipy.optimize' in sys.modules)"
+        )
+        run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=package_env(),
+                             capture_output=True, text=True, check=True, timeout=300)
+        assert run.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
