@@ -12,13 +12,12 @@ from .claims import (
     lookback_digital,
     vanilla_call,
 )
-from .instruments import OptionKind, PositionBox, Quote, acquisition_cost, position_bounds, quoted_payoff
+from .instruments import OptionKind, PositionBox, Quote, position_bounds
 from .pricing import (
     AgentSpec,
     Market,
     PriceReport,
     find_arbitrage,
-    indifference_bisection,
     indifference_buy,
     indifference_sell,
     optimal_value,
@@ -26,8 +25,8 @@ from .pricing import (
     subhedge_cost,
     superhedge_cost,
 )
-from .scenario import QuadratureGrid, VGParams, build_grid, simulate_paths, vg_log_increment_density
-from .solver import SolveSettings, Solution, minimize, objective_and_gradient, solve_lp
+from .scenario import QuadratureGrid, VGParams, build_grid, simulate_paths
+from .solver import SolveSettings, Solution, minimize, solve_lp
 
 __version__ = "0.1.0"
 
@@ -43,28 +42,23 @@ __all__ = [
     "SolveSettings",
     "Solution",
     "VGParams",
-    "acquisition_cost",
     "asian_call",
     "build_grid",
     "claim_breakpoints",
     "claim_payout",
     "find_arbitrage",
-    "indifference_bisection",
     "indifference_buy",
     "indifference_sell",
     "knockout_call",
     "lookback_call",
     "lookback_digital",
     "minimize",
-    "objective_and_gradient",
     "optimal_value",
     "position_bounds",
     "price_report",
-    "quoted_payoff",
     "simulate_paths",
     "solve_lp",
     "subhedge_cost",
     "superhedge_cost",
     "vanilla_call",
-    "vg_log_increment_density",
 ]

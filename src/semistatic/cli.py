@@ -19,7 +19,7 @@ import numpy as np
 
 from . import claims as claims_mod
 from .claims import Claim
-from .galerkin import AssembledProgram, claim_liability
+from .galerkin import claim_liability
 from .instruments import OptionKind, Quote
 from .pricing import (
     AgentSpec,
@@ -27,6 +27,8 @@ from .pricing import (
     Market,
     SolverFailure,
     _assemble,
+    _hedging_market,
+    _optimum,
     _portfolio,
     find_arbitrage,
     price_report,
@@ -34,7 +36,7 @@ from .pricing import (
     superhedge_cost,
 )
 from .scenario import VGParams, simulate_paths
-from .solver import SolveSettings, minimize
+from .solver import SolveSettings
 
 CONFIG_ENV_VAR = "SEMISTATIC_CONFIG"
 
@@ -265,7 +267,6 @@ class RunConfig:
     claim: Claim
     claim_units: float
     exclude_claim_strike: bool
-    raw: dict
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
@@ -326,7 +327,6 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         claim=claim,
         claim_units=spec.get("units", 1.0),
         exclude_claim_strike=merged["flags"]["exclude_claim_strike"],
-        raw=merged,
     )
 
 
@@ -369,18 +369,11 @@ def _write_portfolio(path, portfolio: HedgePortfolio) -> None:
             writer.writerow([name, repr(float(value))])
 
 
-def _solve_program(program: AssembledProgram, settings: SolveSettings):
-    solution = minimize(program, settings)
-    if solution.status in ("infeasible", "unbounded"):
-        raise SolverFailure(f"optimization ended with status {solution.status}")
-    return solution
-
-
 def _cmd_optimize(config, market, outdir, args) -> int:
     terms = [(config.claim, config.claim_units)] if args.with_claim else []
     grid = market.grid_for(terms)
     program = _assemble(market, terms, config.agent, grid, None, config.delta_pct)
-    solution = _solve_program(program, config.solver)
+    solution = _optimum(program, config.solver)
     _write_portfolio(
         os.path.join(outdir, "optimize_portfolio.csv"),
         _portfolio(program, solution.x, program.budget),
@@ -420,17 +413,13 @@ def _cmd_price(config, market, outdir, args) -> int:
 
 
 def _cmd_hedge(config, market, outdir, args) -> int:
-    hedging = market
-    if config.exclude_claim_strike:
-        hedging = market.without_quote(
-            OptionKind.CALL, config.claim.strike, config.model.periods
-        )
+    hedging = _hedging_market(market, config.claim, config.exclude_claim_strike)
     terms = [(config.claim, config.claim_units)]
     grid = hedging.grid_for(terms)
     base_prog = _assemble(hedging, [], config.agent, grid, None, config.delta_pct)
-    with_prog = _assemble(hedging, terms, config.agent, grid, None, config.delta_pct)
-    base = _solve_program(base_prog, config.solver)
-    loaded = _solve_program(with_prog, config.solver)
+    with_prog = base_prog.leg(terms)
+    base = _optimum(base_prog, config.solver)
+    loaded = _optimum(with_prog, config.solver)
 
     base_held = dict(_portfolio_rows(_portfolio(base_prog, base.x, base_prog.budget)))
     with open(os.path.join(outdir, "hedge_portfolio.csv"), "w", newline="") as fh:
@@ -503,7 +492,7 @@ def _cmd_simulate(config, market, outdir, args) -> int:
     terms = [(config.claim, config.claim_units)] if args.with_claim else []
     grid = market.grid_for(terms)
     program = _assemble(market, terms, config.agent, grid, None, config.delta_pct)
-    solution = _solve_program(program, config.solver)
+    solution = _optimum(program, config.solver)
     paths = simulate_paths(config.model, args.paths, args.seed)
     wealth = _terminal_wealth(program, solution.x, market, config, terms, paths)
     with open(os.path.join(outdir, "simulate_wealth.csv"), "w", newline="") as fh:

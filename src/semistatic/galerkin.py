@@ -19,27 +19,22 @@ with price_j the ask for a buy column and minus the bid for a sell column, and
 the expected-loss objective is sum_i m_i * exp(kappa * a_i) with
 kappa = risk_aversion / reference_wealth.  The program has only its boxes (and
 pointwise rows, where a caller adds them); terminal wealth is w - a_i + claim_i.
+
+A leg is the assembled program with its own claim offsets.  The claim and the
+budget enter only through the offsets claim_i - w (``liability_offsets``), so
+every quantity priced on one strategy space (the baseline, seller and buyer
+values, the super- and subhedging costs) is ``program.leg(claim_terms)`` of
+one assembled program: same rows, boxes, start, cost and layout.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .claims import claim_payout_grid
 from .instruments import option_payoff, position_bounds
 from .scenario import QuadratureGrid
-
-
-@dataclass(frozen=True)
-class BasisElement:
-    """Indicator process: 1 exactly when t == period and X_t is in [lo, hi)."""
-
-    period: int
-    cell: int
-    lo: float
-    hi: float
 
 
 def trading_cells(strikes) -> tuple[tuple[float, float], ...]:
@@ -50,44 +45,10 @@ def trading_cells(strikes) -> tuple[tuple[float, float], ...]:
     return tuple((a, b) for a, b in zip(edges, edges[1:]))
 
 
-def basis_element(strikes, period: int, cell: int) -> BasisElement:
-    cells = trading_cells(strikes)
-    lo, hi = cells[cell]
-    return BasisElement(period, cell, lo, hi)
-
-
-def basis_value(element: BasisElement, t: int, x: float) -> float:
-    """1 iff t equals the element's period and x lies in its half-open cell."""
-    if x <= 0:
-        raise ValueError("index level must be positive")
-    return 1.0 if (t == element.period and element.lo <= x < element.hi) else 0.0
-
-
 def cell_index(strikes, x) -> np.ndarray:
     """Cell number of level(s) ``x`` under the strike partition (left-closed)."""
     ks = np.asarray(sorted(set(float(k) for k in strikes)))
     return np.searchsorted(ks, np.asarray(x, dtype=float), side="right")
-
-
-def strategy_position(strikes, coefficients, x) -> float:
-    """Index units held at level ``x``: piecewise constant between strikes."""
-    coefficients = np.asarray(coefficients, dtype=float)
-    cells = trading_cells(strikes)
-    if coefficients.shape[0] != len(cells):
-        raise ValueError(
-            f"need one coefficient per cell: {len(cells)} cells, got {coefficients.shape[0]}"
-        )
-    return float(coefficients[int(cell_index(strikes, x))])
-
-
-def index_trade_cost(dz: float, level: float, delta_pct: float) -> float:
-    """Cash outflow for trading ``dz`` index units at ``level`` with a
-    proportional cost of ``delta_pct`` percent: buys pay (1 + d), sells
-    receive (1 - d) per unit of notional."""
-    d = delta_pct / 100.0
-    if dz >= 0:
-        return (1.0 + d) * level * dz
-    return (1.0 - d) * level * dz
 
 
 @dataclass(frozen=True)
@@ -182,30 +143,10 @@ class AssembledProgram:
         """Terminal wealth per grid point, cash included (claim liability excluded)."""
         return self.budget - self.rows @ y
 
-    def to_json(self, path, max_cells: int = 200_000) -> None:
-        """Diagnostic dump for regression tests; full matrices only when small."""
-        doc = {
-            "objective": self.objective,
-            "mode": self.layout.mode,
-            "variables": list(self.layout.names),
-            "dropped": list(self.layout.dropped),
-            "variable_count": self.variable_count,
-            "constraint_count": self.constraint_count,
-            "kappa": self.kappa,
-            "budget": self.budget,
-            "cost": self.cost.tolist(),
-            "lower": [v if np.isfinite(v) else None for v in self.lower],
-            "upper": [v if np.isfinite(v) else None for v in self.upper],
-            "grid_points": int(self.rows.shape[0]),
-        }
-        if self.rows.size <= max_cells:
-            doc["rows"] = self.rows.tolist()
-            doc["offsets"] = self.offsets.tolist()
-            doc["masses"] = self.masses.tolist()
-        else:
-            doc["rows_column_sums"] = self.rows.sum(axis=0).tolist()
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
+    def leg(self, claim_terms, budget: float | None = None) -> AssembledProgram:
+        """This strategy space against ``claim_terms`` in full, at ``budget`` or its own."""
+        w = self.budget if budget is None else float(budget)
+        return replace(self, offsets=liability_offsets(claim_terms, self.grid, w), budget=w)
 
 
 def _strikes_by_period(quotes, periods: int) -> list[list[float]]:
@@ -222,6 +163,11 @@ def claim_liability(claim_terms, grid: QuadratureGrid) -> np.ndarray:
     for claim, units in claim_terms or ():
         offsets = offsets + units * claim.contract_size * claim_payout_grid(claim, grid.points)
     return offsets
+
+
+def liability_offsets(claim_terms, grid: QuadratureGrid, budget: float) -> np.ndarray:
+    """Offsets of the loss rows: the liability on ``claim_terms`` less the budget."""
+    return claim_liability(claim_terms, grid) - budget
 
 
 def _assemble(quotes, claim_terms, agent, grid, lot_size, budget, delta_pct):
@@ -350,7 +296,7 @@ def _assemble(quotes, claim_terms, agent, grid, lot_size, budget, delta_pct):
         objective="exp_sum",
         layout=layout,
         rows=rows,
-        offsets=claim_liability(claim_terms, grid) - w,
+        offsets=liability_offsets(claim_terms, grid, w),
         masses=grid.masses,
         kappa=agent.risk_aversion / agent.initial_wealth,
         cost=cost,

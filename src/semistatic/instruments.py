@@ -1,4 +1,4 @@
-"""Quoted derivatives: two-sided quotes, acquisition costs, position boxes, payoffs.
+"""Quoted derivatives: two-sided quotes, position boxes and payoffs.
 
 Quantities on a :class:`Quote` are stored as quoted (contracts at the best bid
 and ask); ``position_bounds`` converts them to option counts via the market lot
@@ -50,10 +50,6 @@ class Quote:
     def crossed(self) -> bool:
         return self.bid_price > self.ask_price
 
-    @property
-    def zero_width(self) -> bool:
-        return self.bid_price == self.ask_price
-
 
 @dataclass(frozen=True)
 class PositionBox:
@@ -66,20 +62,6 @@ class PositionBox:
         if not (self.lower <= 0.0 <= self.upper):
             raise ValueError(f"position box [{self.lower}, {self.upper}] must contain 0")
 
-    def contains(self, qty: float) -> bool:
-        return self.lower <= qty <= self.upper
-
-
-def acquisition_cost(quote: Quote, qty: float) -> float:
-    """USD cost of acquiring ``qty`` options: ask side for buys, bid side for sells.
-
-    Continuous, convex and positively homogeneous in ``qty``; zero at zero.
-    Bound checking is the program assembler's job, not done here.
-    """
-    if qty >= 0.0:
-        return quote.ask_price * qty
-    return quote.bid_price * qty
-
 
 def position_bounds(quote: Quote, lot_size: float) -> PositionBox:
     """Option-count position interval [-bid_qty*lot, ask_qty*lot] for one quote."""
@@ -88,24 +70,9 @@ def position_bounds(quote: Quote, lot_size: float) -> PositionBox:
     return PositionBox(-quote.bid_qty * lot_size, quote.ask_qty * lot_size)
 
 
-def quoted_payoff(quote: Quote, path) -> float:
-    """Payoff per option at the quote's own maturity, given index path (X_1,...,X_T).
-
-    Calls pay (X_m - K)+, puts (K - X_m)+ at maturity m; nothing at other
-    periods.  With zero interest, settling at own maturity or at the horizon
-    are equivalent.
-    """
-    level = path[quote.maturity - 1]
-    if level <= 0:
-        raise ValueError("index levels must be positive")
-    if quote.kind is OptionKind.CALL:
-        return max(level - quote.strike, 0.0)
-    return max(quote.strike - level, 0.0)
-
-
 def option_payoff(kind: OptionKind, strike: float, levels: np.ndarray) -> np.ndarray:
-    """Payoff per option at an array of maturity levels: the vectorized
-    counterpart of :func:`quoted_payoff`, for scenario grids."""
+    """Payoff per option at an array of maturity levels: calls pay
+    (X_m - K)+ and puts (K - X_m)+ at their own maturity m."""
     if kind is OptionKind.CALL:
         return np.maximum(levels - strike, 0.0)
     return np.maximum(strike - levels, 0.0)

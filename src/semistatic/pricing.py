@@ -1,7 +1,14 @@
 """Top-level financial quantities: optimal expected-loss values, buyer and
-seller indifference prices (closed form under exponential loss, plus a generic
-bisection), super- and subhedging costs on the truncated scenario grid, and
-arbitrage detection.
+seller indifference prices (closed form under exponential loss), super- and
+subhedging costs on the truncated scenario grid, and arbitrage detection.
+
+Every price is an optimal value over one assembled strategy space, and the
+claim enters only through its liability: a leg is the assembled program with
+its own claim offsets (``AssembledProgram.leg``).  A price report assembles
+one program for its five legs (the baseline, seller and buyer log-values and
+the super- and subhedging LPs) and one for the arbitrage grid.  The buyer's
+price and the subhedge are sign duals: indifference_buy(u) is
+-indifference_sell(-u), and subhedge_cost(u) is -superhedge_cost(-u).
 
 Sign conventions: positive claim units are sold claims and enter the loss
 argument with a plus sign; prices are USD per claim unit times ``units``.
@@ -18,6 +25,7 @@ import numpy as np
 from .claims import Claim, claim_breakpoints
 from .galerkin import (
     AssembledProgram,
+    _strikes_by_period,
     assemble_frictionless,
     assemble_transaction_cost,
 )
@@ -54,6 +62,7 @@ class AgentSpec:
         return [(self.baseline_claim, self.baseline_units)]
 
 
+# the agent of a standalone hedging-cost program, whose LP reads neither field
 _LP_AGENT = AgentSpec(1.0, 1.0)
 
 
@@ -89,14 +98,9 @@ class Market:
         return (lo + margin, hi - margin)
 
     def strike_sets(self) -> list[list[float]]:
-        T = self.model.periods
-        out: list[list[float]] = [[] for _ in range(T)]
-        for q in self.quotes:
-            if q.maturity <= T:
-                out[q.maturity - 1].append(q.strike)
-        sets = [sorted(set(s)) for s in out]
+        sets = _strikes_by_period(self.quotes, self.model.periods)
         if self.grid_strikes is not None:
-            sets = [sorted(set(list(sets[t]) + list(self.grid_strikes[t]))) for t in range(T)]
+            sets = [sorted(set(s) | set(extra)) for s, extra in zip(sets, self.grid_strikes)]
         return sets
 
     def grid_for(self, claim_terms=()) -> QuadratureGrid:
@@ -123,20 +127,27 @@ class Market:
             n_nodes=self.density_nodes,
         )
 
-    def without_quote(self, kind: OptionKind, strike: float, maturity: int) -> "Market":
-        kept = tuple(
-            q
-            for q in self.quotes
-            if not (q.kind is kind and q.strike == strike and q.maturity == maturity)
-        )
-        return replace(self, quotes=kept)
-
 
 def _claim_terms(agent: AgentSpec, claim: Claim | None, units: float) -> list:
     terms = agent.baseline_terms()
     if claim is not None and units != 0.0:
         terms.append((claim, units))
     return terms
+
+
+def _hedging_market(market: Market, claim: Claim, exclude_claim_quote: bool) -> Market:
+    """The hedging set: ``market``, without the call quoted at the claim's
+    strike and horizon when ``exclude_claim_quote``, which keeps the pricing
+    of a vanilla claim nontrivial."""
+    if not exclude_claim_quote:
+        return market
+    T = market.model.periods
+    kept = tuple(
+        q
+        for q in market.quotes
+        if not (q.kind is OptionKind.CALL and q.strike == claim.strike and q.maturity == T)
+    )
+    return replace(market, quotes=kept)
 
 
 def _assemble(market, claim_terms, agent, grid, budget, delta_pct, allow_dynamic=True):
@@ -178,6 +189,14 @@ def _strip_dynamic(program: AssembledProgram) -> AssembledProgram:
     )
 
 
+def _optimum(program: AssembledProgram, settings: SolveSettings | None) -> Solution:
+    """The minimized ``program``; an infeasible or unbounded leg raises SolverFailure."""
+    solution = minimize(program, settings)
+    if solution.status in ("infeasible", "unbounded"):
+        raise SolverFailure(f"solve ended with status {solution.status}")
+    return solution
+
+
 def optimal_value(
     market: Market,
     agent: AgentSpec,
@@ -188,32 +207,16 @@ def optimal_value(
     grid: QuadratureGrid | None = None,
     settings: SolveSettings | None = None,
     allow_dynamic: bool = True,
-    return_solution: bool = False,
-):
+) -> float:
     """Optimal expected exponential loss for the given budget and claim terms.
 
-    Strictly decreasing in the budget (unspent wealth is held as cash).  Returns the
-    optimum value, or (value, Solution) with ``return_solution``.
+    Strictly decreasing in the budget (unspent wealth is held as cash).
     """
     terms = _claim_terms(agent, claim, claim_units)
     if grid is None:
         grid = market.grid_for(terms)
     program = _assemble(market, terms, agent, grid, budget, delta_pct, allow_dynamic)
-    solution = minimize(program, settings)
-    if solution.status in ("infeasible", "unbounded"):
-        raise SolverFailure(f"optimal-value solve ended with status {solution.status}")
-    if return_solution:
-        return solution.objective, solution
-    return solution.objective
-
-
-def _log_value(market, agent, terms, budget, delta_pct, grid, settings, allow_dynamic=True):
-    """(log optimal value, Solution, AssembledProgram) of one exponential leg."""
-    program = _assemble(market, terms, agent, grid, budget, delta_pct, allow_dynamic)
-    solution = minimize(program, settings)
-    if solution.status in ("infeasible", "unbounded"):
-        raise SolverFailure(f"solve ended with status {solution.status}")
-    return solution.log_objective, solution, program
+    return _optimum(program, settings).objective
 
 
 def indifference_sell(
@@ -230,8 +233,9 @@ def indifference_sell(
     terms = _claim_terms(agent, claim, units)
     if grid is None:
         grid = market.grid_for(terms)
-    log_with, *_ = _log_value(market, agent, terms, None, delta_pct, grid, settings)
-    log_base, *_ = _log_value(market, agent, agent.baseline_terms(), None, delta_pct, grid, settings)
+    program = _assemble(market, agent.baseline_terms(), agent, grid, None, delta_pct)
+    log_with = _optimum(program.leg(terms), settings).log_objective
+    log_base = _optimum(program, settings).log_objective
     return agent.initial_wealth / agent.risk_aversion * (log_with - log_base)
 
 
@@ -244,79 +248,9 @@ def indifference_buy(
     grid: QuadratureGrid | None = None,
     settings: SolveSettings | None = None,
 ) -> float:
-    """Greatest buying price leaving the optimal expected loss unchanged."""
-    terms = _claim_terms(agent, claim, -units)
-    if grid is None:
-        grid = market.grid_for(_claim_terms(agent, claim, units))
-    log_base, *_ = _log_value(market, agent, agent.baseline_terms(), None, delta_pct, grid, settings)
-    log_minus, *_ = _log_value(market, agent, terms, None, delta_pct, grid, settings)
-    return agent.initial_wealth / agent.risk_aversion * (log_base - log_minus)
-
-
-def indifference_bisection(
-    market: Market,
-    agent: AgentSpec,
-    claim: Claim,
-    units: float = 1.0,
-    side: str = "sell",
-    delta_pct: float | None = None,
-    grid: QuadratureGrid | None = None,
-    settings: SolveSettings | None = None,
-    width_tol: float = 1e-8,
-    max_doublings: int = 60,
-) -> float:
-    """Indifference price by budget line search, agnostic of the loss form.
-
-    Finds the compensation making the optimal value with the claim match the
-    baseline; the bracket is expanded by doubling and then bisected until its
-    width is below ``width_tol * initial_wealth``.
-    """
-    if side not in ("sell", "buy"):
-        raise ValueError("side must be 'sell' or 'buy'")
-    terms = _claim_terms(agent, claim, units if side == "sell" else -units)
-    if grid is None:
-        grid = market.grid_for(_claim_terms(agent, claim, units))
-    base_log, *_ = _log_value(market, agent, agent.baseline_terms(), None, delta_pct, grid, settings)
-
-    sign = 1.0 if side == "sell" else -1.0
-
-    def shortfall(price):
-        # positive while the compensated position is still worse than baseline
-        log_v, *_ = _log_value(
-            market, agent, terms, agent.initial_wealth + sign * price, delta_pct, grid, settings
-        )
-        return sign * (log_v - base_log)
-
-    w = agent.initial_wealth
-    lo, hi = 0.0, 0.0
-    f0 = shortfall(0.0)
-    if f0 == 0.0:
-        return 0.0
-    step = w / 64.0
-    if f0 > 0:
-        hi = step
-        for _ in range(max_doublings):
-            if shortfall(hi) <= 0:
-                break
-            lo, hi = hi, hi * 2.0
-        else:
-            raise SolverFailure("bisection bracket expansion failed")
-    else:
-        lo = -step
-        for _ in range(max_doublings):
-            if shortfall(lo) > 0:
-                break
-            hi, lo = lo, lo * 2.0
-        else:
-            raise SolverFailure("bisection bracket expansion failed")
-
-    while hi - lo > width_tol * w:
-        mid = 0.5 * (lo + hi)
-        if shortfall(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """Greatest buying price leaving the optimal expected loss unchanged: the
+    selling price of ``-units``, sign flipped."""
+    return -indifference_sell(market, agent, claim, -units, delta_pct, grid, settings)
 
 
 @dataclass(frozen=True)
@@ -341,32 +275,28 @@ def _portfolio(program: AssembledProgram, y: np.ndarray, budget: float) -> Hedge
     )
 
 
-def _least_dominating_wealth(market, claim, units, delta_pct, grid, settings, allow_dynamic):
-    """Least initial wealth w whose strategy dominates the claim at every grid
-    point: minimize w subject to a_i(y) - w <= 0, with the loss rows a_i
-    assembled at budget 0 and w as the LP's last variable, started one above
-    the largest loss at the program's start.  Returns (HedgePortfolio or
-    None, Solution)."""
-    program = _assemble(market, [(claim, units)], _LP_AGENT, grid, 0.0, delta_pct, allow_dynamic)
-    M, n = program.rows.shape
-    rows = np.hstack([program.rows, -np.ones((M, 1))])
-    # the program keeps a view of the LP's rows, so the grid-sized matrix exists once
-    program = replace(program, rows=rows[:, :n])
-    start = program.start
+def _least_dominating_wealth(program: AssembledProgram, claim_terms, settings):
+    """Least initial wealth w whose strategy in ``program`` dominates the
+    liability ``claim_terms`` at every grid point: minimize w subject to
+    a_i(y) - w <= 0 on the leg's loss rows a_i at budget 0, with w the LP's
+    last variable, started one above the largest loss at the program's start.
+    Returns (w, HedgePortfolio, Solution); (inf, None, Solution) if infeasible."""
+    leg = program.leg(claim_terms, budget=0.0)
+    M, n = leg.rows.shape
     lp = replace(
-        program,
+        leg,
         objective="linear",
-        rows=rows,
+        rows=np.hstack([leg.rows, -np.ones((M, 1))]),
         cost=np.append(np.zeros(n), 1.0),
         point_upper=np.zeros(M),
-        lower=np.append(program.lower, -np.inf),
-        upper=np.append(program.upper, np.inf),
-        start=np.append(start, max(0.5, float(program.loss_arguments(start).max()) + 1.0)),
+        lower=np.append(leg.lower, -np.inf),
+        upper=np.append(leg.upper, np.inf),
+        start=np.append(leg.start, max(0.5, float(leg.loss_arguments(leg.start).max()) + 1.0)),
     )
     solution = solve_lp(lp, settings)
     if solution.status == "infeasible":
-        return None, solution
-    return _portfolio(program, solution.x[:n], solution.objective), solution
+        return INFEASIBLE_SENTINEL, None, solution
+    return solution.objective, _portfolio(leg, solution.x[:n], solution.objective), solution
 
 
 def superhedge_cost(
@@ -380,15 +310,12 @@ def superhedge_cost(
 ):
     """Least cost of a portfolio whose payout dominates the claim at every grid
     point.  Returns (cost, HedgePortfolio, Solution); infeasibility yields an
-    infinite sentinel."""
+    infinite sentinel and no portfolio."""
+    terms = [(claim, units)]
     if grid is None:
-        grid = market.grid_for([(claim, units)])
-    portfolio, solution = _least_dominating_wealth(
-        market, claim, units, delta_pct, grid, settings, allow_dynamic
-    )
-    if portfolio is None:
-        return INFEASIBLE_SENTINEL, None, solution
-    return portfolio.cost, portfolio, solution
+        grid = market.grid_for(terms)
+    program = _assemble(market, [], _LP_AGENT, grid, 0.0, delta_pct, allow_dynamic)
+    return _least_dominating_wealth(program, terms, settings)
 
 
 def subhedge_cost(
@@ -401,15 +328,11 @@ def subhedge_cost(
     allow_dynamic: bool = True,
 ):
     """Greatest revenue from a portfolio dominated by the claim at every grid
-    point (least cost of superhedging the negated claim, sign flipped)."""
-    if grid is None:
-        grid = market.grid_for([(claim, units)])
-    portfolio, solution = _least_dominating_wealth(
+    point: the superhedging cost of ``-units``, sign flipped."""
+    cost, portfolio, solution = superhedge_cost(
         market, claim, -units, delta_pct, grid, settings, allow_dynamic
     )
-    if portfolio is None:
-        return -INFEASIBLE_SENTINEL, None, solution
-    return -portfolio.cost, portfolio, solution
+    return -cost, portfolio, solution
 
 
 @dataclass(frozen=True)
@@ -547,37 +470,30 @@ def price_report(
     settings: SolveSettings | None = None,
     check_arbitrage: bool = True,
 ) -> PriceReport:
-    """All four prices for one claim on a shared scenario grid, with solver
-    diagnostics per leg and precondition flags.
+    """All four prices for one claim as legs of one assembled program on a
+    shared scenario grid, with solver diagnostics per leg and precondition
+    flags.
 
     ``exclude_claim_quote`` removes the quoted instrument matching a vanilla
-    claim (same kind, strike and horizon) from the hedging set, which keeps its
-    pricing nontrivial.
+    claim (same kind, strike and horizon) from the hedging set.
     """
-    hedging = market
-    if exclude_claim_quote:
-        hedging = market.without_quote(OptionKind.CALL, claim.strike, market.model.periods)
-
+    hedging = _hedging_market(market, claim, exclude_claim_quote)
     terms = _claim_terms(agent, claim, units)
     grid = hedging.grid_for(terms)
     w, lam = agent.initial_wealth, agent.risk_aversion
+    program = _assemble(hedging, agent.baseline_terms(), agent, grid, None, delta_pct)
 
-    log_base, sol_base, _ = _log_value(
-        hedging, agent, agent.baseline_terms(), None, delta_pct, grid, settings
-    )
-    log_sell, sol_sell, sell_prog = _log_value(
-        hedging, agent, terms, None, delta_pct, grid, settings
-    )
-    minus = _claim_terms(agent, claim, -units)
-    log_buy, sol_buy, _ = _log_value(hedging, agent, minus, None, delta_pct, grid, settings)
-    seller = w / lam * (log_sell - log_base)
-    buyer = w / lam * (log_base - log_buy)
+    sol_base = _optimum(program, settings)
+    sol_sell = _optimum(program.leg(terms), settings)
+    sol_buy = _optimum(program.leg(_claim_terms(agent, claim, -units)), settings)
+    seller = w / lam * (sol_sell.log_objective - sol_base.log_objective)
+    buyer = w / lam * (sol_base.log_objective - sol_buy.log_objective)
 
-    sup, _sup_port, sol_sup = superhedge_cost(hedging, claim, units, delta_pct, grid, settings)
-    sub, _sub_port, sol_sub = subhedge_cost(hedging, claim, units, delta_pct, grid, settings)
+    sup, _, sol_sup = _least_dominating_wealth(program, [(claim, units)], settings)
+    neg_sub, _, sol_sub = _least_dominating_wealth(program, [(claim, -units)], settings)
+    sub = -neg_sub
 
-    # every exponential leg shares the seller's layout and boxes
-    bounds_active = _bounds_active(sell_prog, sol_sell.x) or _bounds_active(sell_prog, sol_buy.x)
+    bounds_active = _bounds_active(program, sol_sell.x) or _bounds_active(program, sol_buy.x)
     arbitrage = None
     if check_arbitrage:
         arbitrage = find_arbitrage(hedging, agent.initial_wealth, delta_pct, settings, quick=True)

@@ -8,15 +8,12 @@ normals
 
     f(u) = integral over g of  N(u; theta*g, sigma^2*g) * Gamma(g; dt/nu, nu) dg.
 
-``vg_log_increment_density`` evaluates this with adaptive quadrature and is the
-reference implementation; the vectorized fast path evaluates the same integral
-with fixed Gauss-Legendre nodes in log-g and must agree with the reference to
-1e-8 (enforced by tests).
+``vg_log_increment_density_vec`` evaluates the same integral with fixed
+Gauss-Legendre nodes in log-g; the tests hold it to 1e-8 of an adaptive
+quadrature of the mixture (the reference in ``tests/oracles.py``).
 """
 from __future__ import annotations
 
-import csv
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,56 +70,11 @@ class VGParams:
 
 def _gamma_bracket(shape: float, scale: float, tail: float = _GAMMA_TAIL) -> tuple[float, float]:
     # the gamma quantiles through scipy.special: scipy.stats costs about a
-    # second of import and is needed only by the reference quadrature
+    # second of import
     lo = special.gammaincinv(shape, tail) * scale
     hi = special.gammainccinv(shape, tail) * scale
     lo = max(lo, np.finfo(float).tiny)
     return lo, hi
-
-
-def _mixture_integrand(g, u, theta, sigma, shape, scale):
-    from scipy import stats
-
-    return stats.norm.pdf(u, loc=theta * g, scale=sigma * np.sqrt(g)) * stats.gamma.pdf(
-        g, a=shape, scale=scale
-    )
-
-
-def vg_log_increment_density(params: VGParams, dt: float, u: float) -> float:
-    """Density of the VG log-increment over ``dt`` at ``u`` (adaptive quadrature).
-
-    The relative tolerance is 1e-11, or a few ``shape * eps`` where the gamma
-    shape ``dt / nu`` is large: the gamma pdf is computed from terms of size
-    ``shape`` and rounds at that level, so no tighter result exists.  A
-    quadrature that misses its tolerance raises ``FloatingPointError``.
-    """
-    from scipy import integrate
-
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    shape, scale = dt / params.nu, params.nu
-    lo, hi = _gamma_bracket(shape, scale, tail=1e-15)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            value, _ = integrate.quad(
-                _mixture_integrand,
-                lo,
-                hi,
-                args=(float(u), params.theta, params.sigma, shape, scale),
-                limit=300,
-                epsabs=1e-13,
-                epsrel=max(1e-11, 4.0 * shape * np.finfo(float).eps),
-            )
-        except integrate.IntegrationWarning as exc:
-            raise FloatingPointError(
-                f"VG density quadrature missed its tolerance for dt={dt}, u={u}: {exc}"
-            ) from exc
-    if not np.isfinite(value):
-        raise FloatingPointError(
-            f"VG density quadrature failed for dt={dt}, u={u}: got {value}"
-        )
-    return value
 
 
 _leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -171,59 +123,6 @@ def vg_log_increment_density_vec(
     return out
 
 
-def vg_log_increment_cdf_vec(params: VGParams, dt: float, u, n_nodes: int = 400) -> np.ndarray:
-    """P(log-increment <= u) by the same gamma-mixture quadrature."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    g, weights = _mixture_nodes(params, dt, n_nodes)
-    sd = params.sigma * np.sqrt(g)
-    out = np.empty(u.shape[0])
-    chunk = max(1, int(4e6) // g.shape[0])
-    for start in range(0, u.shape[0], chunk):
-        z = (u[start : start + chunk, None] - params.theta * g) / sd
-        out[start : start + chunk] = np.einsum("j,ij->i", weights, special.ndtr(z))
-    return out
-
-
-def vg_increment_moments(params: VGParams, dt: float) -> tuple[float, float]:
-    """(mean, variance) of the log-increment, by integrating the gamma mixture.
-
-    Conditionally on the time change g the increment is N(theta*g, sigma^2*g),
-    so only gamma moments need numerical integration.
-    """
-    from scipy import integrate, stats
-
-    shape, scale = dt / params.nu, params.nu
-    lo, hi = _gamma_bracket(shape, scale, tail=1e-15)
-
-    def moment(k):
-        val, _ = integrate.quad(
-            lambda g: g**k * stats.gamma.pdf(g, a=shape, scale=scale),
-            lo,
-            hi,
-            limit=300,
-            epsrel=1e-12,
-        )
-        return val
-
-    eg, eg2 = moment(1), moment(2)
-    mean = params.theta * eg
-    second = params.theta**2 * eg2 + params.sigma**2 * eg
-    return mean, second - mean**2
-
-
-def path_density(params: VGParams, path) -> float:
-    """Joint density of index levels (X_1, ..., X_T): Markov product of
-    level-transition densities (log-increment density over the level)."""
-    levels = [params.spot] + [float(x) for x in path]
-    if any(x <= 0 for x in levels):
-        raise ValueError("index levels must be positive")
-    value = 1.0
-    for dt, prev, cur in zip(params.period_lengths(), levels, levels[1:]):
-        u = np.log(cur / prev)
-        value *= vg_log_increment_density_vec(params, dt, u)[0] / cur
-    return value
-
-
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Cartesian strike-level grid with hypercube weights and path densities.
@@ -249,19 +148,6 @@ class QuadratureGrid:
     @property
     def periods(self) -> int:
         return self.points.shape[1]
-
-    def dump_csv(self, path) -> None:
-        """Audit dump: node coordinates, weight, density, mass per grid point."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [f"x{t + 1}" for t in range(self.periods)] + ["weight", "density", "mass"]
-            )
-            for i in range(self.size):
-                writer.writerow(
-                    [repr(float(v)) for v in self.points[i]]
-                    + [repr(float(self.weights[i])), repr(float(self.density[i])), repr(float(self.masses[i]))]
-                )
 
 
 def _merge_nodes(strikes, breakpoints, lo: float, hi: float) -> np.ndarray:

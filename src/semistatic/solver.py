@@ -628,21 +628,3 @@ def solve_lp(program: AssembledProgram, settings: SolveSettings | None = None) -
         raise ValueError("solve_lp expects a linear-objective program")
     return _solve(program, settings or SolveSettings())
 
-
-def objective_and_gradient(program: AssembledProgram, point: np.ndarray):
-    """Value and gradient of sum_i m_i exp(kappa a_i) at ``point``.
-
-    Computed in log-sum-exp form throughout, so exponent magnitudes beyond 600
-    do not corrupt the weights; a value above the double range is returned as
-    ``inf``.
-    """
-    point = np.asarray(point, dtype=float)
-    e = np.log(program.masses) + program.kappa * program.loss_arguments(point)
-    c = float(e.max())
-    p = np.exp(e - c)
-    total = p.sum()
-    log_value = c + np.log(total)
-    with np.errstate(over="ignore"):
-        value = float(np.exp(log_value))
-    grad = program.kappa * value * np.einsum("i,ij->j", p / total, program.rows)
-    return value, grad

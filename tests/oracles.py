@@ -1,7 +1,217 @@
-"""Reference oracles for the linear programs, kept out of the package:
-an exact LP solve on HiGHS and the weak-duality bound of returned duals."""
+"""Reference oracles, kept out of the package: straightforward evaluations
+that the tests hold the package's fast paths to.
+
+- Quotes: the acquisition cost and the per-path payoff of one quote.
+- Index trading: the cash flow of one index trade under proportional costs.
+- Model: the VG log-increment density by adaptive quadrature, its CDF and
+  moments, and the joint path density.
+- Programs: the expected-loss value and gradient from the dense rows, an
+  exact LP solve on HiGHS and the weak-duality bound of returned duals.
+- Prices: the indifference price by a budget line search.
+"""
+import warnings
+
 import numpy as np
 import scipy.optimize
+from scipy import integrate, special, stats
+
+from semistatic.instruments import OptionKind
+from semistatic.pricing import SolverFailure, optimal_value
+from semistatic.scenario import _gamma_bracket, _mixture_nodes, vg_log_increment_density_vec
+
+
+def acquisition_cost(quote, qty: float) -> float:
+    """USD cost of acquiring ``qty`` options: ask side for buys, bid side for sells."""
+    if qty >= 0.0:
+        return quote.ask_price * qty
+    return quote.bid_price * qty
+
+
+def quoted_payoff(quote, path) -> float:
+    """Payoff per option at the quote's own maturity, given the index path
+    (X_1, ..., X_T): calls pay (X_m - K)+, puts (K - X_m)+."""
+    level = path[quote.maturity - 1]
+    if level <= 0:
+        raise ValueError("index levels must be positive")
+    if quote.kind is OptionKind.CALL:
+        return max(level - quote.strike, 0.0)
+    return max(quote.strike - level, 0.0)
+
+
+def index_trade_cost(dz: float, level: float, delta_pct: float) -> float:
+    """Cash outflow for trading ``dz`` index units at ``level`` with a
+    proportional cost of ``delta_pct`` percent: buys pay (1 + d), sells
+    receive (1 - d) per unit of notional."""
+    d = delta_pct / 100.0
+    if dz >= 0:
+        return (1.0 + d) * level * dz
+    return (1.0 - d) * level * dz
+
+
+def _mixture_integrand(g, u, theta, sigma, shape, scale):
+    return stats.norm.pdf(u, loc=theta * g, scale=sigma * np.sqrt(g)) * stats.gamma.pdf(
+        g, a=shape, scale=scale
+    )
+
+
+def vg_log_increment_density(params, dt: float, u: float) -> float:
+    """Density of the VG log-increment over ``dt`` at ``u`` (adaptive quadrature).
+
+    The relative tolerance is 1e-11, or a few ``shape * eps`` where the gamma
+    shape ``dt / nu`` is large: the gamma pdf is computed from terms of size
+    ``shape`` and rounds at that level, so no tighter result exists.  A
+    quadrature that misses its tolerance raises ``FloatingPointError``.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    shape, scale = dt / params.nu, params.nu
+    lo, hi = _gamma_bracket(shape, scale, tail=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        try:
+            value, _ = integrate.quad(
+                _mixture_integrand,
+                lo,
+                hi,
+                args=(float(u), params.theta, params.sigma, shape, scale),
+                limit=300,
+                epsabs=1e-13,
+                epsrel=max(1e-11, 4.0 * shape * np.finfo(float).eps),
+            )
+        except integrate.IntegrationWarning as exc:
+            raise FloatingPointError(
+                f"VG density quadrature missed its tolerance for dt={dt}, u={u}: {exc}"
+            ) from exc
+    if not np.isfinite(value):
+        raise FloatingPointError(
+            f"VG density quadrature failed for dt={dt}, u={u}: got {value}"
+        )
+    return value
+
+
+def vg_log_increment_cdf_vec(params, dt: float, u, n_nodes: int = 400) -> np.ndarray:
+    """P(log-increment <= u) by the package's gamma-mixture quadrature."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    g, weights = _mixture_nodes(params, dt, n_nodes)
+    sd = params.sigma * np.sqrt(g)
+    out = np.empty(u.shape[0])
+    chunk = max(1, int(4e6) // g.shape[0])
+    for start in range(0, u.shape[0], chunk):
+        z = (u[start : start + chunk, None] - params.theta * g) / sd
+        out[start : start + chunk] = np.einsum("j,ij->i", weights, special.ndtr(z))
+    return out
+
+
+def vg_increment_moments(params, dt: float) -> tuple[float, float]:
+    """(mean, variance) of the log-increment, by integrating the gamma mixture.
+
+    Conditionally on the time change g the increment is N(theta*g, sigma^2*g),
+    so only gamma moments need numerical integration.
+    """
+    shape, scale = dt / params.nu, params.nu
+    lo, hi = _gamma_bracket(shape, scale, tail=1e-15)
+
+    def moment(k):
+        val, _ = integrate.quad(
+            lambda g: g**k * stats.gamma.pdf(g, a=shape, scale=scale),
+            lo,
+            hi,
+            limit=300,
+            epsrel=1e-12,
+        )
+        return val
+
+    eg, eg2 = moment(1), moment(2)
+    mean = params.theta * eg
+    second = params.theta**2 * eg2 + params.sigma**2 * eg
+    return mean, second - mean**2
+
+
+def path_density(params, path) -> float:
+    """Joint density of index levels (X_1, ..., X_T): Markov product of
+    level-transition densities (log-increment density over the level)."""
+    levels = [params.spot] + [float(x) for x in path]
+    if any(x <= 0 for x in levels):
+        raise ValueError("index levels must be positive")
+    value = 1.0
+    for dt, prev, cur in zip(params.period_lengths(), levels, levels[1:]):
+        u = np.log(cur / prev)
+        value *= vg_log_increment_density_vec(params, dt, u)[0] / cur
+    return value
+
+
+def objective_and_gradient(program, point):
+    """Value and gradient of sum_i m_i exp(kappa a_i) at ``point``, from the
+    dense rows.
+
+    Computed in log-sum-exp form throughout, so exponent magnitudes beyond 600
+    do not corrupt the weights; a value above the double range is returned as
+    ``inf``.
+    """
+    point = np.asarray(point, dtype=float)
+    e = np.log(program.masses) + program.kappa * program.loss_arguments(point)
+    c = float(e.max())
+    p = np.exp(e - c)
+    total = p.sum()
+    log_value = c + np.log(total)
+    with np.errstate(over="ignore"):
+        value = float(np.exp(log_value))
+    grad = program.kappa * value * np.einsum("i,ij->j", p / total, program.rows)
+    return value, grad
+
+
+def indifference_bisection(market, agent, claim, units=1.0, side="sell", delta_pct=None,
+                           grid=None, settings=None, width_tol=1e-8, max_doublings=60):
+    """Indifference price by budget line search, agnostic of the loss form.
+
+    Finds the compensation making the optimal value with the claim match the
+    baseline; the bracket is expanded by doubling and then bisected until its
+    width is below ``width_tol * initial_wealth``.
+    """
+    if side not in ("sell", "buy"):
+        raise ValueError("side must be 'sell' or 'buy'")
+    sign = 1.0 if side == "sell" else -1.0
+    if grid is None:
+        grid = market.grid_for(agent.baseline_terms() + [(claim, units)])
+    w = agent.initial_wealth
+    base_log = np.log(optimal_value(market, agent, delta_pct=delta_pct, grid=grid,
+                                    settings=settings))
+
+    def shortfall(price):
+        # positive while the compensated position is still worse than baseline
+        log_v = np.log(optimal_value(market, agent, claim, sign * units, w + sign * price,
+                                     delta_pct, grid, settings))
+        return sign * (log_v - base_log)
+
+    lo, hi = 0.0, 0.0
+    f0 = shortfall(0.0)
+    if f0 == 0.0:
+        return 0.0
+    step = w / 64.0
+    if f0 > 0:
+        hi = step
+        for _ in range(max_doublings):
+            if shortfall(hi) <= 0:
+                break
+            lo, hi = hi, hi * 2.0
+        else:
+            raise SolverFailure("bisection bracket expansion failed")
+    else:
+        lo = -step
+        for _ in range(max_doublings):
+            if shortfall(lo) > 0:
+                break
+            hi, lo = lo, lo * 2.0
+        else:
+            raise SolverFailure("bisection bracket expansion failed")
+
+    while hi - lo > width_tol * w:
+        mid = 0.5 * (lo + hi)
+        if shortfall(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def highs_value(program) -> float:

@@ -5,15 +5,20 @@ read the files it wrote.
 """
 import csv
 import json
+import pathlib
 import shutil
 
 import pytest
 
 from semistatic import cli
 from semistatic.claims import claim_payout
-from semistatic.instruments import acquisition_cost
+from semistatic.solver import PHASE1_GAP
+
+from oracles import acquisition_cost
 
 PORTFOLIO_HEADER = ["instrument", "position"]
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+GOLDEN_REL = 1e-9
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -170,3 +175,67 @@ def test_schema_violation_exits_1_with_json_error(tmp_path, capsys):
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["error"] == "ValidationError"
     assert not (tmp_path / "price_report.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: what the optimum fixes uniquely, at GOLDEN_REL.  Positions
+# and simulated wealth are not pinned: an LP optimum's positions need not be
+# unique.  Payouts are wealth-sized numbers and their differences, so they
+# are pinned at GOLDEN_REL of the wealth as well.
+# ---------------------------------------------------------------------------
+
+def assert_close(got, want, rel=GOLDEN_REL, abs_tol=0.0):
+    if isinstance(want, float) and not isinstance(got, bool):
+        assert got == pytest.approx(want, rel=rel, abs=abs_tol)
+    else:
+        assert got == want
+
+
+def test_price_report_matches_golden(run):
+    _, out = run("price")
+    got, want = read_json(out / "price_report.json"), read_json(GOLDEN / "price_report.json")
+    assert got["prices"].keys() == want["prices"].keys()
+    for side, price in want["prices"].items():
+        assert_close(got["prices"][side], price)
+    assert got["flags"] == want["flags"]
+    assert {leg: diag["status"] for leg, diag in got["legs"].items()} == {
+        leg: diag["status"] for leg, diag in want["legs"].items()
+    }
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("optimize",), "optimize_summary.json"),
+    (("superhedge",), "superhedge_summary.json"),
+    (("subhedge",), "subhedge_summary.json"),
+    (("arbitrage", "--expect", "none"), "arbitrage_summary.json"),
+], ids=["optimize", "superhedge", "subhedge", "arbitrage"])
+def test_summary_matches_golden(run, argv, name):
+    _, out = run(*argv)
+    got, want = read_json(out / name), read_json(GOLDEN / name)
+    for counts in ("outer_iterations", "newton_iterations"):
+        got.pop(counts, None)
+        want.pop(counts, None)
+    assert got.keys() == want.keys()
+    # the phase-1 slack of an arbitrage-free chain is 0 up to its documented
+    # absolute accuracy, which no relative tolerance expresses
+    wealth = cli.load_config().agent.initial_wealth
+    slack_tol = {"min_uniform_slack": PHASE1_GAP * (1.0 + wealth)}
+    for key, value in want.items():
+        assert_close(got[key], value, abs_tol=slack_tol.get(key, 0.0))
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("optimize",), "optimize_payout.csv"),
+    (("hedge",), "hedge_error.csv"),
+], ids=["optimize_payout", "hedge_error"])
+def test_surface_matches_golden(run, argv, name):
+    _, out = run(*argv)
+    got, want = read_csv(out / name), read_csv(GOLDEN / name)
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    periods = sum(1 for column in want[0] if column.startswith("x"))
+    wealth = cli.load_config().agent.initial_wealth
+    for got_row, want_row in zip(got[1:], want[1:]):
+        assert got_row[:periods] == want_row[:periods]
+        for g, w in zip(got_row[periods:], want_row[periods:]):
+            assert_close(float(g), float(w), abs_tol=GOLDEN_REL * wealth)

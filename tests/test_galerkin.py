@@ -6,32 +6,30 @@ from semistatic.fixtures import BASE_MODEL, small_market, synthetic_chain
 from semistatic.galerkin import (
     assemble_frictionless,
     assemble_transaction_cost,
-    basis_element,
-    basis_value,
     cell_index,
-    index_trade_cost,
-    strategy_position,
     trading_cells,
 )
-from semistatic.instruments import OptionKind, Quote, quoted_payoff
+from semistatic.instruments import OptionKind, Quote
 from semistatic.pricing import AgentSpec, Market, optimal_value
 from semistatic.scenario import VGParams, build_grid
-from semistatic.solver import SolveSettings, minimize, objective_and_gradient
+from semistatic.solver import SolveSettings, minimize
+
+from oracles import index_trade_cost, objective_and_gradient, quoted_payoff
 
 AGENT = AgentSpec(initial_wealth=100000.0, risk_aversion=2.0)
 
 
 class TestBasis:
     def test_indicator(self):
-        elem = basis_element((2000.0, 2400.0), period=1, cell=1)
-        assert (elem.lo, elem.hi) == (2000.0, 2400.0)
-        assert basis_value(elem, 1, 2200.0) == 1.0
-        assert basis_value(elem, 2, 2200.0) == 0.0
+        # the indicator of cell 1 is 1 exactly on [2000, 2400)
+        assert trading_cells((2000.0, 2400.0))[1] == (2000.0, 2400.0)
+        levels = np.array([1999.0, 2000.0, 2200.0, 2400.0])
+        np.testing.assert_array_equal(cell_index((2000.0, 2400.0), levels) == 1,
+                                      [False, True, True, False])
 
     def test_unbounded_top_cell(self):
-        elem = basis_element((2000.0, 2400.0), period=1, cell=2)
-        assert elem.hi == np.inf
-        assert basis_value(elem, 1, 9999.0) == 1.0
+        assert trading_cells((2000.0, 2400.0))[2] == (2400.0, np.inf)
+        assert int(cell_index((2000.0, 2400.0), 9999.0)) == 2
 
     def test_cells_partition(self):
         cells = trading_cells((2000.0, 2400.0))
@@ -43,22 +41,6 @@ class TestBasis:
         # a level exactly at a strike belongs to the right cell
         assert int(cell_index((2000.0, 2400.0), 2400.0)) == 2
         assert int(cell_index((2000.0, 2400.0), 2399.999)) == 1
-
-
-class TestStrategyPosition:
-    def test_zero_everywhere(self):
-        assert strategy_position((2000.0, 2400.0), (0.0, 0.0, 0.0), 2100.0) == 0.0
-
-    def test_single_cell(self):
-        assert strategy_position((2000.0, 2400.0), (0.0, 5.0, 0.0), 2200.0) == 5.0
-        assert strategy_position((2000.0, 2400.0), (0.0, 5.0, 0.0), 1800.0) == 0.0
-
-    def test_at_strike_takes_right_cell(self):
-        assert strategy_position((2000.0, 2400.0), (1.0, 2.0, 3.0), 2000.0) == 2.0
-
-    def test_coefficient_count_checked(self):
-        with pytest.raises(ValueError):
-            strategy_position((2000.0,), (1.0, 2.0, 3.0), 2100.0)
 
 
 def test_index_trade_cost():
@@ -285,15 +267,3 @@ def test_option_columns_carry_price_minus_payoff(market):
     assert program.cost[j_sell] == -q.bid_price
     np.testing.assert_array_equal(program.offsets, np.full(grid.size, -AGENT.initial_wealth))
 
-
-def test_program_json_dump(tmp_path, market):
-    import json
-
-    grid = market.grid_for(())
-    program = assemble_frictionless(market.quotes, [], AGENT, grid, market.lot_size)
-    out = tmp_path / "program.json"
-    program.to_json(out)
-    doc = json.loads(out.read_text())
-    assert doc["variable_count"] == program.variable_count
-    assert doc["constraint_count"] == program.constraint_count
-    np.testing.assert_allclose(np.array(doc["rows"]), program.rows)

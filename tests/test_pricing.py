@@ -2,15 +2,20 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
 from semistatic.claims import knockout_call, lookback_call, lookback_digital, vanilla_call
-from semistatic.fixtures import BASE_MODEL, crossed_quote_market, planted_arbitrage_market
+from semistatic.fixtures import (
+    BASE_MODEL,
+    crossed_quote_market,
+    planted_arbitrage_market,
+    small_market,
+)
 from semistatic.instruments import OptionKind, Quote
 from semistatic.pricing import (
     AgentSpec,
     Market,
     find_arbitrage,
-    indifference_bisection,
     indifference_buy,
     indifference_sell,
     optimal_value,
@@ -19,6 +24,8 @@ from semistatic.pricing import (
     superhedge_cost,
 )
 from semistatic.solver import PHASE1_GAP
+
+from oracles import indifference_bisection
 
 
 @pytest.fixture(scope="module")
@@ -250,3 +257,55 @@ class TestStaticValue:
         )
         without = optimal_value(bare, agent, grid=grid)
         assert without >= with_quotes - 1e-9
+
+
+STRIKE_LADDER = (2100.0, 2200.0, 2300.0, 2400.0, 2500.0, 2600.0)
+
+
+@st.composite
+def small_market_cases(draw):
+    """A ``small_market`` variant and a claim to price on it."""
+    strikes = draw(st.permutations(STRIKE_LADDER))[: draw(st.integers(2, 5))]
+    contracts = draw(st.integers(10, 1000))
+    k = draw(st.sampled_from((2250.0, 2300.0, 2350.0, 2400.0, 2450.0)))
+    claim = draw(st.sampled_from((
+        knockout_call(k, k + 50.0),
+        lookback_digital(k),
+        vanilla_call(k),
+    )))
+    units = draw(st.sampled_from((0.5, 1.0, 3.0)))
+    delta_pct = draw(st.sampled_from((None, 0.1)))
+    return small_market(strikes=tuple(sorted(strikes)), contracts=contracts), claim, units, delta_pct
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_market_cases())
+def test_semistatic_band_inside_static_and_dynamic_bands(agent, case):
+    # Semi-static strategies include the static ones (no index trading) and
+    # the dynamic ones (no quotes), so either class alone can only widen the
+    # super/subhedging band.  The four prices are ordered when no quantity
+    # limit binds at the exponential optima: those legs then equal the legs
+    # without limits, whose strategies add up and whose band lies inside
+    # this one.  Both statements are about optima, so an example with a leg
+    # that stops short of optimal is discarded.
+    market, claim, units, delta_pct = case
+    report = price_report(market, agent, claim, units, delta_pct, check_arbitrage=False)
+    grid = market.grid_for([(claim, units)])
+    bare = Market(quotes=(), model=market.model)
+    bands = [
+        fn(claim=claim, units=units, delta_pct=delta_pct, grid=grid, **restricted)
+        for restricted in (dict(market=market, allow_dynamic=False), dict(market=bare))
+        for fn in (superhedge_cost, subhedge_cost)
+    ]
+    statuses = [leg["status"] for leg in report.legs.values()] + [b[2].status for b in bands]
+    assume(all(status == "optimal" for status in statuses))
+    event(f"bounds_active={report.flags['bounds_active']}")
+
+    tol = 1e-6 * agent.initial_wealth
+    assert report.buyer_price <= report.seller_price + tol
+    if not report.flags["bounds_active"]:
+        assert report.subhedge <= report.buyer_price + tol
+        assert report.seller_price <= report.superhedge + tol
+    for (sup, _, _), (sub, _, _) in (bands[:2], bands[2:]):
+        assert report.superhedge <= sup + tol
+        assert report.subhedge >= sub - tol

@@ -6,18 +6,15 @@ import pytest
 from scipy import integrate, stats
 
 from semistatic.claims import Breakpoint
-from semistatic.scenario import (
-    VGParams,
-    build_grid,
+from semistatic.scenario import VGParams, build_grid, simulate_paths, vg_log_increment_density_vec
+
+from conftest import package_env
+from oracles import (
     path_density,
-    simulate_paths,
     vg_increment_moments,
     vg_log_increment_cdf_vec,
     vg_log_increment_density,
-    vg_log_increment_density_vec,
 )
-
-from conftest import package_env
 
 BASE = VGParams(theta=0.0, sigma=0.1206, nu=0.0031, spot=2360.0, horizons=(1 / 12, 2 / 12))
 SKEWED = VGParams(theta=-0.15, sigma=0.1206, nu=0.0031, spot=2360.0, horizons=(1 / 12, 2 / 12))
@@ -143,14 +140,6 @@ class TestBuildGrid:
     def test_degenerate_truncation_rejected(self):
         with pytest.raises(ValueError):
             build_grid(BASE, [(2300.0,), (2300.0,)], truncation=[(2000.0, 2000.0)] * 2)
-
-    def test_dump_csv(self, tmp_path):
-        grid = build_grid(BASE, [(2300.0, 2400.0), (2300.0, 2400.0)])
-        out = tmp_path / "grid.csv"
-        grid.dump_csv(out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "x1,x2,weight,density,mass"
-        assert len(lines) == grid.size + 1
 
 
 class TestSimulation:

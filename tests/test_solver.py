@@ -16,14 +16,13 @@ from semistatic.solver import (
     SolveSettings,
     feasibility_start,
     minimize,
-    objective_and_gradient,
     solve_lp,
     _newton_solver,
     _openblas_thread_controls,
 )
 
 from conftest import make_exp_program, make_lp_program, package_env
-from oracles import dual_bound, highs_value
+from oracles import dual_bound, highs_value, objective_and_gradient
 
 TIGHT = SolveSettings(gap_tol=1e-12)
 
