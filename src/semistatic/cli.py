@@ -19,7 +19,7 @@ import numpy as np
 
 from . import claims as claims_mod
 from .claims import Claim
-from .galerkin import claim_liability
+from .galerkin import claim_liability, strategy_columns
 from .instruments import OptionKind, Quote
 from .pricing import (
     AgentSpec,
@@ -89,7 +89,6 @@ CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "density_nodes": {"type": "integer", "minimum": 16},
-                "strike_step": {"type": "number", "exclusiveMinimum": 0},
             },
             "additionalProperties": False,
         },
@@ -348,12 +347,22 @@ def _market(config: RunConfig, quotes_path=None) -> Market:
     )
 
 
-def _write_surface(path, grid, values, header) -> None:
+def _write_surface(path, points, columns: dict) -> None:
+    """One row per path of ``points`` (M, T): its levels x1..xT, then the
+    value there of each named column."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x{t + 1}" for t in range(grid.periods)] + [header])
-        for i in range(grid.size):
-            writer.writerow([repr(float(v)) for v in grid.points[i]] + [repr(float(values[i]))])
+        writer.writerow([f"x{t + 1}" for t in range(points.shape[1])] + list(columns))
+        for i, levels in enumerate(points):
+            writer.writerow([repr(float(v)) for v in levels]
+                            + [repr(float(values[i])) for values in columns.values()])
+
+
+def _agent_leg(market: Market, grid, config: RunConfig, terms):
+    """The configured agent's program on ``market``: the strategy space on
+    ``grid`` against ``terms`` at the agent's wealth and risk scale."""
+    agent = config.agent
+    return _assemble(market, grid, config.delta_pct).leg(terms, agent.initial_wealth, agent.kappa)
 
 
 def _portfolio_rows(portfolio: HedgePortfolio):
@@ -372,7 +381,7 @@ def _write_portfolio(path, portfolio: HedgePortfolio) -> None:
 def _cmd_optimize(config, market, outdir, args) -> int:
     terms = [(config.claim, config.claim_units)] if args.with_claim else []
     grid = market.grid_for(terms)
-    program = _assemble(market, terms, config.agent, grid, None, config.delta_pct)
+    program = _agent_leg(market, grid, config, terms)
     solution = _optimum(program, config.solver)
     _write_portfolio(
         os.path.join(outdir, "optimize_portfolio.csv"),
@@ -380,9 +389,8 @@ def _cmd_optimize(config, market, outdir, args) -> int:
     )
     _write_surface(
         os.path.join(outdir, "optimize_payout.csv"),
-        grid,
-        program.portfolio_payout(solution.x),
-        "payout",
+        grid.points,
+        {"payout": program.portfolio_payout(solution.x)},
     )
     summary = {
         "log_objective": solution.log_objective,
@@ -416,8 +424,8 @@ def _cmd_hedge(config, market, outdir, args) -> int:
     hedging = _hedging_market(market, config.claim, config.exclude_claim_strike)
     terms = [(config.claim, config.claim_units)]
     grid = hedging.grid_for(terms)
-    base_prog = _assemble(hedging, [], config.agent, grid, None, config.delta_pct)
-    with_prog = base_prog.leg(terms)
+    base_prog = _agent_leg(hedging, grid, config, [])
+    with_prog = base_prog.leg(terms, base_prog.budget)
     base = _optimum(base_prog, config.solver)
     loaded = _optimum(with_prog, config.solver)
 
@@ -431,18 +439,12 @@ def _cmd_hedge(config, market, outdir, args) -> int:
 
     hedge_payout = with_prog.portfolio_payout(loaded.x) - base_prog.portfolio_payout(base.x)
     claim_payout = claim_liability(terms, grid)
-    with open(os.path.join(outdir, "hedge_error.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"x{t + 1}" for t in range(grid.periods)]
-            + ["hedge_payout", "claim_payout", "error"]
-        )
-        for i in range(grid.size):
-            writer.writerow(
-                [repr(float(v)) for v in grid.points[i]]
-                + [repr(float(hedge_payout[i])), repr(float(claim_payout[i])),
-                   repr(float(hedge_payout[i] - claim_payout[i]))]
-            )
+    _write_surface(
+        os.path.join(outdir, "hedge_error.csv"),
+        grid.points,
+        {"hedge_payout": hedge_payout, "claim_payout": claim_payout,
+         "error": hedge_payout - claim_payout},
+    )
     return 0
 
 
@@ -490,48 +492,16 @@ def _cmd_arbitrage(config, market, outdir, args) -> int:
 
 def _cmd_simulate(config, market, outdir, args) -> int:
     terms = [(config.claim, config.claim_units)] if args.with_claim else []
-    grid = market.grid_for(terms)
-    program = _assemble(market, terms, config.agent, grid, None, config.delta_pct)
+    program = _agent_leg(market, market.grid_for(terms), config, terms)
     solution = _optimum(program, config.solver)
     paths = simulate_paths(config.model, args.paths, args.seed)
-    wealth = _terminal_wealth(program, solution.x, market, config, terms, paths)
-    with open(os.path.join(outdir, "simulate_wealth.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"x{t + 1}" for t in range(paths.shape[1])] + ["terminal_wealth"]
-        )
-        for i in range(paths.shape[0]):
-            writer.writerow([repr(float(v)) for v in paths[i]] + [repr(float(wealth[i]))])
+    # out-of-sample wealth: the budget less the strategy's loss rows on the
+    # paths, so cash is the budget less the acquisition cost as in every portfolio file
+    names, columns, _ = strategy_columns(market.quotes, paths, market.model.spot, config.delta_pct)
+    held = dict(zip(program.layout.names, solution.x))
+    wealth = program.budget - columns @ np.array([held.get(name, 0.0) for name in names])
+    _write_surface(os.path.join(outdir, "simulate_wealth.csv"), paths, {"terminal_wealth": wealth})
     return 0
-
-
-def _terminal_wealth(program, y, market, config, terms, paths) -> np.ndarray:
-    """Out-of-sample terminal wealth of the solved strategy on simulated paths.
-
-    Rebuilds the loss-argument rows on the sample paths through the same
-    assembler used for the grid; wealth is the budget less the rows, so its
-    cash is the budget less the acquisition cost, as in every portfolio file.
-    """
-    from .scenario import QuadratureGrid
-
-    n = paths.shape[0]
-    sample_grid = QuadratureGrid(
-        spot=market.model.spot,
-        node_sets=tuple(np.unique(paths[:, t]) for t in range(paths.shape[1])),
-        points=paths,
-        point_index=np.zeros_like(paths, dtype=int),
-        weights=np.full(n, 1.0 / n),
-        density=np.ones(n),
-        masses=np.full(n, 1.0 / n),
-        raw_mass=1.0,
-        truncation=tuple((0.0, np.inf) for _ in range(paths.shape[1])),
-    )
-    sample_prog = _assemble(market, terms, config.agent, sample_grid, None, config.delta_pct)
-    full = np.zeros(sample_prog.variable_count)
-    name_to_value = dict(zip(program.layout.names, y))
-    for i, name in enumerate(sample_prog.layout.names):
-        full[i] = name_to_value.get(name, 0.0)
-    return sample_prog.portfolio_payout(full)
 
 
 def _dump_json(path, payload) -> None:

@@ -20,11 +20,16 @@ the expected-loss objective is sum_i m_i * exp(kappa * a_i) with
 kappa = risk_aversion / reference_wealth.  The program has only its boxes (and
 pointwise rows, where a caller adds them); terminal wealth is w - a_i + claim_i.
 
-A leg is the assembled program with its own claim offsets.  The claim and the
-budget enter only through the offsets claim_i - w (``liability_offsets``), so
-every quantity priced on one strategy space (the baseline, seller and buyer
-values, the super- and subhedging costs) is ``program.leg(claim_terms)`` of
-one assembled program: same rows, boxes, start, cost and layout.
+The assemblers read only what the columns depend on (quotes, grid, lot size,
+index cost) and return the bare strategy space: budget 0, no claim, no risk
+scale.  Everything else derives from it by three methods, each the one place
+its decision lives: ``leg`` sets the claim offsets claim_i - w, the budget
+and kappa; ``keep`` takes a column subset and records the rest in
+``layout.dropped`` (the assembler's drop rule, the static-only strategies);
+``epigraph`` lifts the rows to [rows | -1] for the least level t with
+a_i(y) - t <= point_upper_i (the hedging LPs, the phase-1 slack).  The one
+column kernel, ``strategy_columns``, evaluates every variable on any (M, T)
+path array: the grid's points or simulated paths.
 """
 from __future__ import annotations
 
@@ -64,12 +69,11 @@ class VariableBlock:
 
 @dataclass(frozen=True)
 class DecisionLayout:
-    """Names, slices and cell geometry of the decision vector."""
+    """Names and cell geometry of the decision vector."""
 
     mode: str  # "frictionless" | "transaction_cost"
     quote_ids: tuple[str, ...]
     names: tuple[str, ...]
-    blocks: dict = field(hash=False, default_factory=dict)
     cells: dict = field(hash=False, default_factory=dict)  # period -> ((lo, hi), ...)
     dropped: tuple[str, ...] = ()
 
@@ -78,7 +82,16 @@ class DecisionLayout:
         return len(self.names)
 
     def block(self, name: str) -> VariableBlock:
-        return self.blocks[name]
+        """The "buy", "sell" or "dynamic" block, read off the ``buy:`` and
+        ``sell:`` name prefixes; the dynamic variables follow the options."""
+        tags = [n.partition(":")[0] for n in self.names]
+        n_buy, n_sell = tags.count("buy"), tags.count("sell")
+        start, size = {
+            "buy": (0, n_buy),
+            "sell": (n_buy, n_sell),
+            "dynamic": (n_buy + n_sell, self.size - n_buy - n_sell),
+        }[name]
+        return VariableBlock(name, start, size)
 
     def net_positions(self, y: np.ndarray) -> dict[str, float]:
         """Net option count per quote id (buys minus sells), zeros included."""
@@ -109,7 +122,8 @@ class AssembledProgram:
     ``point_upper`` (if set) bounds every row from above, which expresses
     pointwise payout-domination constraints.  The offsets already subtract
     ``budget``, and the cash left after buying the positions ``y`` is
-    ``budget - cost @ y``.
+    ``budget - cost @ y``.  ``kappa`` is None on a bare strategy space, which
+    no exponential solve accepts.
     """
 
     objective: str  # "exp_sum" | "linear"
@@ -117,7 +131,7 @@ class AssembledProgram:
     rows: np.ndarray          # (M, n)
     offsets: np.ndarray       # (M,)
     masses: np.ndarray        # (M,)
-    kappa: float
+    kappa: float | None
     cost: np.ndarray          # (n,) acquisition-cost row; the LP objective
     budget: float
     point_upper: np.ndarray | None
@@ -143,10 +157,51 @@ class AssembledProgram:
         """Terminal wealth per grid point, cash included (claim liability excluded)."""
         return self.budget - self.rows @ y
 
-    def leg(self, claim_terms, budget: float | None = None) -> AssembledProgram:
-        """This strategy space against ``claim_terms`` in full, at ``budget`` or its own."""
-        w = self.budget if budget is None else float(budget)
-        return replace(self, offsets=liability_offsets(claim_terms, self.grid, w), budget=w)
+    def leg(self, claim_terms, budget: float, kappa: float | None = None) -> AssembledProgram:
+        """This strategy space against ``claim_terms`` in full at ``budget``,
+        with the risk scale ``kappa`` or its own."""
+        return replace(
+            self,
+            offsets=claim_liability(claim_terms, self.grid) - budget,
+            budget=float(budget),
+            kappa=self.kappa if kappa is None else kappa,
+        )
+
+    def keep(self, mask) -> AssembledProgram:
+        """The columns where ``mask`` is true; the others join ``layout.dropped``."""
+        mask = np.asarray(mask, dtype=bool)
+        names = self.layout.names
+        layout = replace(
+            self.layout,
+            names=tuple(n for n, k in zip(names, mask) if k),
+            dropped=self.layout.dropped + tuple(n for n, k in zip(names, mask) if not k),
+        )
+        return replace(
+            self,
+            layout=layout,
+            rows=self.rows[:, mask],
+            cost=self.cost[mask],
+            lower=self.lower[mask],
+            upper=self.upper[mask],
+            start=self.start[mask],
+        )
+
+    def epigraph(self, point_upper, level_lower: float, level_start: float) -> AssembledProgram:
+        """The linear program: minimize a level t over (y, t) subject to
+        a_i(y) - t <= point_upper_i on this program's loss rows, t >= level_lower,
+        started at (start, level_start).  The level is the last column; the
+        layout names only y."""
+        M, n = self.rows.shape
+        return replace(
+            self,
+            objective="linear",
+            rows=np.hstack([self.rows, -np.ones((M, 1))]),
+            cost=np.append(np.zeros(n), 1.0),
+            point_upper=point_upper,
+            lower=np.append(self.lower, level_lower),
+            upper=np.append(self.upper, np.inf),
+            start=np.append(self.start, level_start),
+        )
 
 
 def _strikes_by_period(quotes, periods: int) -> list[list[float]]:
@@ -165,166 +220,109 @@ def claim_liability(claim_terms, grid: QuadratureGrid) -> np.ndarray:
     return offsets
 
 
-def liability_offsets(claim_terms, grid: QuadratureGrid, budget: float) -> np.ndarray:
-    """Offsets of the loss rows: the liability on ``claim_terms`` less the budget."""
-    return claim_liability(claim_terms, grid) - budget
+def strategy_columns(quotes, points: np.ndarray, spot: float, delta_pct: float | None = None):
+    """Names, loss-row columns (M, n) and rebalance cells per period of every
+    strategy variable on the paths ``points`` (M, T), in layout order.
 
-
-def _assemble(quotes, claim_terms, agent, grid, lot_size, budget, delta_pct):
+    The trading cells of period s are those of the strikes quoted for
+    maturity s.  Without ``delta_pct`` the index trades without cost; with
+    it, index trades at t = 0..T-1 cost ``delta_pct`` percent and the
+    horizon liquidation is costless.
+    """
     quotes = list(quotes)
-    T = grid.periods
-    points = grid.points
-    M = points.shape[0]
-    spot = grid.spot
+    M, T = points.shape
     basis_strikes = _strikes_by_period(quotes, T)
-
-    names: list[str] = []
-    columns: list[np.ndarray] = []
-    cost_coeffs: list[float] = []
-    lower: list[float] = []
-    upper: list[float] = []
-    start: list[float] = []
-
     payoff = [option_payoff(q.kind, q.strike, points[:, q.maturity - 1]) for q in quotes]
-    boxes = [position_bounds(q, lot_size) for q in quotes]
-    for j, q in enumerate(quotes):
-        names.append(f"buy:{q.id}")
-        columns.append(q.ask_price - payoff[j])
-        cost_coeffs.append(q.ask_price)
-        lower.append(0.0)
-        upper.append(boxes[j].upper)
-        start.append(0.5 * min(boxes[j].upper, 1.0))
-    for j, q in enumerate(quotes):
-        names.append(f"sell:{q.id}")
-        columns.append(payoff[j] - q.bid_price)
-        cost_coeffs.append(-q.bid_price)
-        lower.append(0.0)
-        upper.append(-boxes[j].lower)
-        start.append(0.5 * min(-boxes[j].lower, 1.0))
-
-    rebalance_cells = {s: trading_cells(basis_strikes[s - 1]) for s in range(1, T)}
+    names = [f"buy:{q.id}" for q in quotes] + [f"sell:{q.id}" for q in quotes]
+    columns = [q.ask_price - p for q, p in zip(quotes, payoff)]
+    columns += [p - q.bid_price for q, p in zip(quotes, payoff)]
+    cells = {s: trading_cells(basis_strikes[s - 1]) for s in range(1, T)}
 
     if delta_pct is None:
         # frictionless: the row carries -sum_(t=0..T-1) z_t(X_t) (X_(t+1) - X_t)
         # with z_0 a single scalar (X_0 is known)
         names.append("z0")
         columns.append(-(points[:, 0] - spot))
-        cost_coeffs.append(0.0)
-        lower.append(-np.inf)
-        upper.append(np.inf)
-        start.append(0.0)
         for s in range(1, T):
             idx = cell_index(basis_strikes[s - 1], points[:, s - 1])
             dx = points[:, s] - points[:, s - 1]
-            for n, (lo, hi) in enumerate(rebalance_cells[s]):
+            for n, (lo, hi) in enumerate(cells[s]):
                 names.append(f"z{s}[{lo:g},{hi:g})")
                 columns.append(-np.where(idx == n, dx, 0.0))
-                cost_coeffs.append(0.0)
-                lower.append(-np.inf)
-                upper.append(np.inf)
-                start.append(0.0)
-        mode = "frictionless"
-        layout_cells = rebalance_cells
-    else:
-        if delta_pct < 0:
-            raise ValueError("transaction cost percentage must be nonnegative")
-        d = delta_pct / 100.0
-        # nonnegative purchase/sale legs per trading period and cell; the row
-        # carries +sum_t S_t(dz_t) where the horizon liquidation -X_T z_(T-1)
-        # is costless and folded into every leg's column
-        x_T = points[:, T - 1]
-        layout_cells = {0: ((0.0, np.inf),), **rebalance_cells}
-        for s in range(0, T):
-            level = np.full(M, spot) if s == 0 else points[:, s - 1]
-            idx = (
-                np.zeros(M, dtype=int)
-                if s == 0
-                else cell_index(basis_strikes[s - 1], points[:, s - 1])
-            )
-            for n, (lo, hi) in enumerate(layout_cells[s]):
-                mask = idx == n
-                names.append(f"dzbuy{s}[{lo:g},{hi:g})")
-                columns.append(np.where(mask, (1.0 + d) * level - x_T, 0.0))
-                names.append(f"dzsell{s}[{lo:g},{hi:g})")
-                columns.append(np.where(mask, -(1.0 - d) * level + x_T, 0.0))
-                cost_coeffs.extend([0.0, 0.0])
-                lower.extend([0.0, 0.0])
-                upper.extend([np.inf, np.inf])
-                start.extend([1e-2, 1e-2])
-        mode = "transaction_cost"
+        return tuple(names), np.column_stack(columns), cells
 
-    rows = np.column_stack(columns)
-    cost = np.array(cost_coeffs)
-    lower_arr = np.array(lower)
-    upper_arr = np.array(upper)
-    start_arr = np.array(start)
+    if delta_pct < 0:
+        raise ValueError("transaction cost percentage must be nonnegative")
+    d = delta_pct / 100.0
+    # nonnegative purchase/sale legs per trading period and cell; the row
+    # carries +sum_t S_t(dz_t) where the horizon liquidation -X_T z_(T-1)
+    # is costless and folded into every leg's column
+    x_T = points[:, T - 1]
+    cells = {0: ((0.0, np.inf),), **cells}
+    for s in range(0, T):
+        level = np.full(M, spot) if s == 0 else points[:, s - 1]
+        idx = np.zeros(M, dtype=int) if s == 0 else cell_index(basis_strikes[s - 1], level)
+        for n, (lo, hi) in enumerate(cells[s]):
+            mask = idx == n
+            names += [f"dzbuy{s}[{lo:g},{hi:g})", f"dzsell{s}[{lo:g},{hi:g})"]
+            columns.append(np.where(mask, (1.0 + d) * level - x_T, 0.0))
+            columns.append(np.where(mask, -(1.0 - d) * level + x_T, 0.0))
+    return tuple(names), np.column_stack(columns), cells
 
+
+def _assemble(quotes, grid, lot_size, delta_pct):
+    quotes = list(quotes)
+    names, rows, cells = strategy_columns(quotes, grid.points, grid.spot, delta_pct)
+    frictionless = delta_pct is None
+    J, dynamic = len(quotes), len(names) - 2 * len(quotes)
+    boxes = [position_bounds(q, lot_size) for q in quotes]
+    upper = np.array([b.upper for b in boxes] + [-b.lower for b in boxes] + [np.inf] * dynamic)
+    lower = np.concatenate([np.zeros(2 * J), np.full(dynamic, -np.inf if frictionless else 0.0)])
+    start = np.concatenate(
+        [0.5 * np.minimum(upper[: 2 * J], 1.0), np.full(dynamic, 0.0 if frictionless else 1e-2)]
+    )
+    space = AssembledProgram(
+        objective="exp_sum",
+        layout=DecisionLayout(
+            mode="frictionless" if frictionless else "transaction_cost",
+            quote_ids=tuple(q.id for q in quotes),
+            names=names,
+            cells=cells,
+        ),
+        rows=rows,
+        offsets=np.zeros(grid.size),
+        masses=grid.masses,
+        kappa=None,
+        cost=np.concatenate(
+            [[q.ask_price for q in quotes], [-q.bid_price for q in quotes], np.zeros(dynamic)]
+        ),
+        budget=0.0,
+        point_upper=None,
+        lower=lower,
+        upper=upper,
+        start=start,
+        grid=grid,
+    )
     # drop variables fixed by a zero-width box, and variables whose columns
     # are identically zero (such as dynamic cells no grid point activates).
     # Dynamic variables whose cells carry negligible probability mass are
     # unidentifiable from the objective and would drift to arbitrary values,
     # so they go too.
-    J = len(quotes)
-    touched = np.abs(rows).max(axis=0) > 0
-    keep = (upper_arr - lower_arr > 0) & touched
-    active_mass = grid.masses @ (rows[:, 2 * J :] != 0)
-    keep[2 * J :] &= active_mass >= 1e-12
-    dropped = tuple(n for n, k in zip(names, keep) if not k)
-    rows = rows[:, keep]
-    cost = cost[keep]
-    lower_arr, upper_arr, start_arr = lower_arr[keep], upper_arr[keep], start_arr[keep]
-    kept_names = tuple(n for n, k in zip(names, keep) if k)
-
-    n_buy = int(keep[:J].sum())
-    n_options = n_buy + int(keep[J : 2 * J].sum())
-    blocks = {
-        "buy": VariableBlock("buy", 0, n_buy),
-        "sell": VariableBlock("sell", n_buy, n_options - n_buy),
-        "dynamic": VariableBlock("dynamic", n_options, rows.shape[1] - n_options),
-    }
-    layout = DecisionLayout(
-        mode=mode,
-        quote_ids=tuple(q.id for q in quotes),
-        names=kept_names,
-        blocks=blocks,
-        cells=layout_cells,
-        dropped=dropped,
-    )
-
-    w = agent.initial_wealth if budget is None else float(budget)
-    return AssembledProgram(
-        objective="exp_sum",
-        layout=layout,
-        rows=rows,
-        offsets=liability_offsets(claim_terms, grid, w),
-        masses=grid.masses,
-        kappa=agent.risk_aversion / agent.initial_wealth,
-        cost=cost,
-        budget=w,
-        point_upper=None,
-        lower=lower_arr,
-        upper=upper_arr,
-        start=start_arr,
-        grid=grid,
-    )
+    keep = (upper - lower > 0) & (np.abs(rows).max(axis=0) > 0)
+    keep[2 * J :] &= grid.masses @ (rows[:, 2 * J :] != 0) >= 1e-12
+    return space.keep(keep)
 
 
 def assemble_frictionless(
-    quotes, claim_terms, agent, grid: QuadratureGrid, lot_size: float = 100.0,
-    budget: float | None = None,
+    quotes, grid: QuadratureGrid, lot_size: float = 100.0
 ) -> AssembledProgram:
-    """Discretized optimal-investment program with a perfectly liquid index.
-
-    ``claim_terms`` is a sequence of (claim, units); positive units are sold
-    claims and add their payout to the loss argument.
-    """
-    return _assemble(quotes, claim_terms, agent, grid, lot_size, budget, None)
+    """Strategy space of the quotes with a perfectly liquid index, on ``grid``."""
+    return _assemble(quotes, grid, lot_size, None)
 
 
 def assemble_transaction_cost(
-    quotes, claim_terms, agent, grid: QuadratureGrid, delta_pct: float,
-    lot_size: float = 100.0, budget: float | None = None,
+    quotes, grid: QuadratureGrid, delta_pct: float, lot_size: float = 100.0
 ) -> AssembledProgram:
-    """Variant with a proportional cost of ``delta_pct`` percent on index trades
-    at t = 0..T-1; the horizon liquidation is costless."""
-    return _assemble(quotes, claim_terms, agent, grid, lot_size, budget, float(delta_pct))
+    """Strategy space with a proportional cost of ``delta_pct`` percent on index
+    trades at t = 0..T-1; the horizon liquidation is costless."""
+    return _assemble(quotes, grid, lot_size, float(delta_pct))

@@ -2,13 +2,13 @@
 seller indifference prices (closed form under exponential loss), super- and
 subhedging costs on the truncated scenario grid, and arbitrage detection.
 
-Every price is an optimal value over one assembled strategy space, and the
-claim enters only through its liability: a leg is the assembled program with
-its own claim offsets (``AssembledProgram.leg``).  A price report assembles
-one program for its five legs (the baseline, seller and buyer log-values and
-the super- and subhedging LPs) and one for the arbitrage grid.  The buyer's
-price and the subhedge are sign duals: indifference_buy(u) is
--indifference_sell(-u), and subhedge_cost(u) is -superhedge_cost(-u).
+Every price is an optimal value over one strategy space assembled from the
+quotes and the scenario grid alone; the agent and the claim enter only
+through ``leg``, ``keep`` and ``epigraph`` (see ``galerkin``).  A price report
+assembles one space for its five legs (the baseline, seller and buyer
+log-values and the super- and subhedging LPs) and one for the arbitrage
+grid.  The buyer's price and the subhedge are sign duals: indifference_buy(u)
+is -indifference_sell(-u), and subhedge_cost(u) is -superhedge_cost(-u).
 
 Sign conventions: positive claim units are sold claims and enter the loss
 argument with a plus sign; prices are USD per claim unit times ``units``.
@@ -34,6 +34,9 @@ from .scenario import QuadratureGrid, VGParams, build_grid
 from .solver import SolveSettings, Solution, feasibility_start, minimize, solve_lp
 
 INFEASIBLE_SENTINEL = float("inf")
+# risk aversion, per unit of the budget, of the expected-loss program that
+# ``find_arbitrage`` solves under its payout floor
+ARBITRAGE_RISK_AVERSION = 2.0
 
 
 class SolverFailure(RuntimeError):
@@ -56,14 +59,15 @@ class AgentSpec:
         if self.risk_aversion <= 0:
             raise ValueError("risk aversion must be positive")
 
+    @property
+    def kappa(self) -> float:
+        """The risk scale of the exponential loss, frozen at the reference wealth."""
+        return self.risk_aversion / self.initial_wealth
+
     def baseline_terms(self) -> list:
         if self.baseline_claim is None or self.baseline_units == 0.0:
             return []
         return [(self.baseline_claim, self.baseline_units)]
-
-
-# the agent of a standalone hedging-cost program, whose LP reads neither field
-_LP_AGENT = AgentSpec(1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -150,43 +154,16 @@ def _hedging_market(market: Market, claim: Claim, exclude_claim_quote: bool) -> 
     return replace(market, quotes=kept)
 
 
-def _assemble(market, claim_terms, agent, grid, budget, delta_pct, allow_dynamic=True):
+def _assemble(market, grid, delta_pct, allow_dynamic=True) -> AssembledProgram:
+    """The strategy space of ``market`` on ``grid``; without the dynamic legs
+    unless ``allow_dynamic``."""
     if delta_pct is None:
-        program = assemble_frictionless(
-            market.quotes, claim_terms, agent, grid, market.lot_size, budget=budget
-        )
+        space = assemble_frictionless(market.quotes, grid, market.lot_size)
     else:
-        program = assemble_transaction_cost(
-            market.quotes, claim_terms, agent, grid, delta_pct, market.lot_size, budget=budget
-        )
+        space = assemble_transaction_cost(market.quotes, grid, delta_pct, market.lot_size)
     if not allow_dynamic:
-        program = _strip_dynamic(program)
-    return program
-
-
-def _strip_dynamic(program: AssembledProgram) -> AssembledProgram:
-    dyn = program.layout.block("dynamic")
-    keep = np.ones(program.variable_count, dtype=bool)
-    keep[dyn.slice] = False
-    layout = replace(
-        program.layout,
-        names=tuple(n for n, k in zip(program.layout.names, keep) if k),
-        blocks={
-            **{k: v for k, v in program.layout.blocks.items() if k != "dynamic"},
-            "dynamic": replace(dyn, size=0),
-        },
-        dropped=program.layout.dropped
-        + tuple(n for n, k in zip(program.layout.names, keep) if not k),
-    )
-    return replace(
-        program,
-        layout=layout,
-        rows=program.rows[:, keep],
-        cost=program.cost[keep],
-        lower=program.lower[keep],
-        upper=program.upper[keep],
-        start=program.start[keep],
-    )
+        space = space.keep(np.arange(space.variable_count) < space.layout.block("dynamic").start)
+    return space
 
 
 def _optimum(program: AssembledProgram, settings: SolveSettings | None) -> Solution:
@@ -215,7 +192,8 @@ def optimal_value(
     terms = _claim_terms(agent, claim, claim_units)
     if grid is None:
         grid = market.grid_for(terms)
-    program = _assemble(market, terms, agent, grid, budget, delta_pct, allow_dynamic)
+    w = agent.initial_wealth if budget is None else budget
+    program = _assemble(market, grid, delta_pct, allow_dynamic).leg(terms, w, agent.kappa)
     return _optimum(program, settings).objective
 
 
@@ -233,10 +211,11 @@ def indifference_sell(
     terms = _claim_terms(agent, claim, units)
     if grid is None:
         grid = market.grid_for(terms)
-    program = _assemble(market, agent.baseline_terms(), agent, grid, None, delta_pct)
-    log_with = _optimum(program.leg(terms), settings).log_objective
+    w = agent.initial_wealth
+    program = _assemble(market, grid, delta_pct).leg(agent.baseline_terms(), w, agent.kappa)
+    log_with = _optimum(program.leg(terms, w), settings).log_objective
     log_base = _optimum(program, settings).log_objective
-    return agent.initial_wealth / agent.risk_aversion * (log_with - log_base)
+    return w / agent.risk_aversion * (log_with - log_base)
 
 
 def indifference_buy(
@@ -278,25 +257,16 @@ def _portfolio(program: AssembledProgram, y: np.ndarray, budget: float) -> Hedge
 def _least_dominating_wealth(program: AssembledProgram, claim_terms, settings):
     """Least initial wealth w whose strategy in ``program`` dominates the
     liability ``claim_terms`` at every grid point: minimize w subject to
-    a_i(y) - w <= 0 on the leg's loss rows a_i at budget 0, with w the LP's
-    last variable, started one above the largest loss at the program's start.
+    a_i(y) - w <= 0 on the leg's loss rows a_i at budget 0: the leg's epigraph,
+    with w free and started one above the largest loss at the program's start.
     Returns (w, HedgePortfolio, Solution); (inf, None, Solution) if infeasible."""
-    leg = program.leg(claim_terms, budget=0.0)
-    M, n = leg.rows.shape
-    lp = replace(
-        leg,
-        objective="linear",
-        rows=np.hstack([leg.rows, -np.ones((M, 1))]),
-        cost=np.append(np.zeros(n), 1.0),
-        point_upper=np.zeros(M),
-        lower=np.append(leg.lower, -np.inf),
-        upper=np.append(leg.upper, np.inf),
-        start=np.append(leg.start, max(0.5, float(leg.loss_arguments(leg.start).max()) + 1.0)),
-    )
-    solution = solve_lp(lp, settings)
+    leg = program.leg(claim_terms, 0.0)
+    w0 = max(0.5, float(leg.loss_arguments(leg.start).max()) + 1.0)
+    solution = solve_lp(leg.epigraph(np.zeros(leg.grid.size), -np.inf, w0), settings)
     if solution.status == "infeasible":
         return INFEASIBLE_SENTINEL, None, solution
-    return solution.objective, _portfolio(leg, solution.x[:n], solution.objective), solution
+    y = solution.x[: leg.variable_count]
+    return solution.objective, _portfolio(leg, y, solution.objective), solution
 
 
 def superhedge_cost(
@@ -314,8 +284,8 @@ def superhedge_cost(
     terms = [(claim, units)]
     if grid is None:
         grid = market.grid_for(terms)
-    program = _assemble(market, [], _LP_AGENT, grid, 0.0, delta_pct, allow_dynamic)
-    return _least_dominating_wealth(program, terms, settings)
+    space = _assemble(market, grid, delta_pct, allow_dynamic)
+    return _least_dominating_wealth(space, terms, settings)
 
 
 def subhedge_cost(
@@ -373,10 +343,11 @@ def find_arbitrage(
     the quick-mode ``expected_excess`` (its negative) lies below the maximum
     uniform excess by at most the same amount.
     """
-    agent = AgentSpec(initial_wealth=budget, risk_aversion=2.0)
+    if budget <= 0:
+        raise ValueError("the arbitrage budget must be positive")
     grid = market.grid_for(())
-    program = _assemble(market, [], agent, grid, budget, delta_pct)
-    program = replace(program, point_upper=np.full(grid.size, -budget))
+    leg = _assemble(market, grid, delta_pct).leg((), budget, ARBITRAGE_RISK_AVERSION / budget)
+    program = replace(leg, point_upper=np.full(grid.size, -budget))
 
     margin = 1e-9 * (1.0 + abs(budget))
     s_star, feasible = feasibility_start(program, settings)
@@ -450,14 +421,14 @@ def _leg_diag(solution: Solution) -> dict:
     }
 
 
-def _bounds_active(program: AssembledProgram, y: np.ndarray, rel: float = 1e-6) -> bool:
-    for block in ("buy", "sell"):
-        sl = program.layout.block(block).slice
-        ub = program.upper[sl]
-        finite = np.isfinite(ub)
-        if finite.any() and np.any(ub[finite] - y[sl][finite] <= rel * (1.0 + ub[finite])):
-            return True
-    return False
+def _bounds_active(program: AssembledProgram, solutions, rel: float = 1e-6) -> bool:
+    """True when a quote's quantity limit binds at any of the ``solutions``."""
+    options = slice(0, program.layout.block("dynamic").start)
+    ub = program.upper[options]
+    finite = np.isfinite(ub)
+    return any(
+        np.any(ub[finite] - s.x[options][finite] <= rel * (1.0 + ub[finite])) for s in solutions
+    )
 
 
 def price_report(
@@ -481,19 +452,20 @@ def price_report(
     terms = _claim_terms(agent, claim, units)
     grid = hedging.grid_for(terms)
     w, lam = agent.initial_wealth, agent.risk_aversion
-    program = _assemble(hedging, agent.baseline_terms(), agent, grid, None, delta_pct)
+    space = _assemble(hedging, grid, delta_pct)
+    baseline = space.leg(agent.baseline_terms(), w, agent.kappa)
 
-    sol_base = _optimum(program, settings)
-    sol_sell = _optimum(program.leg(terms), settings)
-    sol_buy = _optimum(program.leg(_claim_terms(agent, claim, -units)), settings)
+    sol_base = _optimum(baseline, settings)
+    sol_sell = _optimum(baseline.leg(terms, w), settings)
+    sol_buy = _optimum(baseline.leg(_claim_terms(agent, claim, -units), w), settings)
     seller = w / lam * (sol_sell.log_objective - sol_base.log_objective)
     buyer = w / lam * (sol_base.log_objective - sol_buy.log_objective)
 
-    sup, _, sol_sup = _least_dominating_wealth(program, [(claim, units)], settings)
-    neg_sub, _, sol_sub = _least_dominating_wealth(program, [(claim, -units)], settings)
+    sup, _, sol_sup = _least_dominating_wealth(space, [(claim, units)], settings)
+    neg_sub, _, sol_sub = _least_dominating_wealth(space, [(claim, -units)], settings)
     sub = -neg_sub
 
-    bounds_active = _bounds_active(program, sol_sell.x) or _bounds_active(program, sol_buy.x)
+    bounds_active = _bounds_active(space, (sol_base, sol_sell, sol_buy))
     arbitrage = None
     if check_arbitrage:
         arbitrage = find_arbitrage(hedging, agent.initial_wealth, delta_pct, settings, quick=True)

@@ -519,9 +519,10 @@ def feasibility_start(program: AssembledProgram, settings: SolveSettings | None 
     """Phase-1 slack minimization for pointwise-constrained programs.
 
     Minimizes the uniform relaxation ``s`` of the pointwise rows over the
-    boxes.  Returns (minimum slack, strictly feasible point or
-    None).  A negative minimum certifies a strictly feasible interior point
-    for the original rows.
+    boxes: the program's epigraph, with ``s`` at least -10 * scale and started
+    one scale above the largest violation at the program's start.  Returns
+    (minimum slack, strictly feasible point or None).  A negative minimum
+    certifies a strictly feasible interior point for the original rows.
 
     The returned slack is that of the returned point, so it never lies below
     the true minimum, and it exceeds it by at most ``2.5e-10 * scale`` with
@@ -531,28 +532,15 @@ def feasibility_start(program: AssembledProgram, settings: SolveSettings | None 
     if program.point_upper is None:
         raise ValueError("phase-1 needs pointwise constraint rows")
     settings = settings or SolveSettings()
-    M, n = program.rows.shape
     scale = 1.0 + float(np.abs(program.point_upper).max())
-    rows = np.hstack([program.rows, -np.ones((M, 1))])
-    cost = np.zeros(n + 1)
-    cost[-1] = 1.0
     violation = float((program.loss_arguments(program.start) - program.point_upper).max())
+    lifted = program.epigraph(program.point_upper, -10.0 * scale, violation + scale)
     # Callers accept the point when the slack lies below -1e-9 * scale.  The
     # target is absolute, a quarter of that margin: a target relative to |s|
     # would let the error grow with the slack.
-    core = _interior_point(
-        _LinearObjective(cost),
-        _RowOperator(rows, program.grid),
-        program.point_upper - program.offsets,
-        np.append(program.lower, -10.0 * scale),
-        np.append(program.upper, np.inf),
-        np.append(program.start, violation + scale),
-        settings,
-        PHASE1_GAP,
-        lambda f: scale,
-    )
-    s_star = core["objective"]
-    return s_star, (core["y"][:n] if s_star < 0 else None)
+    solution = _solve(lifted, settings, lifted.start, PHASE1_GAP, lambda f: scale)
+    s_star = solution.objective
+    return s_star, (solution.x[: program.variable_count] if s_star < 0 else None)
 
 
 def _interior_start(program: AssembledProgram, settings: SolveSettings):
@@ -567,10 +555,15 @@ def _interior_start(program: AssembledProgram, settings: SolveSettings):
     return feasible if s_star < -margin else None
 
 
-def _solve(program: AssembledProgram, settings: SolveSettings) -> Solution:
+def _solve(program: AssembledProgram, settings: SolveSettings, start=None, tol=None,
+           scale=None) -> Solution:
+    """Minimize ``program`` from ``start`` (by default its own start or a
+    phase-1 point) until the gap and the decrement are at most ``tol``
+    (``settings.gap_tol``) times ``scale(f)`` (1 for a log value, 1 + |f|
+    for a linear objective)."""
     started = time.perf_counter()
     exponential = program.objective == "exp_sum"
-    start = _interior_start(program, settings)
+    start = _interior_start(program, settings) if start is None else start
     if start is None:
         return Solution(
             x=program.start.copy(),
@@ -592,8 +585,8 @@ def _solve(program: AssembledProgram, settings: SolveSettings) -> Solution:
         program.upper,
         start,
         settings,
-        settings.gap_tol,
-        (lambda f: 1.0) if exponential else (lambda f: 1.0 + abs(f)),
+        settings.gap_tol if tol is None else tol,
+        scale or ((lambda f: 1.0) if exponential else (lambda f: 1.0 + abs(f))),
     )
     value = core["objective"]
     return Solution(
@@ -612,9 +605,10 @@ def _solve(program: AssembledProgram, settings: SolveSettings) -> Solution:
 
 def minimize(program: AssembledProgram, settings: SolveSettings | None = None) -> Solution:
     """Minimize the exponential-sum program; returns an optimal-within-tolerance
-    point, with phase-1 fallback when pointwise rows make the start infeasible."""
-    if program.objective != "exp_sum":
-        raise ValueError("minimize expects an exponential-sum program")
+    point, with phase-1 fallback when pointwise rows make the start infeasible.
+    A bare strategy space, without a risk scale ``kappa``, is no such program."""
+    if program.objective != "exp_sum" or program.kappa is None:
+        raise ValueError("minimize expects an exponential-sum program with a risk scale")
     return _solve(program, settings or SolveSettings())
 
 

@@ -11,7 +11,7 @@ from semistatic.fixtures import (
     small_market,
     synthetic_market,
 )
-from semistatic.galerkin import AssembledProgram, DecisionLayout, VariableBlock
+from semistatic.galerkin import AssembledProgram, DecisionLayout
 from semistatic.pricing import AgentSpec
 
 
@@ -45,11 +45,6 @@ def stub_layout(n: int) -> DecisionLayout:
         mode="frictionless",
         quote_ids=(),
         names=tuple(f"y{i}" for i in range(n)),
-        blocks={
-            "buy": VariableBlock("buy", 0, 0),
-            "sell": VariableBlock("sell", 0, 0),
-            "dynamic": VariableBlock("dynamic", 0, n),
-        },
         cells={},
     )
 

@@ -4,6 +4,7 @@ Each subcommand runs once per module into its own directory; the tests then
 read the files it wrote.
 """
 import csv
+import dataclasses
 import json
 import pathlib
 import shutil
@@ -12,7 +13,7 @@ import pytest
 
 from semistatic import cli
 from semistatic.claims import claim_payout
-from semistatic.solver import PHASE1_GAP
+from semistatic.solver import PHASE1_GAP, SolveSettings
 
 from oracles import acquisition_cost
 
@@ -175,6 +176,22 @@ def test_schema_violation_exits_1_with_json_error(tmp_path, capsys):
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["error"] == "ValidationError"
     assert not (tmp_path / "price_report.json").exists()
+
+
+def test_every_config_key_is_read():
+    # a key the schema accepts but load_config never reads is silently
+    # ignored: every key has a default, or is a SolveSettings field
+    solver_fields = {f.name for f in dataclasses.fields(SolveSettings)}
+    for section, spec in cli.CONFIG_SCHEMA["properties"].items():
+        for key in spec["properties"]:
+            known = solver_fields if section == "solver" else cli.DEFAULT_CONFIG[section]
+            assert key in known, f"{section}.{key}"
+
+
+def test_unread_config_key_exits_1(tmp_path):
+    config = tmp_path / "step.json"
+    config.write_text(json.dumps({"grid": {"strike_step": 5}}))
+    assert cli.main(["price", "--config", str(config), "--out", str(tmp_path)]) == 1
 
 
 # ---------------------------------------------------------------------------

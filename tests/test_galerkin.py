@@ -7,16 +7,22 @@ from semistatic.galerkin import (
     assemble_frictionless,
     assemble_transaction_cost,
     cell_index,
+    strategy_columns,
     trading_cells,
 )
 from semistatic.instruments import OptionKind, Quote
-from semistatic.pricing import AgentSpec, Market, optimal_value
+from semistatic.pricing import AgentSpec, Market, _assemble, optimal_value
 from semistatic.scenario import VGParams, build_grid
 from semistatic.solver import SolveSettings, minimize
 
 from oracles import index_trade_cost, objective_and_gradient, quoted_payoff
 
 AGENT = AgentSpec(initial_wealth=100000.0, risk_aversion=2.0)
+
+
+def agent_leg(space, claim_terms=()):
+    """``space`` against ``claim_terms`` at AGENT's wealth and risk scale."""
+    return space.leg(claim_terms, AGENT.initial_wealth, AGENT.kappa)
 
 
 class TestBasis:
@@ -122,7 +128,7 @@ def claim_terms():
 
 def test_rows_match_independent_evaluator(market, claim_terms):
     grid = market.grid_for(claim_terms)
-    program = assemble_frictionless(market.quotes, claim_terms, AGENT, grid, market.lot_size)
+    program = agent_leg(assemble_frictionless(market.quotes, grid, market.lot_size), claim_terms)
     rng = np.random.default_rng(17)
     y = rng.uniform(-3.0, 3.0, size=program.variable_count)
     got = program.loss_arguments(y)
@@ -134,9 +140,8 @@ def test_rows_match_independent_evaluator(market, claim_terms):
 
 def test_transaction_rows_match_independent_evaluator(market, claim_terms):
     grid = market.grid_for(claim_terms)
-    program = assemble_transaction_cost(
-        market.quotes, claim_terms, AGENT, grid, 0.7, market.lot_size
-    )
+    space = assemble_transaction_cost(market.quotes, grid, 0.7, market.lot_size)
+    program = agent_leg(space, claim_terms)
     rng = np.random.default_rng(23)
     y = rng.uniform(0.0, 3.0, size=program.variable_count)
     got = program.loss_arguments(y)
@@ -168,7 +173,7 @@ def test_paper_scale_counts():
     coarse = tuple(float(k) for k in range(1500, 2501, 100))
     market = Market(quotes=tuple(quotes), model=BASE_MODEL, grid_strikes=(coarse, coarse))
     grid = market.grid_for(())
-    program = assemble_frictionless(quotes, [], AGENT, grid, 100.0)
+    program = assemble_frictionless(quotes, grid, 100.0)
     assert program.variable_count > 1700
     assert program.constraint_count > 2700
 
@@ -178,7 +183,7 @@ def test_two_point_hand_instance():
     quote = Quote(id="C", kind=OptionKind.CALL, strike=2200.0, maturity=1,
                   bid_price=50.0, ask_price=60.0, bid_qty=1, ask_qty=1)
     grid = build_grid(model, [(2000.0, 2400.0)], truncation=[(1800.0, 2600.0)])
-    program = assemble_frictionless([quote], [], AGENT, grid, 100.0)
+    program = agent_leg(assemble_frictionless([quote], grid, 100.0))
     # variables: buy, sell, z0; cash is the wealth left after the quotes
     assert program.layout.names == ("buy:C", "sell:C", "z0")
     y = np.array([2.0, 1.0, 0.25])
@@ -222,7 +227,7 @@ def test_zero_cost_equals_frictionless(market):
 
 def test_high_cost_freezes_dynamic_leg(market):
     grid = market.grid_for(())
-    program = assemble_transaction_cost(market.quotes, [], AGENT, grid, 10.0, market.lot_size)
+    program = agent_leg(assemble_transaction_cost(market.quotes, grid, 10.0, market.lot_size))
     solution = minimize(program)
     dyn = program.layout.dynamic_coefficients(solution.x)
     assert max(abs(v) for v in dyn.values()) < 1e-6
@@ -230,7 +235,7 @@ def test_high_cost_freezes_dynamic_leg(market):
 
 def test_no_simultaneous_buy_and_sell(market):
     grid = market.grid_for(())
-    program = assemble_frictionless(market.quotes, [], AGENT, grid, market.lot_size)
+    program = agent_leg(assemble_frictionless(market.quotes, grid, market.lot_size))
     solution = minimize(program, SolveSettings(gap_tol=1e-12))
     buys = solution.x[program.layout.block("buy").slice]
     sells = solution.x[program.layout.block("sell").slice]
@@ -240,7 +245,7 @@ def test_no_simultaneous_buy_and_sell(market):
 def test_dynamic_columns_are_measurable(market):
     # a rebalance coefficient's column may only be active where X_t is in its cell
     grid = market.grid_for(())
-    program = assemble_frictionless(market.quotes, [], AGENT, grid, market.lot_size)
+    program = assemble_frictionless(market.quotes, grid, market.lot_size)
     for j, name in enumerate(program.layout.names):
         if not name.startswith("z1["):
             continue
@@ -256,7 +261,7 @@ def test_dynamic_columns_are_measurable(market):
 
 def test_option_columns_carry_price_minus_payoff(market):
     grid = market.grid_for(())
-    program = assemble_frictionless(market.quotes, [], AGENT, grid, market.lot_size)
+    program = agent_leg(assemble_frictionless(market.quotes, grid, market.lot_size))
     q = market.quotes[0]
     payoff = np.array([quoted_payoff(q, path) for path in grid.points])
     j_buy = program.layout.names.index(f"buy:{q.id}")
@@ -267,3 +272,29 @@ def test_option_columns_carry_price_minus_payoff(market):
     assert program.cost[j_sell] == -q.bid_price
     np.testing.assert_array_equal(program.offsets, np.full(grid.size, -AGENT.initial_wealth))
 
+
+
+@pytest.mark.parametrize("delta_pct", [None, 0.7])
+def test_column_kernel_equals_assembled_rows(market, claim_terms, delta_pct):
+    # the kernel that evaluates a strategy on simulated paths is the one that
+    # built the program's rows: on the grid it gives them bit for bit
+    grid = market.grid_for(claim_terms)
+    program = _assemble(market, grid, delta_pct)
+    names, columns, cells = strategy_columns(market.quotes, grid.points, grid.spot, delta_pct)
+    assert set(names) == set(program.layout.names) | set(program.layout.dropped)
+    assert cells == program.layout.cells
+    kept = [names.index(name) for name in program.layout.names]
+    np.testing.assert_array_equal(columns[:, kept], program.rows)
+
+
+def test_keep_gives_the_static_only_space(market):
+    grid = market.grid_for(())
+    program = _assemble(market, grid, None)
+    static = _assemble(market, grid, None, allow_dynamic=False)
+    n_options = program.layout.block("dynamic").start
+    assert n_options > 0 and static.layout.block("dynamic").size == 0
+    assert static.layout.names == program.layout.names[:n_options]
+    assert static.layout.dropped == program.layout.dropped + program.layout.names[n_options:]
+    np.testing.assert_array_equal(static.rows, program.rows[:, :n_options])
+    for field in ("cost", "lower", "upper", "start"):
+        np.testing.assert_array_equal(getattr(static, field), getattr(program, field)[:n_options])

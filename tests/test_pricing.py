@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from semistatic.fixtures import (
     planted_arbitrage_market,
     small_market,
 )
+from semistatic import pricing
 from semistatic.instruments import OptionKind, Quote
 from semistatic.pricing import (
     AgentSpec,
     Market,
+    _assemble,
     find_arbitrage,
     indifference_buy,
     indifference_sell,
@@ -235,6 +238,27 @@ class TestPriceReport:
         naked_spread = naked.seller_price - naked.buyer_price
         assert naked_spread >= hedged_spread - 1e-6
 
+    def test_bounds_active_sees_the_baseline_leg(self, monkeypatch, market_small, agent,
+                                                 knockout):
+        # the price order needs every exponential optimum free of binding
+        # limits, the baseline's too: a limit binding there alone sets the flag
+        assert not price_report(market_small, agent, knockout, check_arbitrage=False).flags[
+            "bounds_active"
+        ]
+        optimum = pricing._optimum
+
+        def baseline_at_its_limits(program, settings):
+            solution = optimum(program, settings)
+            if np.all(program.offsets == -agent.initial_wealth):  # the leg without a claim
+                options = program.layout.block("dynamic").start
+                solution = replace(solution, x=np.r_[program.upper[:options],
+                                                     solution.x[options:]])
+            return solution
+
+        monkeypatch.setattr(pricing, "_optimum", baseline_at_its_limits)
+        report = price_report(market_small, agent, knockout, check_arbitrage=False)
+        assert report.flags["bounds_active"]
+
     def test_report_json(self, tmp_path, market_small, agent, knockout):
         import json
 
@@ -309,3 +333,61 @@ def test_semistatic_band_inside_static_and_dynamic_bands(agent, case):
     for (sup, _, _), (sub, _, _) in (bands[:2], bands[2:]):
         assert report.superhedge <= sup + tol
         assert report.subhedge >= sub - tol
+
+
+def at_least(later, earlier):
+    return later >= earlier - 1e-9 * (1.0 + abs(earlier))
+
+
+def hedging_band(market, claim, units, delta_pct, grid):
+    """(superhedge, subhedge) on ``grid``; an example with a leg short of optimal is discarded."""
+    (sup, _, sup_solution), (sub, _, sub_solution) = (
+        fn(market, claim, units, delta_pct, grid=grid) for fn in (superhedge_cost, subhedge_cost)
+    )
+    assume(sup_solution.status == "optimal" and sub_solution.status == "optimal")
+    return sup, sub
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_market_cases(), st.data())
+def test_hedging_bounds_widen_with_friction_and_fewer_quotes(case, data):
+    # Every index trade's loss row grows with the cost, pointwise, so a
+    # higher cost cannot lower the superhedge or raise the subhedge.  A
+    # market without one quote whose trading cells stay the same offers a
+    # subset of the strategies, with the same consequence.  The grid is
+    # fixed, because its nodes follow the quoted strikes.
+    market, claim, units, delta_pct = case
+    grid = market.grid_for([(claim, units)])
+    bands = [hedging_band(market, claim, units, delta, grid) for delta in (0.0, 0.05, 0.1)]
+    for (sup, sub), (wider_sup, wider_sub) in zip(bands, bands[1:]):
+        assert at_least(wider_sup, sup) and at_least(-wider_sub, -sub)
+
+    drop = data.draw(st.integers(0, len(market.quotes) - 1), label="dropped quote")
+    fewer = replace(market, quotes=market.quotes[:drop] + market.quotes[drop + 1:])
+    same_cells = _assemble(fewer, grid, delta_pct).layout.cells == _assemble(
+        market, grid, delta_pct
+    ).layout.cells
+    event(f"same_cells={same_cells}")
+    if same_cells:
+        sup, sub = hedging_band(market, claim, units, delta_pct, grid)
+        wider_sup, wider_sub = hedging_band(fewer, claim, units, delta_pct, grid)
+        assert at_least(wider_sup, sup) and at_least(-wider_sub, -sub)
+
+
+@pytest.mark.xfail(strict=True, reason="the assembler drops dynamic cells of mass < 1e-12, "
+                   "which a coarser partition can keep; see ROADMAP item 4")
+def test_superhedge_cannot_fall_when_a_strike_leaves_the_partition():
+    # Without the only maturity-1 quote at 2100 the cells [0, 2100) and
+    # [2100, 2200) of period 1 merge.  The full market drops z1[0,2100): its
+    # one grid level, the guard node at 1080, carries mass below 1e-12.  The
+    # merged cell keeps that freedom, and the superhedge, a pointwise bound,
+    # falls from 7734.3 to 7644.2.
+    market = small_market(strikes=(2100.0, 2200.0), contracts=10)
+    claim = knockout_call(2250.0, 2300.0)
+    grid = market.grid_for([(claim, 0.5)])
+    fewer = replace(market, quotes=market.quotes[1:])
+    (sup, _, solution), (fewer_sup, _, fewer_solution) = (
+        superhedge_cost(m, claim, 0.5, grid=grid) for m in (market, fewer)
+    )
+    assert solution.status == fewer_solution.status == "optimal"
+    assert at_least(fewer_sup, sup)

@@ -7,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from semistatic.fixtures import small_market
 from semistatic.galerkin import assemble_frictionless, assemble_transaction_cost
-from semistatic.pricing import AgentSpec, Market
+from semistatic.pricing import Market
 from semistatic.scenario import VGParams
 from semistatic.solver import _RowOperator
 
 from conftest import make_exp_program
 
 REL = 1e-13
-AGENT = AgentSpec(100000.0, 2.0)
 ONE_PERIOD = VGParams(theta=0.0, sigma=0.1206, nu=0.0031, spot=2360.0, horizons=(1.0 / 12.0,))
 
 
@@ -41,8 +40,8 @@ def grid_program(periods, delta_pct):
         market = Market(quotes=quotes, model=ONE_PERIOD)
     grid = market.grid_for(())
     if delta_pct is None:
-        return assemble_frictionless(market.quotes, [], AGENT, grid, market.lot_size)
-    return assemble_transaction_cost(market.quotes, [], AGENT, grid, delta_pct, market.lot_size)
+        return assemble_frictionless(market.quotes, grid, market.lot_size)
+    return assemble_transaction_cost(market.quotes, grid, delta_pct, market.lot_size)
 
 
 @pytest.mark.parametrize("delta_pct", [None, 0.1])

@@ -182,11 +182,20 @@ class TestMinimize:
         # the start is numerically singular.
         agent = AgentSpec(100000.0, 2.0)
         empty = Market(quotes=(), model=BASE_MODEL)
-        program = assemble_frictionless((), [], agent, empty.grid_for(()))
+        program = assemble_frictionless((), empty.grid_for(())).leg(
+            (), agent.initial_wealth, agent.kappa
+        )
         assert program.variable_count == 2 and program.constraint_count == 0
         sol = minimize(program)
         assert sol.status == "optimal"
         assert sol.log_objective == pytest.approx(-30.369855986106803, rel=1e-8)
+
+    def test_bare_strategy_space_is_rejected(self):
+        # an assembled space carries no risk scale until a leg sets one
+        space = assemble_frictionless((), Market(quotes=(), model=BASE_MODEL).grid_for(()))
+        assert space.kappa is None
+        with pytest.raises(ValueError, match="risk scale"):
+            minimize(space)
 
     def test_infeasible_pointwise_program(self):
         program = make_exp_program(
