@@ -7,6 +7,7 @@ path.  Payouts are per option; contract size is applied by callers.
 from __future__ import annotations
 
 import csv
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -53,13 +54,67 @@ class Claim:
 
     @property
     def label(self) -> str:
-        if self.kind is ClaimKind.KNOCKOUT_CALL:
-            return f"knockout_call(K={self.strike:g},B={self.barrier:g})"
-        if self.kind is ClaimKind.LOOKBACK_DIGITAL:
-            return f"lookback_digital(K={self.strike:g},level={self.payout_level:g})"
-        if self.kind is ClaimKind.CUSTOM:
-            return "custom"
-        return f"{self.kind.value}(K={self.strike:g})"
+        params = ",".join(
+            f"{_LABEL_NAMES[name]}={getattr(self, name):g}" for name in _KINDS[self.kind].params
+        )
+        return f"{self.kind.value}({params})" if params else self.kind.value
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """What one claim kind reads and pays: its parameters beyond the contract
+    size, its payout on an (M, T) array of paths, and its per-period
+    breakpoints."""
+
+    params: tuple[str, ...]
+    payout: Callable[[Claim, np.ndarray], np.ndarray]
+    breakpoints: Callable[[Claim], list[list[Breakpoint]]]
+
+
+def _lookup(claim: Claim, points: np.ndarray) -> np.ndarray:
+    values = []
+    for path in points:
+        key = _table_key(path)
+        try:
+            values.append(claim.table[key])
+        except KeyError:
+            raise KeyError(f"custom claim table has no entry for path {key}") from None
+    return np.array(values, dtype=float)
+
+
+_LABEL_NAMES = {"strike": "K", "barrier": "B", "payout_level": "level"}
+
+# Built-in kinds are two-period: x[:, 0] is X_1 and x[:, 1] is X_2.
+_KINDS = {
+    ClaimKind.VANILLA_CALL: _Kind(
+        ("strike",),
+        lambda c, x: np.maximum(x[:, 1] - c.strike, 0.0),
+        lambda c: [[], [Breakpoint(c.strike, "kink")]],
+    ),
+    ClaimKind.KNOCKOUT_CALL: _Kind(
+        ("strike", "barrier"),
+        # strict inequality: at the barrier the option is dead
+        lambda c, x: np.where(x[:, 0] < c.barrier, np.maximum(x[:, 1] - c.strike, 0.0), 0.0),
+        lambda c: [[Breakpoint(c.barrier, "jump")], [Breakpoint(c.strike, "kink")]],
+    ),
+    ClaimKind.ASIAN_CALL: _Kind(
+        ("strike",),
+        lambda c, x: np.maximum(0.5 * (x[:, 0] + x[:, 1]) - c.strike, 0.0),
+        lambda c: [[Breakpoint(c.strike, "kink")], [Breakpoint(c.strike, "kink")]],
+    ),
+    ClaimKind.LOOKBACK_CALL: _Kind(
+        ("strike",),
+        lambda c, x: np.maximum(np.maximum(x[:, 0] - c.strike, 0.0),
+                                np.maximum(x[:, 1] - c.strike, 0.0)),
+        lambda c: [[Breakpoint(c.strike, "kink")], [Breakpoint(c.strike, "kink")]],
+    ),
+    ClaimKind.LOOKBACK_DIGITAL: _Kind(
+        ("strike", "payout_level"),
+        lambda c, x: np.where((x[:, 0] >= c.strike) | (x[:, 1] >= c.strike), c.payout_level, 0.0),
+        lambda c: [[Breakpoint(c.strike, "jump")], [Breakpoint(c.strike, "jump")]],
+    ),
+    ClaimKind.CUSTOM: _Kind((), _lookup, lambda c: [[], []]),
+}
 
 
 def vanilla_call(strike: float, contract_size: float = 100.0) -> Claim:
@@ -87,6 +142,19 @@ def custom_claim(table: dict, contract_size: float = 100.0) -> Claim:
     return Claim(ClaimKind.CUSTOM, contract_size=contract_size, table=keyed)
 
 
+def configured_claim(spec: dict) -> Claim:
+    """The claim a configuration's ``claim`` section describes: its
+    ``variant``, ``contract_size`` and the parameters that kind reads; a
+    custom claim is read from ``table_path``."""
+    kind = ClaimKind(spec["variant"])
+    if kind is ClaimKind.CUSTOM:
+        if not spec.get("table_path"):
+            raise ValueError("custom claim needs table_path in the configuration")
+        return load_claim_table(spec["table_path"], contract_size=spec["contract_size"])
+    params = {name: spec[name] for name in _KINDS[kind].params}
+    return Claim(kind, contract_size=spec["contract_size"], **params)
+
+
 def _table_key(path) -> tuple:
     return tuple(round(float(x), _TABLE_DECIMALS) for x in path)
 
@@ -97,68 +165,21 @@ def claim_payout(claim: Claim, path) -> float:
     Built-in variants require a two-period path; custom tables accept whatever
     horizon their table was built for.
     """
-    if claim.kind is ClaimKind.CUSTOM:
-        key = _table_key(path)
-        try:
-            return claim.table[key]
-        except KeyError:
-            raise KeyError(f"custom claim table has no entry for path {key}") from None
-    if len(path) != 2:
-        raise ValueError(f"built-in claims are two-period, got a path of length {len(path)}")
-    x1, x2 = float(path[0]), float(path[1])
-    k = claim.strike
-    if claim.kind is ClaimKind.VANILLA_CALL:
-        return max(x2 - k, 0.0)
-    if claim.kind is ClaimKind.KNOCKOUT_CALL:
-        return max(x2 - k, 0.0) if x1 < claim.barrier else 0.0
-    if claim.kind is ClaimKind.ASIAN_CALL:
-        return max(0.5 * (x1 + x2) - k, 0.0)
-    if claim.kind is ClaimKind.LOOKBACK_CALL:
-        return max(max(x1 - k, 0.0), max(x2 - k, 0.0))
-    if claim.kind is ClaimKind.LOOKBACK_DIGITAL:
-        return claim.payout_level if (x1 >= k or x2 >= k) else 0.0
-    raise ValueError(f"unknown claim kind {claim.kind}")
+    return float(claim_payout_grid(claim, np.asarray(path, dtype=float)[None, :])[0])
 
 
 def claim_payout_grid(claim: Claim, points: np.ndarray) -> np.ndarray:
-    """Vectorized ``claim_payout`` over an (M, T) array of paths."""
+    """Payout per option on each row of an (M, T) array of paths."""
     points = np.asarray(points, dtype=float)
-    if claim.kind is ClaimKind.CUSTOM:
-        return np.array([claim_payout(claim, row) for row in points])
-    if points.shape[1] != 2:
-        raise ValueError("built-in claims are two-period")
-    x1, x2 = points[:, 0], points[:, 1]
-    k = claim.strike
-    if claim.kind is ClaimKind.VANILLA_CALL:
-        return np.maximum(x2 - k, 0.0)
-    if claim.kind is ClaimKind.KNOCKOUT_CALL:
-        return np.where(x1 < claim.barrier, np.maximum(x2 - k, 0.0), 0.0)
-    if claim.kind is ClaimKind.ASIAN_CALL:
-        return np.maximum(0.5 * (x1 + x2) - k, 0.0)
-    if claim.kind is ClaimKind.LOOKBACK_CALL:
-        return np.maximum(np.maximum(x1 - k, 0.0), np.maximum(x2 - k, 0.0))
-    if claim.kind is ClaimKind.LOOKBACK_DIGITAL:
-        return np.where((x1 >= k) | (x2 >= k), claim.payout_level, 0.0)
-    raise ValueError(f"unknown claim kind {claim.kind}")
+    if claim.kind is not ClaimKind.CUSTOM and points.shape[1] != 2:
+        raise ValueError(f"built-in claims are two-period, got paths of length {points.shape[1]}")
+    return _KINDS[claim.kind].payout(claim, points)
 
 
 def claim_breakpoints(claim: Claim) -> list[list[Breakpoint]]:
     """Per-period sorted breakpoints of the payout, so scenario grids can
     resolve every kink and jump.  Custom claims return empty lists."""
-    if claim.kind is ClaimKind.CUSTOM:
-        return [[], []]
-    k = claim.strike
-    if claim.kind is ClaimKind.VANILLA_CALL:
-        return [[], [Breakpoint(k, "kink")]]
-    if claim.kind is ClaimKind.KNOCKOUT_CALL:
-        return [[Breakpoint(claim.barrier, "jump")], [Breakpoint(k, "kink")]]
-    if claim.kind is ClaimKind.ASIAN_CALL:
-        return [[Breakpoint(k, "kink")], [Breakpoint(k, "kink")]]
-    if claim.kind is ClaimKind.LOOKBACK_CALL:
-        return [[Breakpoint(k, "kink")], [Breakpoint(k, "kink")]]
-    if claim.kind is ClaimKind.LOOKBACK_DIGITAL:
-        return [[Breakpoint(k, "jump")], [Breakpoint(k, "jump")]]
-    raise ValueError(f"unknown claim kind {claim.kind}")
+    return _KINDS[claim.kind].breakpoints(claim)
 
 
 def load_claim_table(csv_path, contract_size: float = 100.0) -> Claim:

@@ -17,8 +17,7 @@ from importlib import resources
 import jsonschema
 import numpy as np
 
-from . import claims as claims_mod
-from .claims import Claim
+from .claims import Claim, ClaimKind, configured_claim
 from .galerkin import claim_liability, strategy_columns
 from .instruments import OptionKind, Quote
 from .pricing import (
@@ -46,22 +45,23 @@ CONFIG_SCHEMA = {
         "agent": {
             "type": "object",
             "properties": {
-                "initial_wealth": {"type": "number", "exclusiveMinimum": 0},
-                "risk_aversion": {"type": "number", "exclusiveMinimum": 0},
+                "initial_wealth": {"type": "number", "exclusiveMinimum": 0, "default": 100000.0},
+                "risk_aversion": {"type": "number", "exclusiveMinimum": 0, "default": 2.0},
             },
             "additionalProperties": False,
         },
         "model": {
             "type": "object",
             "properties": {
-                "theta": {"type": "number"},
-                "sigma": {"type": "number", "exclusiveMinimum": 0},
-                "nu": {"type": "number", "exclusiveMinimum": 0},
-                "spot": {"type": "number", "exclusiveMinimum": 0},
+                "theta": {"type": "number", "default": 0.0},
+                "sigma": {"type": "number", "exclusiveMinimum": 0, "default": 0.1206},
+                "nu": {"type": "number", "exclusiveMinimum": 0, "default": 0.0031},
+                "spot": {"type": "number", "exclusiveMinimum": 0, "default": 2360.0},
                 "horizons": {
                     "type": "array",
                     "items": {"type": "number", "exclusiveMinimum": 0},
                     "minItems": 1,
+                    "default": [1.0 / 12.0, 2.0 / 12.0],
                 },
             },
             "additionalProperties": False,
@@ -69,9 +69,9 @@ CONFIG_SCHEMA = {
         "market": {
             "type": "object",
             "properties": {
-                "lot_size": {"type": "number", "exclusiveMinimum": 0},
-                "delta_pct": {"type": "number", "minimum": 0},
-                "frictionless": {"type": "boolean"},
+                "lot_size": {"type": "number", "exclusiveMinimum": 0, "default": 100.0},
+                "delta_pct": {"type": "number", "minimum": 0, "default": 0.0},
+                "frictionless": {"type": "boolean", "default": True},
                 "truncation": {
                     "type": "array",
                     "items": {
@@ -80,18 +80,24 @@ CONFIG_SCHEMA = {
                         "minItems": 2,
                         "maxItems": 2,
                     },
+                    "default": [[1000.0, 3000.0], [1000.0, 3000.0]],
                 },
-                "maturities": {"type": "array", "items": {"type": "string"}},
+                "maturities": {
+                    "type": "array",
+                    "items": {"type": "string"},
+                    "default": ["4/21/2017", "5/19/2017"],
+                },
             },
             "additionalProperties": False,
         },
         "grid": {
             "type": "object",
             "properties": {
-                "density_nodes": {"type": "integer", "minimum": 16},
+                "density_nodes": {"type": "integer", "minimum": 16, "default": 400},
             },
             "additionalProperties": False,
         },
+        # no defaults here: an unset key keeps its SolveSettings default
         "solver": {
             "type": "object",
             "properties": {
@@ -105,28 +111,22 @@ CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "variant": {
-                    "enum": [
-                        "vanilla_call",
-                        "knockout_call",
-                        "asian_call",
-                        "lookback_call",
-                        "lookback_digital",
-                        "custom",
-                    ]
+                    "enum": [kind.value for kind in ClaimKind],
+                    "default": ClaimKind.KNOCKOUT_CALL.value,
                 },
-                "strike": {"type": "number"},
-                "barrier": {"type": "number"},
-                "payout_level": {"type": "number"},
-                "contract_size": {"type": "number"},
-                "units": {"type": "number"},
-                "table_path": {"type": ["string", "null"]},
+                "strike": {"type": "number", "default": 2350.0},
+                "barrier": {"type": "number", "default": 2400.0},
+                "payout_level": {"type": "number", "default": 10.0},
+                "contract_size": {"type": "number", "default": 100.0},
+                "units": {"type": "number", "default": 1.0},
+                "table_path": {"type": ["string", "null"], "default": None},
             },
             "additionalProperties": False,
         },
         "flags": {
             "type": "object",
             "properties": {
-                "exclude_claim_strike": {"type": "boolean"},
+                "exclude_claim_strike": {"type": "boolean", "default": False},
             },
             "additionalProperties": False,
         },
@@ -134,35 +134,18 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
-DEFAULT_CONFIG = {
-    "agent": {"initial_wealth": 100000.0, "risk_aversion": 2.0},
-    "model": {
-        "theta": 0.0,
-        "sigma": 0.1206,
-        "nu": 0.0031,
-        "spot": 2360.0,
-        "horizons": [1.0 / 12.0, 2.0 / 12.0],
-    },
-    "market": {
-        "lot_size": 100.0,
-        "delta_pct": 0.0,
-        "frictionless": True,
-        "truncation": [[1000.0, 3000.0], [1000.0, 3000.0]],
-        "maturities": ["4/21/2017", "5/19/2017"],
-    },
-    "grid": {"density_nodes": 400},
-    "solver": {},
-    "claim": {
-        "variant": "knockout_call",
-        "strike": 2350.0,
-        "barrier": 2400.0,
-        "payout_level": 10.0,
-        "contract_size": 100.0,
-        "units": 1.0,
-        "table_path": None,
-    },
-    "flags": {"exclude_claim_strike": False},
-}
+
+def _defaults(schema: dict) -> dict:
+    """The default configuration: every ``default`` of an object schema's
+    properties, nested as the objects are."""
+    return {
+        key: _defaults(spec) if spec.get("type") == "object" else spec["default"]
+        for key, spec in schema["properties"].items()
+        if spec.get("type") == "object" or "default" in spec
+    }
+
+
+DEFAULT_CONFIG = _defaults(CONFIG_SCHEMA)
 
 _TICKER_RE = re.compile(
     r"^SPX US (?P<date>\d{1,2}/\d{1,2}/\d{4}) (?P<kindstrike>\S+) Index(?:#.*)?$"
@@ -207,6 +190,7 @@ def ingest_quotes(csv_path, maturities) -> IngestResult:
     contracts).  Malformed rows are rejected individually with a message."""
     result = IngestResult()
     seen: dict[str, int] = {}
+    taken: set[str] = set()
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
@@ -223,9 +207,14 @@ def ingest_quotes(csv_path, maturities) -> IngestResult:
                         f"type column {row[1]!r} contradicts ticker kind {kind.value!r}"
                     )
                 bid_qty, bid, ask, ask_qty = (float(v) for v in row[2:6])
-                count = seen.get(ticker, 0)
-                seen[ticker] = count + 1
-                quote_id = ticker if count == 0 else f"{ticker}#{count + 1}"
+                # repeats of a ticker count up from #2, past any id already taken
+                count = seen.get(ticker, 0) + 1
+                quote_id = ticker if count == 1 else f"{ticker}#{count}"
+                while quote_id in taken:
+                    count += 1
+                    quote_id = f"{ticker}#{count}"
+                seen[ticker] = count
+                taken.add(quote_id)
                 result.quotes.append(
                     Quote(
                         id=quote_id,
@@ -296,24 +285,6 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     delta = None if merged["market"]["frictionless"] else merged["market"]["delta_pct"]
     settings = SolveSettings(**merged["solver"])
 
-    spec = merged["claim"]
-    variant = spec["variant"]
-    size = spec.get("contract_size", 100.0)
-    if variant == "custom":
-        if not spec.get("table_path"):
-            raise ValueError("custom claim needs table_path in the configuration")
-        claim = claims_mod.load_claim_table(spec["table_path"], contract_size=size)
-    elif variant == "vanilla_call":
-        claim = claims_mod.vanilla_call(spec["strike"], size)
-    elif variant == "knockout_call":
-        claim = claims_mod.knockout_call(spec["strike"], spec["barrier"], size)
-    elif variant == "asian_call":
-        claim = claims_mod.asian_call(spec["strike"], size)
-    elif variant == "lookback_call":
-        claim = claims_mod.lookback_call(spec["strike"], size)
-    else:
-        claim = claims_mod.lookback_digital(spec["strike"], spec.get("payout_level", 10.0), size)
-
     return RunConfig(
         agent=agent,
         model=model,
@@ -323,8 +294,8 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         maturities=tuple(merged["market"]["maturities"]),
         density_nodes=merged["grid"]["density_nodes"],
         solver=settings,
-        claim=claim,
-        claim_units=spec.get("units", 1.0),
+        claim=configured_claim(merged["claim"]),
+        claim_units=merged["claim"]["units"],
         exclude_claim_strike=merged["flags"]["exclude_claim_strike"],
     )
 
@@ -347,15 +318,20 @@ def _market(config: RunConfig, quotes_path=None) -> Market:
     )
 
 
+def _write_csv(path, header, rows) -> None:
+    """``header``, then one line per row: names as given, numbers as
+    ``repr(float)``, which reads back to the same float."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([c if isinstance(c, str) else repr(float(c)) for c in row] for row in rows)
+
+
 def _write_surface(path, points, columns: dict) -> None:
     """One row per path of ``points`` (M, T): its levels x1..xT, then the
     value there of each named column."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{t + 1}" for t in range(points.shape[1])] + list(columns))
-        for i, levels in enumerate(points):
-            writer.writerow([repr(float(v)) for v in levels]
-                            + [repr(float(values[i])) for values in columns.values()])
+    header = [f"x{t + 1}" for t in range(points.shape[1])] + list(columns)
+    _write_csv(path, header, np.column_stack([points, *columns.values()]))
 
 
 def _agent_leg(market: Market, grid, config: RunConfig, terms):
@@ -371,11 +347,7 @@ def _portfolio_rows(portfolio: HedgePortfolio):
 
 
 def _write_portfolio(path, portfolio: HedgePortfolio) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instrument", "position"])
-        for name, value in _portfolio_rows(portfolio):
-            writer.writerow([name, repr(float(value))])
+    _write_csv(path, ["instrument", "position"], _portfolio_rows(portfolio))
 
 
 def _cmd_optimize(config, market, outdir, args) -> int:
@@ -430,12 +402,12 @@ def _cmd_hedge(config, market, outdir, args) -> int:
     loaded = _optimum(with_prog, config.solver)
 
     base_held = dict(_portfolio_rows(_portfolio(base_prog, base.x, base_prog.budget)))
-    with open(os.path.join(outdir, "hedge_portfolio.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instrument", "base", "with_claim", "hedge"])
-        for name, held in _portfolio_rows(_portfolio(with_prog, loaded.x, with_prog.budget)):
-            b = base_held.get(name, 0.0)
-            writer.writerow([name, repr(float(b)), repr(float(held)), repr(float(held - b))])
+    rows = []
+    for name, held in _portfolio_rows(_portfolio(with_prog, loaded.x, with_prog.budget)):
+        b = base_held.get(name, 0.0)
+        rows.append((name, b, held, held - b))
+    _write_csv(os.path.join(outdir, "hedge_portfolio.csv"),
+               ["instrument", "base", "with_claim", "hedge"], rows)
 
     hedge_payout = with_prog.portfolio_payout(loaded.x) - base_prog.portfolio_payout(base.x)
     claim_payout = claim_liability(terms, grid)

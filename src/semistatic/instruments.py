@@ -8,6 +8,7 @@ loss rows as the budget minus the quotes' acquisition cost.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,6 +40,9 @@ class Quote:
     ask_qty: float
 
     def __post_init__(self):
+        for name in ("strike", "bid_price", "ask_price", "bid_qty", "ask_qty"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"quote {name} must be finite, got {getattr(self, name)}")
         if self.strike <= 0:
             raise ValueError(f"strike must be positive, got {self.strike}")
         if self.maturity < 1:

@@ -30,13 +30,20 @@ from .galerkin import (
     assemble_transaction_cost,
 )
 from .instruments import OptionKind, Quote
-from .scenario import QuadratureGrid, VGParams, build_grid
+from .scenario import DEFAULT_TRUNCATION, QuadratureGrid, VGParams, build_grid
 from .solver import SolveSettings, Solution, feasibility_start, minimize, solve_lp
 
 INFEASIBLE_SENTINEL = float("inf")
 # risk aversion, per unit of the budget, of the expected-loss program that
 # ``find_arbitrage`` solves under its payout floor
 ARBITRAGE_RISK_AVERSION = 2.0
+# an arbitrage's expected excess must beat this share of the budget
+ARBITRAGE_EXCESS_TOL = 1e-6
+# Each period's node range must sit strictly inside the next period's, so
+# every trading cell sees the index move both ways on the grid; otherwise the
+# discretized model has spurious one-sided cells.  Guard nodes sit this share
+# of the truncation box, per remaining period, inside each period's box.
+GUARD_FRACTION = 0.02
 
 
 class SolverFailure(RuntimeError):
@@ -84,21 +91,15 @@ class Market:
     truncation: tuple[tuple[float, float], ...] | None = None
     grid_strikes: tuple[tuple[float, ...], ...] | None = None
     density_nodes: int = 400
-    guard_fraction: float = 0.02
 
     def _truncation(self) -> tuple[tuple[float, float], ...]:
         if self.truncation is not None:
             return tuple(tuple(t) for t in self.truncation)
-        return ((1000.0, 3000.0),) * self.model.periods
+        return (DEFAULT_TRUNCATION,) * self.model.periods
 
     def _guard_levels(self, period: int) -> tuple[float, ...]:
-        # Each period's node range must sit strictly inside the next period's,
-        # so every trading cell sees the index move both ways on the grid;
-        # otherwise the discretized model has spurious one-sided cells.
-        if self.guard_fraction <= 0:
-            return ()
         lo, hi = self._truncation()[period - 1]
-        margin = self.guard_fraction * (hi - lo) * (self.model.periods - period + 1)
+        margin = GUARD_FRACTION * (hi - lo) * (self.model.periods - period + 1)
         return (lo + margin, hi - margin)
 
     def strike_sets(self) -> list[list[float]]:
@@ -118,11 +119,6 @@ class Market:
         sets = [
             sorted(set(sets[t]) | set(self._guard_levels(t + 1))) for t in range(T)
         ]
-        if any(len(s) == 0 for s in sets):
-            raise ValueError(
-                "no grid nodes for some period: no quoted strikes, no grid_strikes "
-                "override, and guard nodes disabled"
-            )
         return build_grid(
             self.model,
             sets,
@@ -320,7 +316,6 @@ def find_arbitrage(
     budget: float,
     delta_pct: float | None = None,
     settings: SolveSettings | None = None,
-    excess_tol: float = 1e-6,
     quick: bool = False,
 ) -> ArbitrageReport:
     """Search for a strategy whose payout is at least ``budget`` in every grid
@@ -329,7 +324,7 @@ def find_arbitrage(
     Phase-1 slack minimization decides whether any strategy clears the floor;
     when one does, the expected-loss program constrained to the floor is solved
     and its expected excess reported.  The excess must beat
-    ``excess_tol * budget`` for a find.  With ``quick``, only the phase-1
+    ``ARBITRAGE_EXCESS_TOL * budget`` for a find.  With ``quick``, only the phase-1
     uniform slack is computed (a lower bound on the expected excess), which is
     decisive unless the best strategy touches the floor somewhere.
 
@@ -349,12 +344,11 @@ def find_arbitrage(
     leg = _assemble(market, grid, delta_pct).leg((), budget, ARBITRAGE_RISK_AVERSION / budget)
     program = replace(leg, point_upper=np.full(grid.size, -budget))
 
-    margin = 1e-9 * (1.0 + abs(budget))
     s_star, feasible = feasibility_start(program, settings)
-    if s_star >= -margin or feasible is None:
+    if feasible is None:
         return ArbitrageReport(found=False, expected_excess=0.0, min_uniform_slack=s_star)
     if quick:
-        found = -s_star > excess_tol * abs(budget)
+        found = -s_star > ARBITRAGE_EXCESS_TOL * abs(budget)
         return ArbitrageReport(
             found=found, expected_excess=-s_star, min_uniform_slack=s_star
         )
@@ -364,7 +358,7 @@ def find_arbitrage(
         return ArbitrageReport(found=False, expected_excess=0.0, min_uniform_slack=s_star)
     payout = program.portfolio_payout(solution.x)
     excess = float(program.masses @ payout) - budget
-    if excess <= excess_tol * abs(budget):
+    if excess <= ARBITRAGE_EXCESS_TOL * abs(budget):
         return ArbitrageReport(found=False, expected_excess=excess, min_uniform_slack=s_star)
     return ArbitrageReport(
         found=True,

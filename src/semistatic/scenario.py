@@ -14,6 +14,7 @@ quadrature of the mixture (the reference in ``tests/oracles.py``).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,8 @@ from scipy import special
 # payouts are linear on every grid cell even across discontinuities.
 JUMP_BRACKET_REL = 1e-9
 
-_DEFAULT_TRUNCATION = ((1000.0, 3000.0), (1000.0, 3000.0))
+# the truncation box of every period when none is given
+DEFAULT_TRUNCATION = (1000.0, 3000.0)
 _GAMMA_TAIL = 1e-16
 
 
@@ -77,13 +79,7 @@ def _gamma_bracket(shape: float, scale: float, tail: float = _GAMMA_TAIL) -> tup
     return lo, hi
 
 
-_leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _leggauss_cache:
-        _leggauss_cache[n] = leggauss(n)
-    return _leggauss_cache[n]
+_gl_rule = functools.cache(leggauss)
 
 
 def _mixture_nodes(params: VGParams, dt: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +192,7 @@ def build_grid(
     if len(strike_sets) != T:
         raise ValueError(f"need one strike set per period, got {len(strike_sets)} for T={T}")
     if truncation is None:
-        truncation = _DEFAULT_TRUNCATION[:T] if T <= 2 else ((1000.0, 3000.0),) * T
+        truncation = (DEFAULT_TRUNCATION,) * T
     truncation = tuple((float(a), float(b)) for a, b in truncation)
     if any(b <= a for a, b in truncation):
         raise ValueError("degenerate truncation box")

@@ -66,9 +66,11 @@ from .galerkin import AssembledProgram
 _STEP_SHRINK_MIN = 1e-18
 # share of the step to the nearest face that an iterate may take
 _FRACTION_TO_BOUNDARY = 0.99
-# phase-1 gap target per unit of pointwise scale: a quarter of the 1e-9
-# strictness margin that callers test the minimum slack against
-PHASE1_GAP = 2.5e-10
+# phase-1 strictness margin per unit of pointwise scale: a point is strictly
+# feasible only when its slack lies below -PHASE1_MARGIN * scale
+PHASE1_MARGIN = 1e-9
+# phase-1 gap target per unit of pointwise scale: a quarter of the margin
+PHASE1_GAP = PHASE1_MARGIN / 4
 
 
 @dataclass
@@ -521,8 +523,9 @@ def feasibility_start(program: AssembledProgram, settings: SolveSettings | None 
     Minimizes the uniform relaxation ``s`` of the pointwise rows over the
     boxes: the program's epigraph, with ``s`` at least -10 * scale and started
     one scale above the largest violation at the program's start.  Returns
-    (minimum slack, strictly feasible point or None).  A negative minimum
-    certifies a strictly feasible interior point for the original rows.
+    (minimum slack, point or None): the point is strictly feasible for the
+    original rows, and given only when the slack lies below
+    ``-PHASE1_MARGIN * scale``.
 
     The returned slack is that of the returned point, so it never lies below
     the true minimum, and it exceeds it by at most ``2.5e-10 * scale`` with
@@ -535,12 +538,12 @@ def feasibility_start(program: AssembledProgram, settings: SolveSettings | None 
     scale = 1.0 + float(np.abs(program.point_upper).max())
     violation = float((program.loss_arguments(program.start) - program.point_upper).max())
     lifted = program.epigraph(program.point_upper, -10.0 * scale, violation + scale)
-    # Callers accept the point when the slack lies below -1e-9 * scale.  The
-    # target is absolute, a quarter of that margin: a target relative to |s|
-    # would let the error grow with the slack.
+    # The target is absolute, a quarter of the margin: a target relative to
+    # |s| would let the error grow with the slack.
     solution = _solve(lifted, settings, lifted.start, PHASE1_GAP, lambda f: scale)
     s_star = solution.objective
-    return s_star, (solution.x[: program.variable_count] if s_star < 0 else None)
+    strict = s_star < -PHASE1_MARGIN * scale
+    return s_star, (solution.x[: program.variable_count] if strict else None)
 
 
 def _interior_start(program: AssembledProgram, settings: SolveSettings):
@@ -548,11 +551,10 @@ def _interior_start(program: AssembledProgram, settings: SolveSettings):
     else a phase-1 point; None when the rows leave no interior."""
     if program.point_upper is None:
         return program.start
-    margin = 1e-9 * (1.0 + float(np.abs(program.point_upper).max()))
+    margin = PHASE1_MARGIN * (1.0 + float(np.abs(program.point_upper).max()))
     if (program.point_upper - program.loss_arguments(program.start)).min() > margin:
         return program.start
-    s_star, feasible = feasibility_start(program, settings)
-    return feasible if s_star < -margin else None
+    return feasibility_start(program, settings)[1]
 
 
 def _solve(program: AssembledProgram, settings: SolveSettings, start=None, tol=None,

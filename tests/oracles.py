@@ -1,6 +1,7 @@
 """Reference oracles, kept out of the package: straightforward evaluations
 that the tests hold the package's fast paths to.
 
+- Claims: the payout of a built-in claim on one path.
 - Quotes: the acquisition cost and the per-path payoff of one quote.
 - Index trading: the cash flow of one index trade under proportional costs.
 - Model: the VG log-increment density by adaptive quadrature, its CDF and
@@ -15,9 +16,27 @@ import numpy as np
 import scipy.optimize
 from scipy import integrate, special, stats
 
+from semistatic.claims import ClaimKind
 from semistatic.instruments import OptionKind
 from semistatic.pricing import SolverFailure, optimal_value
 from semistatic.scenario import _gamma_bracket, _mixture_nodes, vg_log_increment_density_vec
+
+
+def claim_payout(claim, path) -> float:
+    """Payout per option of a built-in two-period claim on one path (X_1, X_2)."""
+    x1, x2 = float(path[0]), float(path[1])
+    k = claim.strike
+    if claim.kind is ClaimKind.VANILLA_CALL:
+        return max(x2 - k, 0.0)
+    if claim.kind is ClaimKind.KNOCKOUT_CALL:
+        return max(x2 - k, 0.0) if x1 < claim.barrier else 0.0
+    if claim.kind is ClaimKind.ASIAN_CALL:
+        return max(0.5 * (x1 + x2) - k, 0.0)
+    if claim.kind is ClaimKind.LOOKBACK_CALL:
+        return max(max(x1 - k, 0.0), max(x2 - k, 0.0))
+    if claim.kind is ClaimKind.LOOKBACK_DIGITAL:
+        return claim.payout_level if (x1 >= k or x2 >= k) else 0.0
+    raise ValueError(f"no reference payout for claim kind {claim.kind}")
 
 
 def acquisition_cost(quote, qty: float) -> float:

@@ -14,6 +14,8 @@ from semistatic.claims import (
     vanilla_call,
 )
 
+import oracles
+
 
 def test_knockout_barrier_branch():
     claim = knockout_call(2350.0, 2400.0)
@@ -59,11 +61,14 @@ def test_pointwise_dominance_and_nonnegativity():
 def test_grid_evaluation_matches_scalar():
     rng = np.random.default_rng(3)
     points = rng.uniform(1200.0, 3200.0, size=(64, 2))
+    # the strike and barrier themselves, where the inequalities decide
+    points[:4] = [(2350.0, 2350.0), (2400.0, 2500.0), (2300.0, 2350.0), (2350.0, 2300.0)]
     for claim in (vanilla_call(2350.0), knockout_call(2350.0, 2400.0),
                   asian_call(2350.0), lookback_call(2350.0), lookback_digital(2350.0)):
         grid_vals = claim_payout_grid(claim, points)
-        scalar_vals = [claim_payout(claim, p) for p in points]
-        np.testing.assert_allclose(grid_vals, scalar_vals)
+        scalar_vals = [oracles.claim_payout(claim, p) for p in points]
+        np.testing.assert_array_equal(grid_vals, scalar_vals)
+        assert [claim_payout(claim, p) for p in points] == scalar_vals
 
 
 def test_breakpoints():

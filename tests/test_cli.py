@@ -12,10 +12,18 @@ import shutil
 import pytest
 
 from semistatic import cli
-from semistatic.claims import claim_payout
+from semistatic.claims import (
+    ClaimKind,
+    asian_call,
+    knockout_call,
+    load_claim_table,
+    lookback_call,
+    lookback_digital,
+    vanilla_call,
+)
 from semistatic.solver import PHASE1_GAP, SolveSettings
 
-from oracles import acquisition_cost
+from oracles import acquisition_cost, claim_payout
 
 PORTFOLIO_HEADER = ["instrument", "position"]
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -144,14 +152,18 @@ def test_arbitrage_expectations(run):
     assert code == 2
 
 
-def test_arbitrage_strategy_on_crossed_chain(tmp_path):
+@pytest.fixture(scope="module")
+def crossed_chain(tmp_path_factory):
     # a second quote on the May 2350 call bids above the chain's ask of 56.65
-    chain = tmp_path / "crossed.csv"
+    chain = tmp_path_factory.mktemp("chain") / "crossed.csv"
     shutil.copyfile(cli.packaged_chain_path(), chain)
     with open(chain, "a") as fh:
         fh.write("SPX US 5/19/2017 C2350 Index,call,5.0,60.0,61.0,5.0\n")
-    out = tmp_path / "out"
-    code = cli.main(["arbitrage", "--quotes", str(chain), "--expect", "found", "--out", str(out)])
+    return str(chain)
+
+
+def test_arbitrage_strategy_on_crossed_chain(run, crossed_chain):
+    code, out = run("arbitrage", "--quotes", crossed_chain, "--expect", "found")
     assert code == 0
     assert read_json(out / "arbitrage_summary.json")["found"] is True
     rows = read_csv(out / "arbitrage_strategy.csv")
@@ -166,6 +178,75 @@ def test_simulate_writes_one_row_per_path(run):
     rows = read_csv(out / "simulate_wealth.csv")
     assert rows[0] == ["x1", "x2", "terminal_wealth"]
     assert len(rows) == 201
+
+
+@pytest.mark.parametrize("argv", [
+    ("optimize",),
+    ("hedge",),
+    ("superhedge",),
+    ("subhedge",),
+    ("simulate", "--paths", "200"),
+    ("arbitrage", "--quotes", None, "--expect", "found"),
+], ids=["optimize", "hedge", "superhedge", "subhedge", "simulate", "arbitrage"])
+def test_csv_numbers_round_trip(run, crossed_chain, argv):
+    # every number is written as repr(float), so it reads back to the same float
+    _, out = run(*(crossed_chain if arg is None else arg for arg in argv))
+    files = sorted(out.glob("*.csv"))
+    assert files
+    for path in files:
+        rows = read_csv(path)
+        numeric = [i for i, name in enumerate(rows[0]) if name != "instrument"]
+        for row in rows[1:]:
+            for i in numeric:
+                assert row[i] == repr(float(row[i])), (path.name, row)
+
+
+def write_chain(path, tickers, prices="5.0,50.0,51.0,5.0"):
+    path.write_text("".join(f"{ticker},call,{prices}\n" for ticker in tickers))
+    return path
+
+
+def test_ingest_gives_every_quote_its_own_id(tmp_path):
+    x, y = "SPX US 5/19/2017 C2350 Index", "SPX US 5/19/2017 C2400 Index"
+    chain = write_chain(tmp_path / "repeats.csv", [x, f"{x}#2", x, x, y, y, y])
+    ids = [q.id for q in cli.ingest_quotes(chain, cli.load_config().maturities).quotes]
+    # a repeat skips an id the chain already spells out
+    assert ids == [x, f"{x}#2", f"{x}#3", f"{x}#4", y, f"{y}#2", f"{y}#3"]
+
+
+@pytest.mark.parametrize("ticker, prices", [
+    ("SPX US 5/19/2017 C2350 Index", "5.0,nan,51.0,5.0"),
+    ("SPX US 5/19/2017 Cinf Index", "5.0,1.0,2.0,5.0"),
+    ("SPX US 5/19/2017 C2350 Index", "5.0,50.0,51.0,inf"),
+], ids=["nan-bid", "inf-strike", "inf-quantity"])
+def test_ingest_rejects_non_finite_numbers(tmp_path, ticker, prices):
+    chain = write_chain(tmp_path / "chain.csv", [ticker], prices)
+    result = cli.ingest_quotes(chain, cli.load_config().maturities)
+    assert result.quotes == []
+    assert [lineno for lineno, _ in result.rejected] == [1]
+    assert "finite" in result.rejected[0][1]
+
+
+@pytest.mark.parametrize("kind", list(ClaimKind), ids=lambda kind: kind.value)
+def test_config_builds_each_variant_as_its_factory(tmp_path, kind):
+    # barrier and payout_level off their defaults: a kind that does not read
+    # one must not carry it
+    table = tmp_path / "table.csv"
+    table.write_text("x1,x2,payout\n2300,2400,12.5\n")
+    factories = {
+        ClaimKind.VANILLA_CALL: lambda: vanilla_call(2300.0, 50.0),
+        ClaimKind.KNOCKOUT_CALL: lambda: knockout_call(2300.0, 2450.0, 50.0),
+        ClaimKind.ASIAN_CALL: lambda: asian_call(2300.0, 50.0),
+        ClaimKind.LOOKBACK_CALL: lambda: lookback_call(2300.0, 50.0),
+        ClaimKind.LOOKBACK_DIGITAL: lambda: lookback_digital(2300.0, 7.5, 50.0),
+        ClaimKind.CUSTOM: lambda: load_claim_table(table, contract_size=50.0),
+    }
+    config = tmp_path / "claim.json"
+    config.write_text(json.dumps({"claim": {
+        "variant": kind.value, "strike": 2300.0, "barrier": 2450.0, "payout_level": 7.5,
+        "contract_size": 50.0, "table_path": str(table),
+    }}))
+    assert cli.load_config(config).claim == factories[kind]()
 
 
 def test_schema_violation_exits_1_with_json_error(tmp_path, capsys):

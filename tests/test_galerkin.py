@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semistatic.claims import claim_payout, knockout_call, vanilla_call
+from semistatic.claims import knockout_call, vanilla_call
 from semistatic.fixtures import BASE_MODEL, small_market, synthetic_chain
 from semistatic.galerkin import (
     assemble_frictionless,
@@ -15,7 +15,7 @@ from semistatic.pricing import AgentSpec, Market, _assemble, optimal_value
 from semistatic.scenario import VGParams, build_grid
 from semistatic.solver import SolveSettings, minimize
 
-from oracles import index_trade_cost, objective_and_gradient, quoted_payoff
+from oracles import claim_payout, index_trade_cost, objective_and_gradient, quoted_payoff
 
 AGENT = AgentSpec(initial_wealth=100000.0, risk_aversion=2.0)
 

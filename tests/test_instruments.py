@@ -113,3 +113,9 @@ class TestQuoteFlags:
             make_quote(maturity=0)
         with pytest.raises(ValueError):
             make_quote(bid_qty=-3)
+
+    @pytest.mark.parametrize("field", ["strike", "bid_price", "ask_price", "bid_qty", "ask_qty"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            make_quote(**{field: value})
