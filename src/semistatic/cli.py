@@ -257,6 +257,11 @@ class RunConfig:
     exclude_claim_strike: bool
 
 
+def _reject_non_finite(name):
+    """JSON's ``NaN``, ``Infinity`` and ``-Infinity`` are no config numbers."""
+    raise jsonschema.ValidationError(f"non-finite number {name} in the config")
+
+
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Load, schema-validate and materialize a run configuration.  ``path``
     falls back to the environment override, then packaged defaults."""
@@ -265,7 +270,7 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         path = os.environ.get(CONFIG_ENV_VAR)
     if path:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=_reject_non_finite)
     jsonschema.validate(data, CONFIG_SCHEMA)
     merged = _merge(DEFAULT_CONFIG, data)
     if overrides:

@@ -20,6 +20,27 @@ the expected-loss objective is sum_i m_i * exp(kappa * a_i) with
 kappa = risk_aversion / reference_wealth.  The program has only its boxes (and
 pointwise rows, where a caller adds them); terminal wealth is w - a_i + claim_i.
 
+The rows are never stored dense.  The grid is a Cartesian product, so a row
+index is a pair (leading point i, last-period level t), M = M' N_T, and every
+column falls in one of three factors (``RowFactors``):
+
+- A (M' x nA): columns constant along the last period, on the leading
+  points: options of the leading maturities, ``z0``, the rebalance cells of
+  every leading period but the last, and a level column of -1;
+- B (N_T x nB): columns constant along the leading periods, on the last
+  period's levels: last-maturity options, the period-0 ``dz`` legs;
+- cell slots: the columns of the last trading period's rebalance cells (and,
+  with costs, of every trading period's ``dz`` legs) depend on both, but a
+  row meets only the cell its leading point lies in.  They are stored as one
+  (cell column, value) pair per row and slot: one slot without costs, two
+  (purchase, sale) per trading period with them.
+
+The paper's scale, 804 quotes on 401 strike levels per period (162,409
+points, 1,752 columns), holds its rows in 6.5 MB instead of 2.3 GB of dense
+rows.  A program without a grid (a hand-built one) is the case N_T = 1:
+every column in A.  ``rows`` builds the dense array on request, for tests
+and reference oracles.
+
 The assemblers read only what the columns depend on (quotes, grid, lot size,
 index cost) and return the bare strategy space: budget 0, no claim, no risk
 scale.  Everything else derives from it by three methods, each the one place
@@ -28,8 +49,8 @@ and kappa; ``keep`` takes a column subset and records the rest in
 ``layout.dropped`` (the assembler's drop rule, the static-only strategies);
 ``epigraph`` lifts the rows to [rows | -1] for the least level t with
 a_i(y) - t <= point_upper_i (the hedging LPs, the phase-1 slack).  The one
-column kernel, ``strategy_columns``, evaluates every variable on any (M, T)
-path array: the grid's points or simulated paths.
+column kernel, ``strategy_factors``, evaluates every variable on the levels
+of any period axes: the grid's factor axes or simulated paths.
 """
 from __future__ import annotations
 
@@ -114,21 +135,168 @@ class DecisionLayout:
 
 
 @dataclass(frozen=True, eq=False)
+class RowFactors:
+    """The loss rows R (M, n) of a program as three factors.
+
+    Rows are C-ordered over (leading point i, last-period level t), so R
+    viewed as (M', N_T, n) has, per factor column:
+
+    - ``lead`` (M', nA): R[i, t, a] = lead[i, a];
+    - ``last`` (N_T, nB): R[i, t, b] = last[t, b];
+    - slots: R[i, t, c] = values[j, i, t] where c = cells[j, i], summed over
+      the K slots j; there are k = ``cell_count`` cell columns.
+
+    Products take and give vectors in factor order [A | B | cells];
+    ``order`` holds the program's column of each factor column, so a
+    program's vector y is ``y[order]`` in factor order.  For weights w,
+    W = w as (M', N_T), r = W 1 and q = W^T 1, the Gram R^T diag(w) R has the
+    blocks A^T diag(r) A, B^T diag(q) B and A^T W B (Van Loan 2000); the cell
+    columns meet A and B through per-cell sums of the slots' weighted rows,
+    and each other through one bincount over cell pairs.
+    """
+
+    lead: np.ndarray     # (M', nA)
+    last: np.ndarray     # (N_T, nB)
+    cells: np.ndarray    # (K, M') cell column of each slot, in [0, cell_count)
+    values: np.ndarray   # (K, M', N_T) slot values
+    cell_count: int
+    order: np.ndarray    # (n,) program column of each factor column
+
+    @property
+    def grid_shape(self) -> tuple[int, int]:
+        return self.lead.shape[0], self.last.shape[0]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        lead, last = self.grid_shape
+        return lead * last, self.order.shape[0]
+
+    def matvec(self, x):
+        """R x, for x in factor order."""
+        na, nb = self.lead.shape[1], self.last.shape[1]
+        out = (self.lead @ x[:na])[:, None] + (self.last @ x[na:na + nb])[None, :]
+        rest = x[na + nb:]
+        for cells, values in zip(self.cells, self.values):
+            out += values * rest[cells][:, None]
+        return out.ravel()
+
+    def rmatvec(self, v):
+        """R^T v, in factor order."""
+        V = v.reshape(self.grid_shape)
+        rest = np.bincount(self.cells.ravel(), (self.values * V).sum(axis=2).ravel(),
+                           minlength=self.cell_count)
+        return np.concatenate([self.lead.T @ V.sum(axis=1), self.last.T @ V.sum(axis=0), rest])
+
+    def gram(self, w):
+        """R^T diag(w) R for nonnegative weights w, in factor order.
+
+        The A and B diagonal blocks are X^T X of one scaled buffer, a
+        symmetric rank-k update (SYRK); off-diagonal blocks are written once
+        and mirrored, and the cell block is symmetric by construction.
+        """
+        W = w.reshape(self.grid_shape)
+        A, B, k = self.lead, self.last, self.cell_count
+        na, nb = A.shape[1], B.shape[1]
+        n = na + nb + k
+        out = np.empty((n, n))
+        sa, sb, sc = slice(0, na), slice(na, na + nb), slice(na + nb, n)
+        scaled = A * np.sqrt(W.sum(axis=1))[:, None]
+        out[sa, sa] = scaled.T @ scaled
+        scaled = B * np.sqrt(W.sum(axis=0))[:, None]
+        out[sb, sb] = scaled.T @ scaled
+        out[sa, sb] = A.T @ (W @ B)
+        out[sb, sa] = out[sa, sb].T
+        # the cell columns against A and B: per-cell sums of the slots' rows
+        weighted = self.values * W   # (K, M', N_T)
+        cross = np.concatenate([weighted.sum(axis=2)[:, :, None] * A, weighted @ B], axis=2)
+        p = na + nb
+        keys = self.cells[:, :, None] * p + np.arange(p)
+        out[sc, :p] = np.bincount(keys.ravel(), cross.ravel(), minlength=k * p).reshape(k, p)
+        out[:p, sc] = out[sc, :p].T
+        # cell pairs: slot j with slot l >= j, both ways round when j < l
+        K = self.cells.shape[0]
+        keys, sums = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+        for j in range(K):
+            for l in range(j, K):
+                pair = (weighted[j] * self.values[l]).sum(axis=1)
+                keys.append(self.cells[j] * k + self.cells[l])
+                sums.append(pair)
+                if l > j:
+                    keys.append(self.cells[l] * k + self.cells[j])
+                    sums.append(pair)
+        out[sc, sc] = np.bincount(np.concatenate(keys), np.concatenate(sums),
+                                  minlength=k * k).reshape(k, k)
+        return out
+
+    def support_mass(self, weights):
+        """weights @ (R != 0): the weight of the rows each column is nonzero
+        on, per program column."""
+        W = weights.reshape(self.grid_shape)
+        rest = np.bincount(self.cells.ravel(), ((self.values != 0) * W).sum(axis=2).ravel(),
+                           minlength=self.cell_count)
+        out = np.empty(self.shape[1])
+        out[self.order] = np.concatenate(
+            [(self.lead != 0).T @ W.sum(axis=1), (self.last != 0).T @ W.sum(axis=0), rest]
+        )
+        return out
+
+    def dense(self) -> np.ndarray:
+        """R as a dense (M, n) array in program column order."""
+        (lead, last), (M, n) = self.grid_shape, self.shape
+        na, nb = self.lead.shape[1], self.last.shape[1]
+        out = np.zeros((lead, last, n))
+        out[:, :, self.order[:na]] = self.lead[:, None, :]
+        out[:, :, self.order[na:na + nb]] = self.last[None, :, :]
+        at = (np.arange(lead)[:, None], np.arange(last)[None, :])
+        for cells, values in zip(self.cells, self.values):
+            out[at + (self.order[na + nb:][cells][:, None],)] += values
+        return out.reshape(M, n)
+
+    def keep(self, mask) -> RowFactors:
+        """The program columns where ``mask`` is true, renumbered in order."""
+        mask = np.asarray(mask, dtype=bool)
+        na, nb = self.lead.shape[1], self.last.shape[1]
+        kept = mask[self.order]
+        renumber = np.cumsum(mask) - 1
+        cells, values = self.cells[:0], self.values[:0]
+        live_cells = kept[na + nb:]
+        if live_cells.any():
+            # a row whose cell column goes keeps a zero in the first cell column
+            live = live_cells[self.cells]
+            slots = live.any(axis=1)
+            cells = np.where(live, (np.cumsum(live_cells) - 1)[self.cells], 0)[slots]
+            values = np.where(live[:, :, None], self.values, 0.0)[slots]
+        return RowFactors(
+            self.lead[:, kept[:na]], self.last[:, kept[na:na + nb]], cells, values,
+            int(live_cells.sum()), renumber[self.order[kept]],
+        )
+
+    def with_level_column(self) -> RowFactors:
+        """These rows with one more program column, -1 on every row; it joins A."""
+        na, n = self.lead.shape[1], self.shape[1]
+        return replace(
+            self,
+            lead=np.hstack([self.lead, -np.ones((self.lead.shape[0], 1))]),
+            order=np.concatenate([self.order[:na], [n], self.order[na:]]),
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class AssembledProgram:
     """Discretized convex program.
 
-    Loss-argument rows are ``offsets + rows @ y``; the objective is either the
-    exponential sum over those rows ("exp_sum") or ``cost @ y`` ("linear").
-    ``point_upper`` (if set) bounds every row from above, which expresses
-    pointwise payout-domination constraints.  The offsets already subtract
-    ``budget``, and the cash left after buying the positions ``y`` is
-    ``budget - cost @ y``.  ``kappa`` is None on a bare strategy space, which
-    no exponential solve accepts.
+    Loss-argument rows are ``offsets + R @ y`` with R the row ``factors``;
+    the objective is either the exponential sum over those rows ("exp_sum")
+    or ``cost @ y`` ("linear").  ``point_upper`` (if set) bounds every row
+    from above, which expresses pointwise payout-domination constraints.  The
+    offsets already subtract ``budget``, and the cash left after buying the
+    positions ``y`` is ``budget - cost @ y``.  ``kappa`` is None on a bare
+    strategy space, which no exponential solve accepts.
     """
 
     objective: str  # "exp_sum" | "linear"
     layout: DecisionLayout
-    rows: np.ndarray          # (M, n)
+    factors: RowFactors
     offsets: np.ndarray       # (M,)
     masses: np.ndarray        # (M,)
     kappa: float | None
@@ -141,8 +309,13 @@ class AssembledProgram:
     grid: QuadratureGrid
 
     @property
+    def rows(self) -> np.ndarray:
+        """The dense loss rows R (M, n), built on request."""
+        return self.factors.dense()
+
+    @property
     def variable_count(self) -> int:
-        return self.rows.shape[1]
+        return self.factors.shape[1]
 
     @property
     def constraint_count(self) -> int:
@@ -151,11 +324,11 @@ class AssembledProgram:
         return n + int(np.isfinite(self.lower).sum()) + int(np.isfinite(self.upper).sum())
 
     def loss_arguments(self, y: np.ndarray) -> np.ndarray:
-        return self.offsets + self.rows @ y
+        return self.offsets + self.factors.matvec(y[self.factors.order])
 
     def portfolio_payout(self, y: np.ndarray) -> np.ndarray:
         """Terminal wealth per grid point, cash included (claim liability excluded)."""
-        return self.budget - self.rows @ y
+        return self.budget - self.factors.matvec(y[self.factors.order])
 
     def leg(self, claim_terms, budget: float, kappa: float | None = None) -> AssembledProgram:
         """This strategy space against ``claim_terms`` in full at ``budget``,
@@ -179,7 +352,7 @@ class AssembledProgram:
         return replace(
             self,
             layout=layout,
-            rows=self.rows[:, mask],
+            factors=self.factors.keep(mask),
             cost=self.cost[mask],
             lower=self.lower[mask],
             upper=self.upper[mask],
@@ -191,12 +364,11 @@ class AssembledProgram:
         a_i(y) - t <= point_upper_i on this program's loss rows, t >= level_lower,
         started at (start, level_start).  The level is the last column; the
         layout names only y."""
-        M, n = self.rows.shape
         return replace(
             self,
             objective="linear",
-            rows=np.hstack([self.rows, -np.ones((M, 1))]),
-            cost=np.append(np.zeros(n), 1.0),
+            factors=self.factors.with_level_column(),
+            cost=np.append(np.zeros(self.variable_count), 1.0),
             point_upper=point_upper,
             lower=np.append(self.lower, level_lower),
             upper=np.append(self.upper, np.inf),
@@ -220,9 +392,20 @@ def claim_liability(claim_terms, grid: QuadratureGrid) -> np.ndarray:
     return offsets
 
 
-def strategy_columns(quotes, points: np.ndarray, spot: float, delta_pct: float | None = None):
-    """Names, loss-row columns (M, n) and rebalance cells per period of every
-    strategy variable on the paths ``points`` (M, T), in layout order.
+def _grid_levels(grid: QuadratureGrid) -> list[np.ndarray]:
+    """The period levels of ``grid`` on its factor axes: each leading
+    period's level per leading point (M', 1), C-ordered over their nodes, and
+    the last period's levels (1, N_T)."""
+    *leading, last = grid.node_sets
+    return [x.reshape(-1, 1) for x in np.meshgrid(*leading, indexing="ij")] + [last[None, :]]
+
+
+def strategy_factors(quotes, levels, spot: float, delta_pct: float | None = None):
+    """Names, row factors and rebalance cells per period of every strategy
+    variable, in layout order, on the period levels ``levels``: T arrays that
+    broadcast to (M', N_T), the leading points along the first axis and the
+    last period's levels along the second (``_grid_levels``; simulated paths
+    are (M, 1) each, which puts every column in A).
 
     The trading cells of period s are those of the strikes quoted for
     maturity s.  Without ``delta_pct`` the index trades without cost; with
@@ -230,49 +413,94 @@ def strategy_columns(quotes, points: np.ndarray, spot: float, delta_pct: float |
     horizon liquidation is costless.
     """
     quotes = list(quotes)
-    M, T = points.shape
+    T = len(levels)
+    lead, last = np.broadcast_shapes(*(np.shape(x) for x in levels))
     basis_strikes = _strikes_by_period(quotes, T)
-    payoff = [option_payoff(q.kind, q.strike, points[:, q.maturity - 1]) for q in quotes]
+    payoff = [option_payoff(q.kind, q.strike, levels[q.maturity - 1]) for q in quotes]
     names = [f"buy:{q.id}" for q in quotes] + [f"sell:{q.id}" for q in quotes]
     columns = [q.ask_price - p for q, p in zip(quotes, payoff)]
     columns += [p - q.bid_price for q, p in zip(quotes, payoff)]
     cells = {s: trading_cells(basis_strikes[s - 1]) for s in range(1, T)}
+    trading = []  # (cell count, cell of each leading point, leg values) per period
 
     if delta_pct is None:
         # frictionless: the row carries -sum_(t=0..T-1) z_t(X_t) (X_(t+1) - X_t)
         # with z_0 a single scalar (X_0 is known)
         names.append("z0")
-        columns.append(-(points[:, 0] - spot))
+        columns.append(-(levels[0] - spot))
         for s in range(1, T):
-            idx = cell_index(basis_strikes[s - 1], points[:, s - 1])
-            dx = points[:, s] - points[:, s - 1]
-            for n, (lo, hi) in enumerate(cells[s]):
-                names.append(f"z{s}[{lo:g},{hi:g})")
-                columns.append(-np.where(idx == n, dx, 0.0))
-        return tuple(names), np.column_stack(columns), cells
+            names += [f"z{s}[{lo:g},{hi:g})" for lo, hi in cells[s]]
+            idx = cell_index(basis_strikes[s - 1], levels[s - 1])
+            trading.append((len(cells[s]), idx, [-(levels[s] - levels[s - 1])]))
+    else:
+        if delta_pct < 0:
+            raise ValueError("transaction cost percentage must be nonnegative")
+        d = delta_pct / 100.0
+        # nonnegative purchase/sale legs per trading period and cell; the row
+        # carries +sum_t S_t(dz_t) where the horizon liquidation -X_T z_(T-1)
+        # is costless and folded into every leg's column
+        x_T = levels[T - 1]
+        cells = {0: ((0.0, np.inf),), **cells}
+        for s in range(0, T):
+            level = spot if s == 0 else levels[s - 1]
+            idx = np.zeros((1, 1), dtype=int) if s == 0 else cell_index(basis_strikes[s - 1], level)
+            for lo, hi in cells[s]:
+                names += [f"dzbuy{s}[{lo:g},{hi:g})", f"dzsell{s}[{lo:g},{hi:g})"]
+            legs = [(1.0 + d) * level - x_T, -(1.0 - d) * level + x_T]
+            trading.append((len(cells[s]), idx, legs))
 
-    if delta_pct < 0:
-        raise ValueError("transaction cost percentage must be nonnegative")
-    d = delta_pct / 100.0
-    # nonnegative purchase/sale legs per trading period and cell; the row
-    # carries +sum_t S_t(dz_t) where the horizon liquidation -X_T z_(T-1)
-    # is costless and folded into every leg's column
-    x_T = points[:, T - 1]
-    cells = {0: ((0.0, np.inf),), **cells}
-    for s in range(0, T):
-        level = np.full(M, spot) if s == 0 else points[:, s - 1]
-        idx = np.zeros(M, dtype=int) if s == 0 else cell_index(basis_strikes[s - 1], level)
-        for n, (lo, hi) in enumerate(cells[s]):
-            mask = idx == n
-            names += [f"dzbuy{s}[{lo:g},{hi:g})", f"dzsell{s}[{lo:g},{hi:g})"]
-            columns.append(np.where(mask, (1.0 + d) * level - x_T, 0.0))
-            columns.append(np.where(mask, -(1.0 - d) * level + x_T, 0.0))
-    return tuple(names), np.column_stack(columns), cells
+    # every column lands in A (constant along the last period) or in B
+    # (constant along the leading ones), except the cell columns of a
+    # trading period whose legs vary along both: those are one slot per leg
+    lead_at, lead_columns, last_at, last_columns = [], [], [], []
+
+    def place(j, column):
+        if np.shape(column)[1] == 1:
+            lead_at.append(j)
+            lead_columns.append(np.broadcast_to(column, (lead, 1))[:, 0])
+        else:
+            last_at.append(j)
+            last_columns.append(np.broadcast_to(column, (1, last))[0])
+
+    for j, column in enumerate(columns):
+        place(j, column)
+    j = len(columns)
+    slot_at, slot_cells, slot_values = [], [], []
+    for count, idx, legs in trading:
+        shape = np.broadcast_shapes(idx.shape, *(np.shape(v) for v in legs))
+        if shape[0] == 1 or shape[1] == 1:
+            for n in range(count):
+                for v in legs:
+                    place(j, np.where(idx == n, v, 0.0))
+                    j += 1
+            continue
+        for leg, v in enumerate(legs):
+            slot_cells.append(len(slot_at) + idx.ravel() * len(legs) + leg)
+            slot_values.append(np.broadcast_to(v, (lead, last)))
+        slot_at += range(j, j + count * len(legs))
+        j += count * len(legs)
+    factors = RowFactors(
+        lead=np.column_stack(lead_columns) if lead_columns else np.zeros((lead, 0)),
+        last=np.column_stack(last_columns) if last_columns else np.zeros((last, 0)),
+        cells=np.array(slot_cells, dtype=np.intp).reshape(-1, lead),
+        values=np.array(slot_values, dtype=float).reshape(-1, lead, last),
+        cell_count=len(slot_at),
+        order=np.array(lead_at + last_at + slot_at, dtype=np.intp),
+    )
+    return tuple(names), factors, cells
+
+
+def strategy_columns(quotes, points: np.ndarray, spot: float, delta_pct: float | None = None):
+    """Names, loss-row columns (M, n) and rebalance cells per period of every
+    strategy variable on the paths ``points`` (M, T), in layout order."""
+    levels = [points[:, s:s + 1] for s in range(points.shape[1])]
+    names, factors, cells = strategy_factors(quotes, levels, spot, delta_pct)
+    return names, factors.dense(), cells
 
 
 def _assemble(quotes, grid, lot_size, delta_pct):
     quotes = list(quotes)
-    names, rows, cells = strategy_columns(quotes, grid.points, grid.spot, delta_pct)
+    names, factors, cells = strategy_factors(quotes, _grid_levels(grid), grid.spot, delta_pct)
     frictionless = delta_pct is None
     J, dynamic = len(quotes), len(names) - 2 * len(quotes)
     boxes = [position_bounds(q, lot_size) for q in quotes]
@@ -289,7 +517,7 @@ def _assemble(quotes, grid, lot_size, delta_pct):
             names=names,
             cells=cells,
         ),
-        rows=rows,
+        factors=factors,
         offsets=np.zeros(grid.size),
         masses=grid.masses,
         kappa=None,
@@ -308,8 +536,8 @@ def _assemble(quotes, grid, lot_size, delta_pct):
     # Dynamic variables whose cells carry negligible probability mass are
     # unidentifiable from the objective and would drift to arbitrary values,
     # so they go too.
-    keep = (upper - lower > 0) & (np.abs(rows).max(axis=0) > 0)
-    keep[2 * J :] &= grid.masses @ (rows[:, 2 * J :] != 0) >= 1e-12
+    keep = (upper - lower > 0) & (factors.support_mass(np.ones(grid.size)) > 0)
+    keep[2 * J :] &= factors.support_mass(grid.masses)[2 * J :] >= 1e-12
     return space.keep(keep)
 
 

@@ -24,29 +24,38 @@ decrement r^T H^-1 r of the dual residual r = grad f + G^T z are both at most
 ``gap_tol`` times the objective's scale (see ``SolveSettings``); the larger
 of the two over that scale is the reported ``kkt_residual``.  At the stop the
 duals take the dual part of one more Newton step, which cancels the dual
-residual of a linear program.  Statuses: ``optimal``; ``max_iter`` when the
+residual of a linear program.  A target below the rounding floor cannot be
+met: the loop also stops, ``optimal``, once the residual is at most
+``grad_tol`` and its least value over the last five systems is not below
+half the least before them.  Statuses: ``optimal``; ``max_iter`` when the
 iterations run out, or no step is possible, with the residual above
 ``grad_tol``; ``unbounded`` below ``objective_floor``; ``infeasible`` from
 phase-1; ``numerical_error`` as soon as f, y, s, z or a direction is not
 finite, never ``optimal``.
 
-Inside a solve every product with the loss rows goes through one row
-operator per solve, which splits the columns by the grid axis they depend on
-and builds each Hessian from per-period blocks instead of the dense rows.
-An iteration makes three row products: R d for the predictor's and for the
+Every product with the loss rows goes through the program's row factors
+(``galerkin.RowFactors``): A on the leading periods' points, B on the last
+period's levels and one (cell, value) slot per row for each set of cell
+columns that depends on both.  The loop runs in the factors' column order
+[A | B | cells]: ``_solve`` permutes the boxes, the start and the cost into
+it and the point and its box duals back, so no n x n matrix is ever
+permuted, and each Newton system is assembled from per-factor blocks (the
+cell-by-cell block is one bincount) without a dense (M, n) array.  An
+iteration makes three row products: R d for the predictor's and for the
 corrector's direction, and R y at the accepted point, whose row values serve
 as the next slacks and exponents (a shortened step costs one more).
 
 Determinism: all reductions run per block in a fixed order (numpy sums over
-one grid axis, then one matrix product per block); no randomness, no
-time-dependent branching.  The BLAS calls inside a solve (the block products
-and the Cholesky factorization) would round differently with the number of
-BLAS threads, so every solve runs on exactly one thread: each OpenBLAS copy
-loaded by numpy and scipy is set to one thread for the solve and back to the
-caller's count after it.  Repeated solves of the same program therefore give
-bit-identical results whatever thread count the process uses.  A BLAS that
-is not OpenBLAS (MKL, Accelerate) or a system without ``/proc`` is not
-pinned; there the promise holds only at a fixed thread count.
+one grid axis, bincounts in row order, then one matrix product per block);
+no randomness, no time-dependent branching.  The BLAS calls inside a solve
+(the block products and the Cholesky factorization) would round differently
+with the number of BLAS threads, so every solve runs on exactly one thread:
+each OpenBLAS copy loaded by numpy and scipy is set to one thread for the
+solve and back to the caller's count after it.  Repeated solves of the same
+program therefore give bit-identical results whatever thread count the
+process uses.  A BLAS that is not OpenBLAS (MKL, Accelerate) or a system
+without ``/proc`` is not pinned; there the promise holds only at a fixed
+thread count.
 """
 from __future__ import annotations
 
@@ -64,6 +73,8 @@ import scipy.linalg
 from .galerkin import AssembledProgram
 
 _STEP_SHRINK_MIN = 1e-18
+# systems over which a residual below grad_tol must halve, or the loop stops
+_STALL_WINDOW = 5
 # share of the step to the nearest face that an iterate may take
 _FRACTION_TO_BOUNDARY = 0.99
 # phase-1 strictness margin per unit of pointwise scale: a point is strictly
@@ -85,8 +96,9 @@ class SolveSettings:
     stays below about 2 * gap_tol * w / lambda (1e-6 USD at the defaults and
     w / lambda = 5e4).  ``grad_tol`` is the scaled residual below which a
     solve that runs out of ``max_iter`` iterations, or cannot step, still
-    reports ``optimal``.  An objective below ``objective_floor`` is reported
-    ``unbounded``.
+    reports ``optimal``, and below which a residual that has stopped falling
+    ends the solve ``optimal``.  An objective below ``objective_floor`` is
+    reported ``unbounded``.
     """
 
     grad_tol: float = 1e-8
@@ -120,95 +132,6 @@ class Solution:
     trace: list = field(default_factory=list)
 
 
-def _last_axis_length(grid, M: int) -> int:
-    """Levels N_T of the last period when the M rows follow the C-ordered
-    Cartesian product that ``grid.point_index`` spells out; 1 otherwise."""
-    if grid is None:
-        return 1
-    index = grid.point_index
-    shape = tuple(int(v) + 1 for v in index.max(axis=0))
-    if int(np.prod(shape)) != M or not np.array_equal(
-        index, np.indices(shape).reshape(len(shape), M).T
-    ):
-        return 1
-    return shape[-1]
-
-
-class _RowOperator:
-    """Products with the loss rows R (M, n) of one program on its product grid.
-
-    Viewed as (M', N_T, n), with the last period's level on the middle axis,
-    most columns depend on one axis only: group A is constant along the last
-    period (maturity-1 options, ``z0``, a wealth or slack column of -1), group
-    B along the leading periods (last-maturity options).  The rest (rebalance
-    cells, ``dz`` legs) stays a thin dense block.  Splitting is by exact
-    equality, so every product equals the dense one up to rounding.  For a
-    weight vector w, W = w as (M', N_T), r = W 1 and q = W^T 1, the Gram
-    R^T diag(w) R has blocks A^T diag(r) A, B^T diag(q) B and A^T W B; the
-    rest meets A and B through w * rest summed over the last and the leading
-    axis (Van Loan 2000).  Rows without a Cartesian grid are the case N_T = 1:
-    every column lands in A and the products are the dense ones.
-    """
-
-    def __init__(self, rows, grid):
-        M, n = rows.shape
-        self.shape = (M, n)
-        n_last = _last_axis_length(grid, M)
-        self._grid_shape = (M // n_last, n_last)
-        cube = rows.reshape(M // n_last, n_last, n)
-        in_a = (cube == cube[:, :1]).all(axis=(0, 1))
-        in_b = ~in_a & (cube == cube[:1]).all(axis=(0, 1))
-        in_c = ~(in_a | in_b)
-        self._a, self._b, self._c = (np.flatnonzero(g) for g in (in_a, in_b, in_c))
-        self._A = np.ascontiguousarray(cube[:, 0][:, in_a])   # (M', nA)
-        self._B = np.ascontiguousarray(cube[0][:, in_b])      # (N_T, nB)
-        self._C = np.ascontiguousarray(rows[:, in_c])         # (M, k)
-        # position of each column in the block order [A | B | rest]
-        self._inverse = np.argsort(np.concatenate([self._a, self._b, self._c]))
-
-    def matvec(self, y):
-        """R y."""
-        out = (self._A @ y[self._a])[:, None] + (self._B @ y[self._b])[None, :]
-        out += (self._C @ y[self._c]).reshape(self._grid_shape)
-        return out.ravel()
-
-    def rmatvec(self, v):
-        """R^T v."""
-        grid_v = v.reshape(self._grid_shape)
-        out = np.empty(self.shape[1])
-        out[self._a] = self._A.T @ grid_v.sum(axis=1)
-        out[self._b] = self._B.T @ grid_v.sum(axis=0)
-        out[self._c] = self._C.T @ v
-        return out
-
-    def gram(self, w):
-        """R^T diag(w) R for nonnegative weights w, in blocks.
-
-        Each diagonal block is X^T X of one scaled buffer, a symmetric rank-k
-        update (SYRK); off-diagonal blocks are written once and mirrored.
-        """
-        W = w.reshape(self._grid_shape)
-        A, B, C = self._A, self._B, self._C
-        na, nb = A.shape[1], B.shape[1]
-        out = np.empty(self.shape[1:] * 2)
-        sa, sb, sc = slice(0, na), slice(na, na + nb), slice(na + nb, None)
-        scaled_a = A * np.sqrt(W.sum(axis=1))[:, None]
-        out[sa, sa] = scaled_a.T @ scaled_a
-        scaled_b = B * np.sqrt(W.sum(axis=0))[:, None]
-        out[sb, sb] = scaled_b.T @ scaled_b
-        out[sa, sb] = A.T @ (W @ B)
-        out[sb, sa] = out[sa, sb].T
-        scaled_c = C * np.sqrt(w)[:, None]
-        out[sc, sc] = scaled_c.T @ scaled_c
-        weighted = (C * w[:, None]).reshape(*self._grid_shape, C.shape[1])
-        out[sc, sa] = weighted.sum(axis=1).T @ A
-        out[sc, sb] = weighted.sum(axis=0).T @ B
-        out[sa, sc] = out[sc, sa].T
-        out[sb, sc] = out[sc, sb].T
-        # two one-axis gathers are several times faster than one np.ix_ gather
-        return out[self._inverse][:, self._inverse]
-
-
 def _logsumexp(e):
     c = e.max()
     return float(c + np.log(np.exp(e - c).sum()))
@@ -230,7 +153,7 @@ class _ExpSumObjective:
     MAX_EXPONENT_STEP = 50.0
 
     def __init__(self, rows, offsets, masses, kappa):
-        self.rows = rows  # a _RowOperator
+        self.rows = rows  # the program's RowFactors
         self.offsets = offsets
         self.log_masses = np.log(masses)
         self.kappa = kappa
@@ -387,6 +310,7 @@ def _interior_point(objective, rows, h, lower, upper, y0, settings, tol, scale):
     z = max(1.0, abs(f)) / max(m, 1) / s
 
     trace = []
+    residuals = []
     status = "max_iter"
     kkt = np.inf
     for steps in range(settings.max_iter + 1):
@@ -411,7 +335,12 @@ def _interior_point(objective, rows, h, lower, upper, y0, settings, tol, scale):
             status = "numerical_error"
             break
         kkt = max(gap, abs(decrement)) / scale(f)
-        if kkt <= tol:
+        residuals.append(kkt)
+        # below grad_tol, a residual that has not halved over the last
+        # _STALL_WINDOW systems sits at the rounding floor
+        stalled = (kkt <= settings.grad_tol and len(residuals) > _STALL_WINDOW
+                   and min(residuals[-_STALL_WINDOW:]) > 0.5 * min(residuals[:-_STALL_WINDOW]))
+        if kkt <= tol or stalled:
             status = "optimal"
             # the dual part of one more Newton step at fixed slacks: for a
             # linear objective G^T dz cancels the dual residual
@@ -574,29 +503,34 @@ def _solve(program: AssembledProgram, settings: SolveSettings, start=None, tol=N
             status="infeasible",
             wall_time=time.perf_counter() - started,
         )
-    rows = _RowOperator(program.rows, program.grid)
+    # the loop runs in the factors' column order [A | B | cells]
+    rows, order = program.factors, program.factors.order
     if exponential:
         objective = _ExpSumObjective(rows, program.offsets, program.masses, program.kappa)
     else:
-        objective = _LinearObjective(program.cost)
+        objective = _LinearObjective(program.cost[order])
     core = _interior_point(
         objective,
         rows,
         None if program.point_upper is None else program.point_upper - program.offsets,
-        program.lower,
-        program.upper,
-        start,
+        program.lower[order],
+        program.upper[order],
+        start[order],
         settings,
         settings.gap_tol if tol is None else tol,
         scale or ((lambda f: 1.0) if exponential else (lambda f: 1.0 + abs(f))),
     )
+    x, lower_z, upper_z = (np.empty(order.size) for _ in range(3))
+    x[order] = core["y"]
+    lower_z[order] = core["duals"]["lower"]
+    upper_z[order] = core["duals"]["upper"]
     value = core["objective"]
     return Solution(
-        x=core["y"],
+        x=x,
         objective=float(np.exp(value)) if exponential else value,
         log_objective=value if exponential else None,
         status=core["status"],
-        duals=core["duals"],
+        duals={"point": core["duals"]["point"], "lower": lower_z, "upper": upper_z},
         outer_iterations=core["steps"],
         newton_iterations=core["systems"],
         wall_time=time.perf_counter() - started,

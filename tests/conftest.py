@@ -11,7 +11,7 @@ from semistatic.fixtures import (
     small_market,
     synthetic_market,
 )
-from semistatic.galerkin import AssembledProgram, DecisionLayout
+from semistatic.galerkin import AssembledProgram, DecisionLayout, RowFactors
 from semistatic.pricing import AgentSpec
 
 
@@ -49,6 +49,13 @@ def stub_layout(n: int) -> DecisionLayout:
     )
 
 
+def dense_factors(rows) -> RowFactors:
+    """Rows without a grid: every column in A, N_T = 1."""
+    M, n = rows.shape
+    return RowFactors(rows, np.zeros((1, 0)), np.zeros((0, M), dtype=np.intp),
+                      np.zeros((0, M, 1)), 0, np.arange(n))
+
+
 def make_exp_program(rows, offsets, masses, kappa, lower, upper, start, *,
                      point_upper=None, cost=None, grid=None):
     """Hand-built exponential-sum program for solver-level tests."""
@@ -57,7 +64,7 @@ def make_exp_program(rows, offsets, masses, kappa, lower, upper, start, *,
     return AssembledProgram(
         objective="exp_sum",
         layout=stub_layout(n),
-        rows=rows,
+        factors=dense_factors(rows),
         offsets=np.asarray(offsets, dtype=float),
         masses=np.asarray(masses, dtype=float),
         kappa=float(kappa),
@@ -78,7 +85,7 @@ def make_lp_program(cost, rows, rhs, lower, upper, start):
     return AssembledProgram(
         objective="linear",
         layout=stub_layout(n),
-        rows=rows,
+        factors=dense_factors(rows),
         offsets=np.zeros(m),
         masses=np.full(m, 1.0 / max(m, 1)),
         kappa=1.0,

@@ -259,6 +259,19 @@ def test_schema_violation_exits_1_with_json_error(tmp_path, capsys):
     assert not (tmp_path / "price_report.json").exists()
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_config_number_exits_1(tmp_path, capsys, constant):
+    # json parses these constants and the schema's "number" passes them
+    config = tmp_path / "bad.json"
+    config.write_text('{"claim": {"strike": %s}}' % constant)
+    code = cli.main(["price", "--config", str(config), "--json-errors", "--out", str(tmp_path)])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "ValidationError"
+    assert constant in error["message"]
+    assert not (tmp_path / "price_report.json").exists()
+
+
 def test_every_config_key_is_read():
     # a key the schema accepts but load_config never reads is silently
     # ignored: every key has a default, or is a SolveSettings field

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -173,9 +175,23 @@ def test_paper_scale_counts():
     coarse = tuple(float(k) for k in range(1500, 2501, 100))
     market = Market(quotes=tuple(quotes), model=BASE_MODEL, grid_strikes=(coarse, coarse))
     grid = market.grid_for(())
-    program = assemble_frictionless(quotes, grid, 100.0)
+    tracemalloc.start()
+    try:
+        program = assemble_frictionless(quotes, grid, 100.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert program.variable_count > 1700
     assert program.constraint_count > 2700
+    # the rows are stored as factors: everything the program holds, its grid
+    # included, is below 1% of the dense rows' M * n doubles, and assembly
+    # allocates no dense (M, n) array on the way
+    M, n = program.factors.shape
+    assert peak < 0.05 * M * n * 8
+    assert M == grid.size
+    held = (program, program.factors, program.grid)
+    arrays = {id(v): v for part in held for v in vars(part).values() if isinstance(v, np.ndarray)}
+    assert sum(a.nbytes for a in arrays.values()) < 0.01 * M * n * 8
 
 
 def test_two_point_hand_instance():

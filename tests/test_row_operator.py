@@ -1,120 +1,149 @@
-"""The barrier solver's product-grid row operator against the dense products."""
-import types
+"""The row factors' products against the dense products of independent rows."""
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from semistatic.fixtures import small_market
-from semistatic.galerkin import assemble_frictionless, assemble_transaction_cost
-from semistatic.pricing import Market
+from semistatic.galerkin import RowFactors, strategy_columns
+from semistatic.pricing import Market, _assemble
 from semistatic.scenario import VGParams
-from semistatic.solver import _RowOperator
 
 from conftest import make_exp_program
 
 REL = 1e-13
 ONE_PERIOD = VGParams(theta=0.0, sigma=0.1206, nu=0.0031, spot=2360.0, horizons=(1.0 / 12.0,))
+THREE_PERIODS = replace(ONE_PERIOD, horizons=(1.0 / 12.0, 2.0 / 12.0, 3.0 / 12.0))
 
 
-def relative_error(value, reference):
-    return float(np.linalg.norm(value - reference) / np.linalg.norm(reference))
+def close(value, reference):
+    """Within REL of ``reference`` in relative norm (exactly, for zero)."""
+    return np.linalg.norm(value - reference) <= REL * np.linalg.norm(reference)
 
 
-def check_dense_products(rows, grid, weights):
-    """The operator's Gram, R y and R^T v equal the dense products; returns it."""
-    op = _RowOperator(rows, grid)
+def check_dense_products(factors, rows, weights):
+    """The factors spell out ``rows`` (program column order), and their
+    Gram, R x and R^T v equal the dense products in factor order."""
+    np.testing.assert_array_equal(factors.dense(), rows)
+    dense = rows[:, factors.order]
     rng = np.random.default_rng(7)
-    y = rng.standard_normal(rows.shape[1])
-    v = rng.standard_normal(rows.shape[0])
-    assert relative_error(op.gram(weights), rows.T @ (weights[:, None] * rows)) <= REL
-    assert relative_error(op.matvec(y), rows @ y) <= REL
-    assert relative_error(op.rmatvec(v), rows.T @ v) <= REL
-    return op
+    x = rng.standard_normal(dense.shape[1])
+    v = rng.standard_normal(dense.shape[0])
+    assert close(factors.gram(weights), dense.T @ (weights[:, None] * dense))
+    assert close(factors.matvec(x), dense @ x)
+    assert close(factors.rmatvec(v), dense.T @ v)
 
 
-def grid_program(periods, delta_pct):
+def grid_market(periods):
     market = small_market()
     if periods == 1:
         quotes = tuple(q for q in market.quotes if q.maturity == 1)
-        market = Market(quotes=quotes, model=ONE_PERIOD)
-    grid = market.grid_for(())
-    if delta_pct is None:
-        return assemble_frictionless(market.quotes, grid, market.lot_size)
-    return assemble_transaction_cost(market.quotes, grid, delta_pct, market.lot_size)
+        return Market(quotes=quotes, model=ONE_PERIOD)
+    if periods == 3:
+        later = tuple(replace(q, id=f"{q.id}@3", maturity=3)
+                      for q in market.quotes if q.maturity == 2)
+        return Market(quotes=market.quotes + later, model=THREE_PERIODS)
+    return market
+
+
+def grid_program(periods, delta_pct):
+    market = grid_market(periods)
+    return market, _assemble(market, market.grid_for(()), delta_pct)
+
+
+def kernel_rows(market, program, delta_pct):
+    """The program's rows from the column kernel on the grid points as paths,
+    which puts every column in A: dense, and built without the factoring."""
+    grid = program.grid
+    names, columns, _ = strategy_columns(market.quotes, grid.points, grid.spot, delta_pct)
+    return columns[:, [names.index(name) for name in program.layout.names]]
 
 
 @pytest.mark.parametrize("delta_pct", [None, 0.1])
-@pytest.mark.parametrize("periods", [1, 2])
+@pytest.mark.parametrize("periods", [1, 2, 3])
 def test_assembled_programs(periods, delta_pct):
-    program = grid_program(periods, delta_pct)
-    weights = program.masses
-    op = check_dense_products(program.rows, program.grid, weights)
-    # every column is in one group; T = 2 leaves only the rebalance cells or
-    # the period-1 dz legs dense
-    groups = np.sort(np.concatenate([op._a, op._b, op._c]))
-    assert (groups == np.arange(program.variable_count)).all()
-    if periods == 2:
-        assert op._a.size and op._b.size
-        dynamic = program.layout.block("dynamic")
-        assert set(op._c) <= set(range(dynamic.start, dynamic.start + dynamic.size))
+    market, program = grid_program(periods, delta_pct)
+    factors = program.factors
+    rows = kernel_rows(market, program, delta_pct)
+    check_dense_products(factors, rows, program.masses)
     # the barrier's face weights 1/s^2 span many decades
-    spread = np.geomspace(1e-6, 1e6, program.rows.shape[0])
-    check_dense_products(program.rows, program.grid, spread)
+    check_dense_products(factors, rows, np.geomspace(1e-6, 1e6, rows.shape[0]))
+    # every column is in one factor; only dynamic columns are cell slots,
+    # one slot per row without costs, two per trading period with them
+    assert sorted(factors.order) == list(range(program.variable_count))
+    dynamic = program.layout.block("dynamic")
+    cell_columns = factors.order[factors.shape[1] - factors.cell_count:]
+    assert set(cell_columns) <= set(range(dynamic.start, dynamic.start + dynamic.size))
+    slots = {1: 0, 2: 1, 3: 1} if delta_pct is None else {1: 0, 2: 2, 3: 4}
+    assert factors.cells.shape[0] == slots[periods]
+    if periods > 1:
+        assert factors.lead.shape[1] and factors.last.shape[1] and factors.cell_count
+
+
+@pytest.mark.parametrize("delta_pct", [None, 0.1])
+@pytest.mark.parametrize("periods", [2, 3])
+def test_products_after_keep(periods, delta_pct):
+    market, program = grid_program(periods, delta_pct)
+    rows = kernel_rows(market, program, delta_pct)
+    # every other column goes, cell columns among them: rows whose cell
+    # column went keep a zero slot
+    mask = np.arange(program.variable_count) % 2 == 0
+    kept = program.keep(mask)
+    check_dense_products(kept.factors, rows[:, mask], program.masses)
+    static = program.keep(np.arange(program.variable_count) < program.layout.block("dynamic").start)
+    assert static.factors.cells.shape[0] == 0 and static.factors.cell_count == 0
+    check_dense_products(static.factors, rows[:, :static.variable_count], program.masses)
 
 
 def test_wealth_column_lands_in_the_leading_group():
-    program = grid_program(2, None)
-    M, n = program.rows.shape
-    rows = np.hstack([program.rows, -np.ones((M, 1))])
-    op = check_dense_products(rows, program.grid, program.masses)
-    assert n in op._a
-
-
-def test_near_constant_column_stays_dense():
-    # grouping is by exact equality: one point off by 1e-9 relative keeps a
-    # maturity-1 option column out of the leading group
-    program = grid_program(2, None)
-    rows = program.rows.copy()
-    op = _RowOperator(rows, program.grid)
-    column = op._a[0]
-    rows[1, column] *= 1.0 + 1e-9
-    op = check_dense_products(rows, program.grid, program.masses)
-    assert column in op._c
+    for delta_pct in (None, 0.1):
+        market, program = grid_program(2, delta_pct)
+        M, n = program.factors.shape
+        lifted = program.epigraph(np.zeros(M), -np.inf, 1.0)
+        rows = np.hstack([kernel_rows(market, program, delta_pct), -np.ones((M, 1))])
+        check_dense_products(lifted.factors, rows, program.masses)
+        assert n in lifted.factors.order[:lifted.factors.lead.shape[1]]
 
 
 def test_program_without_a_grid_is_dense():
     rng = np.random.default_rng(3)
+    rows = rng.standard_normal((9, 4))
     program = make_exp_program(
-        rows=rng.standard_normal((9, 4)), offsets=np.zeros(9), masses=np.full(9, 1 / 9),
+        rows=rows, offsets=np.zeros(9), masses=np.full(9, 1 / 9),
         kappa=1.0, lower=[-1.0] * 4, upper=[1.0] * 4, start=[0.0] * 4,
     )
-    op = check_dense_products(program.rows, program.grid, rng.random(9))
-    assert op._grid_shape == (9, 1) and op._a.size == 4
-
-
-def test_points_off_the_product_order_are_dense():
-    program = grid_program(2, None)
-    shuffled = types.SimpleNamespace(point_index=program.grid.point_index[::-1])
-    op = check_dense_products(program.rows, shuffled, program.masses)
-    assert op._grid_shape == (program.rows.shape[0], 1)
+    check_dense_products(program.factors, rows, rng.random(9))
+    assert program.factors.grid_shape == (9, 1) and program.factors.lead.shape == (9, 4)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    shape=st.lists(st.integers(1, 6), min_size=1, max_size=3),
-    counts=st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+    grid=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    widths=st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3), st.integers(1, 5)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_random_product_grids(shape, counts, seed):
+def test_random_product_grids(grid, widths, seed):
+    # random factors against rows spelled out one slot entry at a time;
+    # slots of one row may share a cell column
     rng = np.random.default_rng(seed)
-    lead, last = int(np.prod(shape[:-1])), shape[-1]
-    n_a, n_b, n_rest = counts
-    columns = [np.repeat(rng.standard_normal(lead), last) for _ in range(n_a)]
-    columns += [np.tile(rng.standard_normal(last), lead) for _ in range(n_b)]
-    columns += [rng.standard_normal(lead * last) for _ in range(n_rest)]
-    columns.append(-np.ones(lead * last))
-    rows = np.column_stack(columns)[:, rng.permutation(len(columns))]
-    grid = types.SimpleNamespace(point_index=np.indices(shape).reshape(len(shape), -1).T)
+    (lead, last), (n_a, n_b, n_slots, n_cells) = grid, widths
+    cells = rng.integers(0, n_cells, size=(n_slots, lead))
+    factors = RowFactors(
+        lead=rng.standard_normal((lead, n_a)),
+        last=rng.standard_normal((last, n_b)),
+        cells=cells,
+        values=rng.standard_normal((n_slots, lead, last)),
+        cell_count=n_cells,
+        order=rng.permutation(n_a + n_b + n_cells),
+    )
+    by_factor = np.zeros((lead, last, n_a + n_b + n_cells))
+    by_factor[:, :, :n_a] = factors.lead[:, None, :]
+    by_factor[:, :, n_a:n_a + n_b] = factors.last[None, :, :]
+    for j in range(n_slots):
+        for i in range(lead):
+            by_factor[i, :, n_a + n_b + cells[j, i]] += factors.values[j, i]
+    rows = np.empty((lead * last, factors.shape[1]))
+    rows[:, factors.order] = by_factor.reshape(lead * last, -1)
     weights = rng.random(lead * last) * 10.0 ** rng.uniform(-3, 3, lead * last)
-    check_dense_products(rows, grid, weights)
+    check_dense_products(factors, rows, weights)

@@ -10,7 +10,7 @@ import scipy.linalg
 from semistatic import cli, pricing, solver
 from semistatic.claims import knockout_call
 from semistatic.fixtures import BASE_MODEL, small_market
-from semistatic.galerkin import assemble_frictionless
+from semistatic.galerkin import RowFactors, assemble_frictionless
 from semistatic.pricing import AgentSpec, Market, optimal_value
 from semistatic.solver import (
     SolveSettings,
@@ -359,7 +359,7 @@ def packaged():
     return config, cli._market(config)
 
 
-def hedging_lp(monkeypatch, cost_fn, market, claim, units):
+def hedging_lp(monkeypatch, cost_fn, market, claim, units, settings=None):
     """(LP program, Solution) of one superhedge or subhedge cost."""
     seen = []
     solve = pricing.solve_lp
@@ -369,7 +369,7 @@ def hedging_lp(monkeypatch, cost_fn, market, claim, units):
         return seen[-1][1]
 
     monkeypatch.setattr(pricing, "solve_lp", spy)
-    cost_fn(market, claim, units)
+    cost_fn(market, claim, units, settings=settings)
     (program, sol), = seen
     return program, sol
 
@@ -396,14 +396,23 @@ class TestHedgingLPs:
 
     def test_three_row_products_per_iteration(self, monkeypatch, packaged):
         config, market = packaged
-        calls = []
-        matvec = solver._RowOperator.matvec
+        calls, solving = [], []
+        matvec, interior_point = RowFactors.matvec, solver._interior_point
 
         def spy(self, y):
-            calls.append(y)
+            if solving:  # the solver's products, not the caller's
+                calls.append(y)
             return matvec(self, y)
 
-        monkeypatch.setattr(solver._RowOperator, "matvec", spy)
+        def solve(*args):
+            solving.append(True)
+            try:
+                return interior_point(*args)
+            finally:
+                solving.pop()
+
+        monkeypatch.setattr(RowFactors, "matvec", spy)
+        monkeypatch.setattr(solver, "_interior_point", solve)
         _, sol = hedging_lp(monkeypatch, pricing.superhedge_cost, market, config.claim,
                             config.claim_units)
         assert sol.status == "optimal"
@@ -420,16 +429,28 @@ class TestHedgingLPs:
             assert leg["status"] == "optimal", name
             assert leg["newton_iterations"] <= 60, name
 
+    @pytest.mark.parametrize("gap_tol", [1e-12, 1e-13])
+    def test_solve_below_the_rounding_floor_stops(self, monkeypatch, packaged, gap_tol):
+        # the desk-price subhedge cannot reach these targets; once its residual
+        # is below grad_tol and stops falling, the loop stops
+        config, market = packaged
+        _, sol = hedging_lp(monkeypatch, pricing.subhedge_cost, market, config.claim,
+                            config.claim_units, SolveSettings(gap_tol=gap_tol))
+        assert sol.status == "optimal"
+        assert sol.newton_iterations < 60
+        assert sol.kkt_residual <= SolveSettings().grad_tol
+
     def test_price_report_never_loads_the_lp_oracle(self, tmp_path):
-        # HiGHS serves only the tests: a CLI price run never loads scipy.optimize
+        # HiGHS serves only the tests, and the row factors are plain numpy: a
+        # CLI price run loads neither scipy.optimize nor scipy.sparse
         code = (
             "import sys; from semistatic import cli; "
             "cli.main(['price', '--out', sys.argv[1]]); "
-            "print('scipy.optimize' in sys.modules)"
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))"
         )
         run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=package_env(),
                              capture_output=True, text=True, check=True, timeout=300)
-        assert run.stdout.strip() == "False"
+        assert run.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
