@@ -11,15 +11,20 @@ normals
 ``vg_log_increment_density_vec`` evaluates the same integral with fixed
 Gauss-Legendre nodes in log-g; the tests hold it to 1e-8 of an adaptive
 quadrature of the mixture (the reference in ``tests/oracles.py``).
+
+The gamma functions the nodes need are computed here in plain Python, so that
+pricing imports numpy only: ``_gammaln`` is a port of cephes ``lgam`` and
+gives the same bits as ``scipy.special.gammaln``, and ``_gamma_quantile``
+inverts the regularized incomplete gamma function.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import special
 
 # Jump breakpoints are bracketed by a node pair at value*(1 -/+ this) so that
 # payouts are linear on every grid cell even across discontinuities.
@@ -70,12 +75,217 @@ class VGParams:
         return tuple(b - a for a, b in zip(prev, self.horizons))
 
 
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+# cephes lgam: Stirling's series above 13 and, below, the recurrence down to
+# [2, 3) with a rational approximation there.  The mixture weights of every
+# grid carry this value, and a chain's mids are rounded to ticks, so one ulp
+# against scipy.special.gammaln can move a quote: the port must be bit-exact.
+_LGAM_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+                  7.93650340457716943945e-4, -2.77777777730099687205e-3,
+                  8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LOG_SQRT_2PI = 0.91893853320467274178
+
+
+def _polevl(x: float, coefs, monic: bool = False) -> float:
+    """Horner's rule in the order of cephes polevl (p1evl when ``monic``)."""
+    acc = x + coefs[0] if monic else coefs[0]
+    for c in coefs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _gammaln(x: float) -> float:
+    """log Gamma(x) for x > 0, bit-equal to ``scipy.special.gammaln``."""
+    if x < 13.0:
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        p -= 2.0
+        x = x + p
+        return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C, monic=True)
+    if x > 2.556348e305:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + _polevl(p, _LGAM_STIRLING) / x
+
+
+# Stirling's series of log Gamma(a) - (a - 1/2) log a + a - log sqrt(2 pi)
+_STIRLING_SERIES = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
+                    -691.0 / 360360.0, 1.0 / 156.0)
+# Above this shape the tails come from Temme's uniform expansion: the series
+# and the continued fraction take O(sqrt(shape)) terms near the quantiles.
+_TEMME_SHAPE = 1e4
+# Taylor coefficients in eta of Temme's C_0 and C_1 (Temme 1979; the d_0 and
+# d_1 rows of DiDonato & Morris 1986, ACM TOMS 12)
+_TEMME_C0 = (-1.0 / 3.0, 1.0 / 12.0, -2.0 / 135.0, 1.0 / 864.0, 1.0 / 2835.0,
+             -139.0 / 777600.0, 1.0 / 25515.0, -571.0 / 261273600.0)
+_TEMME_C1 = (-1.8518518518518519e-3, -3.4722222222222222e-3, 2.6455026455026455e-3,
+             -9.9022633744855967e-4, 2.0576131687242798e-4, -4.0187757201646091e-7,
+             -1.8098550334489978e-5, 7.6491609160811101e-6)
+
+
+def _log1pmx(m: float) -> float:
+    """log(1 + m) - m, without cancellation for small m."""
+    if abs(m) >= 0.5:
+        return math.log1p(m) - m
+    power, total = m, 0.0
+    for n in range(2, 200):
+        power *= -m
+        term = power / n
+        total += term
+        if abs(term) < _EPS * abs(total):
+            break
+    return total
+
+
+def _log_density_factor(a: float, x: float) -> float:
+    """log(x^a e^-x / Gamma(a)), x times the gamma density; from Stirling's
+    series above shape 10, where the three terms would cancel."""
+    if a < 10.0:
+        return a * math.log(x) - x - _gammaln(a)
+    omega = 0.0
+    for c in reversed(_STIRLING_SERIES):
+        omega = omega / (a * a) + c
+    return a * _log1pmx((x - a) / a) + 0.5 * math.log(a / (2.0 * math.pi)) - omega / a
+
+
+def _lower_series(a: float, x: float) -> float:
+    """sum_n x^n / (a (a+1) ... (a+n)): P(a, x) = e^factor times this."""
+    term = total = 1.0 / a
+    for n in range(1, 100_000):
+        term *= x / (a + n)
+        total += term
+        if term < _EPS * total:
+            break
+    return total
+
+
+def _upper_fraction(a: float, x: float) -> float:
+    """Legendre's continued fraction by modified Lentz, for x >= a + 1:
+    Q(a, x) = e^factor times this."""
+    floor = 1e-300
+    b = x + 1.0 - a
+    c, d = 1.0 / floor, 1.0 / b
+    total = d
+    for i in range(1, 100_000):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= floor else floor)
+        c = b + an / c
+        c = c if abs(c) >= floor else floor
+        total *= d * c
+        if abs(d * c - 1.0) < _EPS:
+            break
+    return total
+
+
+def _temme_tails(a: float, x: float) -> tuple[float, float]:
+    """(P(a, x), Q(a, x)) from Temme's uniform expansion to order 1/a.
+
+    C_0 and C_1 are Taylor polynomials in eta, within 5.5e-14 and 7.4e-12 of
+    their values for |eta| <= 0.1: tails down to about e^-50 at a = 1e4, and
+    further out at larger a."""
+    m = (x - a) / a
+    eta = math.copysign(math.sqrt(-2.0 * _log1pmx(m)), m)
+    c0 = c1 = 0.0
+    for d0, d1 in zip(reversed(_TEMME_C0), reversed(_TEMME_C1)):
+        c0, c1 = c0 * eta + d0, c1 * eta + d1
+    r = math.exp(-0.5 * a * eta * eta) / math.sqrt(2.0 * math.pi * a) * (c0 + c1 / a)
+    y = eta * math.sqrt(0.5 * a)
+    return 0.5 * math.erfc(-y) - r, 0.5 * math.erfc(y) + r
+
+
+def _log1m(p: float) -> float:
+    return math.log1p(-p) if p < 1.0 else -math.inf
+
+
+def _tail_gap(a: float, x: float, tail: float, upper: bool) -> tuple[float, float]:
+    """log(T(x) / tail) for the lower tail T = P(a, .) or the upper Q(a, .),
+    and its derivative in log x."""
+    factor = _log_density_factor(a, x)
+    if a >= _TEMME_SHAPE:
+        p, q = _temme_tails(a, x)
+        t = q if upper else p
+        value = math.log(t) if t > 0.0 else -math.inf
+    elif x < a + 1.0:
+        s = _lower_series(a, x)
+        if upper:
+            value = _log1m(math.exp(factor) * s)
+        elif a < 1.0:
+            # the quantile moves by 1/a times the error of log P: form P / tail
+            # from correctly rounded factors, not from logs of size log(tail)
+            ratio = math.pow(x, a) * math.exp(-x) * s / (math.gamma(a) * tail)
+            return math.log(ratio), 1.0 / s
+        else:
+            value = factor + math.log(s)
+    else:
+        h = _upper_fraction(a, x)
+        value = factor + math.log(h) if upper else _log1m(math.exp(factor) * h)
+    slope = math.exp(factor - value)
+    return value - math.log(tail), -slope if upper else slope
+
+
+def _gamma_quantile(shape: float, tail: float, upper: bool = False) -> float:
+    """x with P(shape, x) = tail, or Q(shape, x) = tail when ``upper``:
+    Newton in log x, kept inside the bracket its iterates build.
+
+    The lower start (tail Gamma(a+1))^(1/a) lies below the root; where it
+    underflows, so does the quantile.  Large shapes start from a -/+
+    sqrt(2 a log(1/tail)).
+    """
+    log_tail = math.log(tail)
+    spread = math.sqrt(-2.0 * shape * log_tail)
+    if upper:
+        x = shape + spread - log_tail
+    else:
+        start = (log_tail + _gammaln(shape + 1.0)) / shape
+        if start < math.log(_TINY):
+            return math.exp(start)
+        x = max(math.exp(start), shape - spread)
+    lo, hi = 0.0, math.inf
+    for _ in range(200):
+        gap, slope = _tail_gap(shape, x, tail, upper)
+        if (gap < 0.0) != upper:
+            lo = x
+        else:
+            hi = x
+        # a Newton step in log x, at most a factor e
+        direction = math.copysign(1.0, gap if upper else -gap)
+        step = direction * min(abs(gap / slope), 1.0) if slope else direction
+        new = x * math.exp(step)
+        if not lo < new < hi:
+            new = math.sqrt(x) * math.sqrt(hi if new >= hi else lo)
+        if abs(step) <= 4.0 * _EPS or hi - lo <= 4.0 * _EPS * lo or new == 0.0:
+            return new
+        x = new
+    return x
+
+
 def _gamma_bracket(shape: float, scale: float, tail: float = _GAMMA_TAIL) -> tuple[float, float]:
-    # the gamma quantiles through scipy.special: scipy.stats costs about a
-    # second of import
-    lo = special.gammaincinv(shape, tail) * scale
-    hi = special.gammainccinv(shape, tail) * scale
-    lo = max(lo, np.finfo(float).tiny)
+    lo = _gamma_quantile(shape, tail) * scale
+    hi = _gamma_quantile(shape, tail, upper=True) * scale
+    lo = max(lo, _TINY)
     return lo, hi
 
 
@@ -95,7 +305,7 @@ def _mixture_nodes(params: VGParams, dt: float, n_nodes: int) -> tuple[np.ndarra
     s = 0.5 * (b - a) * x + 0.5 * (a + b)
     g = np.exp(s)
     log_gamma_weight = (
-        shape * s - g / scale - special.gammaln(shape) - shape * np.log(scale)
+        shape * s - g / scale - _gammaln(shape) - shape * np.log(scale)
     )
     weights = 0.5 * (b - a) * w * np.exp(log_gamma_weight)
     return g, weights

@@ -50,12 +50,14 @@ one grid axis, bincounts in row order, then one matrix product per block);
 no randomness, no time-dependent branching.  The BLAS calls inside a solve
 (the block products and the Cholesky factorization) would round differently
 with the number of BLAS threads, so every solve runs on exactly one thread:
-each OpenBLAS copy loaded by numpy and scipy is set to one thread for the
-solve and back to the caller's count after it.  Repeated solves of the same
-program therefore give bit-identical results whatever thread count the
-process uses.  A BLAS that is not OpenBLAS (MKL, Accelerate) or a system
-without ``/proc`` is not pinned; there the promise holds only at a fixed
-thread count.
+every OpenBLAS copy in the process is set to one thread for the solve and
+back to the caller's count after it.  That is numpy's own copy, which also
+serves the factorization through LAPACK dpotrf and dpotrs, and scipy's copy
+only where numpy's lacks those two routines and the solver falls back to
+scipy's LAPACK.  Repeated solves of the same program therefore give
+bit-identical results whatever thread count the process uses.  A BLAS that
+is not OpenBLAS (MKL, Accelerate) or a system without ``/proc`` is not
+pinned; there the promise holds only at a fixed thread count.
 """
 from __future__ import annotations
 
@@ -68,7 +70,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .galerkin import AssembledProgram
 
@@ -194,26 +195,115 @@ class _LinearObjective:
         return self.value(y, r), self.cost, None
 
 
-@functools.cache
-def _openblas_thread_controls():
-    """(getter, setter) of the thread count of every loaded OpenBLAS copy.
-
-    The numpy and scipy wheels each bundle their own OpenBLAS under prefixed
-    symbols; numpy's 64-bit-integer copy adds the suffix ``64_``.  The copies
-    are found in ``/proc/self/maps`` at the first solve and opened without
-    loading anything new.  Empty when there is no ``/proc`` or no OpenBLAS.
-    """
+def _loaded_openblas():
+    """ctypes handles of the OpenBLAS copies loaded in the process, found in
+    ``/proc/self/maps`` and opened without loading anything new; empty when
+    there is no ``/proc``."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
     except OSError:
-        return ()
-    controls = []
+        return []
+    libs = []
     for path in paths:
         try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            libs.append(ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY))
         except OSError:
             continue
+    return libs
+
+
+def _openblas_cholesky():
+    """(factor, solve) through LAPACK dpotrf and dpotrs of numpy's own
+    OpenBLAS, whose 64-bit-integer interface exports them as
+    ``scipy_dpotrf_64_`` and ``scipy_dpotrs_64_``; None where no loaded copy
+    does."""
+    for lib in _loaded_openblas():
+        potrf = getattr(lib, "scipy_dpotrf_64_", None)
+        potrs = getattr(lib, "scipy_dpotrs_64_", None)
+        if potrf is not None and potrs is not None:
+            break
+    else:
+        return None
+    # Fortran calling convention: every argument by reference, then the
+    # hidden length of the character argument
+    int64 = ctypes.POINTER(ctypes.c_int64)
+    potrf.argtypes = [ctypes.c_char_p, int64, ctypes.c_void_p, int64, int64, ctypes.c_size_t]
+    potrs.argtypes = [ctypes.c_char_p, int64, int64, ctypes.c_void_p, int64,
+                      ctypes.c_void_p, int64, int64, ctypes.c_size_t]
+    potrf.restype = potrs.restype = None
+
+    def factor(a):
+        # LAPACK reads one triangle of a symmetric matrix, the same numbers in
+        # either memory order: the row-major copy is a^T in column-major
+        # order, and a plain copy costs a third of a transposing one
+        c = np.array(a, dtype=np.float64)
+        if c.ndim != 2 or c.shape[0] != c.shape[1]:
+            raise ValueError("Cholesky factorization needs a square matrix")
+        n, info = ctypes.c_int64(c.shape[0]), ctypes.c_int64(0)
+        potrf(b"L", ctypes.byref(n), c.ctypes.data, ctypes.byref(n), ctypes.byref(info), 1)
+        if info.value < 0:
+            raise ValueError(f"dpotrf rejected argument {-info.value}")
+        return c if info.value == 0 else None
+
+    def solve(c, b):
+        x = np.array(b, dtype=np.float64, order="F")
+        if x.ndim not in (1, 2) or x.shape[0] != c.shape[0]:
+            raise ValueError("right-hand side does not match the factor")
+        n, info = ctypes.c_int64(c.shape[0]), ctypes.c_int64(0)
+        nrhs = ctypes.c_int64(1 if x.ndim == 1 else x.shape[1])
+        potrs(b"L", ctypes.byref(n), ctypes.byref(nrhs), c.ctypes.data, ctypes.byref(n),
+              x.ctypes.data, ctypes.byref(n), ctypes.byref(info), 1)
+        if info.value < 0:
+            raise ValueError(f"dpotrs rejected argument {-info.value}")
+        return x
+
+    return factor, solve
+
+
+def _scipy_cholesky():
+    """(factor, solve) through scipy's LAPACK dpotrf and dpotrs, imported on
+    first use."""
+    from scipy.linalg import lapack
+
+    def factor(a):
+        c, info = lapack.dpotrf(a, lower=1, clean=0)
+        if info < 0:
+            raise ValueError(f"dpotrf rejected argument {-info}")
+        return c if info == 0 else None
+
+    def solve(c, b):
+        x, info = lapack.dpotrs(c, b, lower=1)
+        if info < 0:
+            raise ValueError(f"dpotrs rejected argument {-info}")
+        return x
+
+    return factor, solve
+
+
+@functools.cache
+def _cholesky_routines():
+    """(factor, solve), looked up once.  ``factor(a)`` is the lower Cholesky
+    factor of the symmetric ``a``, or None when ``a`` is not numerically
+    positive definite; ``solve(c, b)`` is a^-1 b from that factor.  The pair is
+    LAPACK's dpotrf and dpotrs from numpy's own OpenBLAS, or the same two
+    routines from scipy's LAPACK where numpy's copy lacks them."""
+    return _openblas_cholesky() or _scipy_cholesky()
+
+
+@functools.cache
+def _openblas_thread_controls():
+    """(getter, setter) of the thread count of every loaded OpenBLAS copy.
+
+    The wheels bundle OpenBLAS under prefixed symbols: numpy's copy has the
+    suffix ``64_`` of its 64-bit-integer interface, scipy's none.  Scipy's copy
+    is loaded only where the Cholesky routines fall back to scipy's LAPACK, so
+    they are resolved first, and a copy they load is pinned too.  Empty when
+    there is no ``/proc`` or no OpenBLAS.
+    """
+    _cholesky_routines()
+    controls = []
+    for lib in _loaded_openblas():
         for suffix in ("64_", ""):
             getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
             setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
@@ -430,18 +520,16 @@ def _newton_solver(hess):
     times that entry, past any negative eigenvalue that rounding leaves in a
     positive semidefinite matrix.
     """
+    if hess.shape[0] == 0:  # a program without variables
+        return lambda rhs: np.array(rhs, dtype=float)
+    factor, solve = _cholesky_routines()
     scale = float(np.abs(np.diag(hess)).max(initial=0.0)) or 1.0
     jitter = 0.0
     for _ in range(10):
-        try:
-            factor = scipy.linalg.cho_factor(
-                hess if jitter == 0.0 else hess + jitter * np.eye(hess.shape[0]),
-                lower=True,
-                check_finite=False,
-            )
-            return lambda rhs: scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            jitter = max(jitter * 100.0, 1e-14 * scale)
+        c = factor(hess if jitter == 0.0 else hess + jitter * np.eye(hess.shape[0]))
+        if c is not None:
+            return lambda rhs: solve(c, rhs)
+        jitter = max(jitter * 100.0, 1e-14 * scale)
     # last resort: a steepest-descent step in a badly conditioned corner
     return lambda rhs: rhs / scale
 

@@ -1,15 +1,20 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from semistatic.claims import Breakpoint
-from semistatic.scenario import VGParams, build_grid, simulate_paths, vg_log_increment_density_vec
+from semistatic.scenario import (
+    VGParams,
+    _gamma_bracket,
+    _gamma_quantile,
+    _gammaln,
+    build_grid,
+    simulate_paths,
+    vg_log_increment_density_vec,
+)
 
-from conftest import package_env
 from oracles import (
+    lower_gamma_tail,
     path_density,
     vg_increment_moments,
     vg_log_increment_cdf_vec,
@@ -39,6 +44,21 @@ class TestIncrementDensity:
         got = vg_log_increment_density(params, 1 / 12, 0.0)
         want = stats.norm.pdf(0.0, scale=0.1206 * np.sqrt(1 / 12))
         assert got == pytest.approx(want, rel=1e-4)
+
+    @pytest.mark.parametrize("theta", [0.0, -0.15])
+    def test_fast_path_normal_limit_small_nu(self, theta):
+        # at nu = 1e-10 the gamma shape dt / nu is 8.3e8: the fixed nodes sit
+        # in a bracket 5.7e-4 wide around dt, 16.4 standard deviations, and a
+        # quantile five deviations (1.7e-4) inside cuts 1e-3 of the mass
+        params = VGParams(theta=theta, sigma=0.1206, nu=1e-10, spot=2360.0, horizons=(1 / 12,))
+        sd = 0.1206 * np.sqrt(1 / 12)
+        us = theta / 12 + sd * np.linspace(-4.0, 4.0, 33)
+        got = vg_log_increment_density_vec(params, 1 / 12, us)
+        want = stats.norm.pdf(us, loc=theta / 12, scale=sd)
+        # The model departs from the normal by its excess kurtosis 3 nu / dt,
+        # 3.6e-9.  The fast path's log weights subtract terms as large as
+        # log Gamma(shape) = 1.7e10, whose rounding leaves 4.5e-6.
+        np.testing.assert_allclose(got, want, rtol=1e-5)
 
     def test_fast_path_agrees_with_adaptive_reference(self):
         us = np.concatenate([np.linspace(-0.25, 0.25, 21), [1e-9, -1e-9]])
@@ -189,13 +209,69 @@ def test_params_validation():
         VGParams(theta=0.0, sigma=0.1, nu=-0.3, spot=2360.0, horizons=(1 / 12,))
 
 
-def test_package_import_leaves_reference_quadrature_unloaded():
-    # scipy.stats and scipy.integrate serve only the reference quadrature and
-    # cost about a second of import
-    code = (
-        "import sys, semistatic.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=package_env(),
-                         capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+# ---------------------------------------------------------------------------
+# gamma functions: scipy.special stays a test oracle
+# ---------------------------------------------------------------------------
+
+# the default model's first-period gamma shape, dt / nu
+DEFAULT_SHAPE = (1 / 12) / 0.0031
+
+
+def test_gammaln_port_is_bit_equal_to_scipy():
+    rng = np.random.default_rng(20170321)
+    shapes = np.concatenate([
+        np.geomspace(1e-3, 1e9, 20001),
+        np.exp(rng.uniform(np.log(1e-3), np.log(1e9), 20000)),
+        np.arange(1, 40) / 2,  # the integer and half-integer branch edges
+        [DEFAULT_SHAPE, 2 / 12 / 0.0031, 13.0, np.nextafter(13.0, 0.0), 1000.0, 1e8],
+    ])
+    ported = np.array([_gammaln(float(a)) for a in shapes])
+    np.testing.assert_array_equal(ported, special.gammaln(shapes))
+
+
+QUANTILE_SHAPES = np.geomspace(1e-3, 1e9, 73)
+# Above this shape scipy's lower-tail inverse is wrong (its forward function
+# too: P at its 1e-16 quantile is 1.004e-16 at shape 1e7 and 1.7e-16 at
+# 4e8, against mpmath at 30 digits).  The lower tail is held to the decimal
+# reference there instead.
+SCIPY_LOWER_LIMIT = 1e5
+
+
+@pytest.mark.parametrize("tail", [1e-16, 1e-6])
+@pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+def test_gamma_quantiles_match_scipy(tail, upper):
+    inverse = special.gammainccinv if upper else special.gammaincinv
+    tiny = np.finfo(float).tiny
+    checked = 0
+    for shape in QUANTILE_SHAPES:
+        if not upper and shape > SCIPY_LOWER_LIMIT:
+            continue
+        ours, ref = _gamma_quantile(float(shape), tail, upper), float(inverse(shape, tail))
+        if ref < tiny:
+            # both underflow, and the bracket clamps both to tiny
+            assert ours < tiny
+            continue
+        # Below shape 1 the lower quantile moves by 1/shape times a relative
+        # error of P, and scipy's inverse carries about 2e-15 of it: 9.7e-14
+        # off the 40-digit root at shape 0.0214, where this port is 4.8e-15 off.
+        rel = 1e-13 + (4e-15 / shape if not upper else 0.0)
+        assert abs(ours - ref) <= rel * ref, (shape, ours, ref)
+        checked += 1
+    assert checked >= 30
+
+
+@pytest.mark.parametrize("tail", [1e-16, 1e-6])
+def test_lower_gamma_quantile_at_large_shapes(tail):
+    # the 40-digit reference brackets the quantile to 1e-13 relative: there
+    # P moves by a factor exp(x P'/P * 1e-13) with x P'/P >= 8 sqrt(shape)
+    for shape in np.geomspace(SCIPY_LOWER_LIMIT, 1e9, 17):
+        q = _gamma_quantile(float(shape), tail)
+        below, above = (lower_gamma_tail(shape, q * (1 + e)) for e in (-1e-13, 1e-13))
+        assert below < tail < above, shape
+
+
+def test_gamma_bracket_at_extreme_shapes():
+    # every shape the config allows gives a finite bracket of positive nodes
+    for shape in np.geomspace(1e-12, 1e300, 61):
+        lo, hi = _gamma_bracket(float(shape), 1.0)
+        assert 0.0 < lo <= hi < np.inf, shape

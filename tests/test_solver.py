@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from semistatic import cli, pricing, solver
 from semistatic.claims import knockout_call
@@ -229,13 +228,13 @@ class TestNewtonDirection:
         assert np.trace(hess) < 0
         grad = np.array([3e-12, -1e-12])
         solves = []
-        solve = scipy.linalg.cho_solve
+        factor, solve = solver._cholesky_routines()
 
         def spy(*args, **kwargs):
             solves.append(args)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "cho_solve", spy)
+        monkeypatch.setattr(solver, "_cholesky_routines", lambda: (factor, spy))
         direction = -_newton_solver(hess)(grad)
         assert len(solves) == 1  # a Cholesky attempt, not the -grad/scale fallback
         assert np.isfinite(direction).all()
@@ -244,6 +243,19 @@ class TestNewtonDirection:
         jitter = -direction @ (hess @ direction + grad) / (direction @ direction)
         assert 2.7e-20 < jitter <= 100.0 * np.abs(np.diag(hess)).max()
         np.testing.assert_allclose(hess @ direction + jitter * direction, -grad, rtol=1e-9)
+
+    def test_scipy_lapack_gives_the_same_direction(self, monkeypatch):
+        # where numpy's OpenBLAS lacks dpotrf/dpotrs the solver imports the
+        # same pair from scipy's LAPACK; both must give one Newton direction
+        rng = np.random.default_rng(11)
+        n = 131  # the desk-price program's variable count
+        basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        hess = (basis * np.geomspace(1.0, 1e3, n)) @ basis.T
+        grad = rng.standard_normal((n, 2))
+        default = _newton_solver(hess)(grad)
+        monkeypatch.setattr(solver, "_cholesky_routines", solver._scipy_cholesky)
+        fallback = _newton_solver(hess)(grad)
+        assert np.abs(fallback - default).max() <= 1e-12 * np.abs(default).max()
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +453,23 @@ class TestHedgingLPs:
         assert sol.kkt_residual <= SolveSettings().grad_tol
 
     def test_price_report_never_loads_the_lp_oracle(self, tmp_path):
-        # HiGHS serves only the tests, and the row factors are plain numpy: a
-        # CLI price run loads neither scipy.optimize nor scipy.sparse
+        # HiGHS, the adaptive quadrature and the gamma and Cholesky oracles
+        # serve only the tests: the package import, a CLI price run and a
+        # synthetic chain load no scipy module at all
         code = (
-            "import sys; from semistatic import cli; "
-            "cli.main(['price', '--out', sys.argv[1]]); "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))"
+            "import sys; from semistatic import cli\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(scipy_modules())\n"
+            "cli.main(['price', '--out', sys.argv[1]])\n"
+            "print(scipy_modules())\n"
+            "import semistatic.fixtures; semistatic.fixtures.synthetic_chain()\n"
+            "print(scipy_modules())"
         )
         run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=package_env(),
                              capture_output=True, text=True, check=True, timeout=300)
-        assert run.stdout.strip() == "[]"
+        assert run.stdout.split() == ["[]"] * 3
+        assert (tmp_path / "price_report.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -527,13 +546,13 @@ class TestBlasThreads:
             return tuple(getter() for getter, _ in controls)
 
         seen = []
-        factor = scipy.linalg.cho_factor
+        factor, solve = solver._cholesky_routines()
 
         def spy(*args, **kwargs):
             seen.append(counts())
             return factor(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
+        monkeypatch.setattr(solver, "_cholesky_routines", lambda: (spy, solve))
         saved = counts()
         try:
             for _, setter in controls:
