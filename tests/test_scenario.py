@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
@@ -13,6 +16,7 @@ from semistatic.scenario import (
     vg_log_increment_density_vec,
 )
 
+from conftest import package_env
 from oracles import (
     lower_gamma_tail,
     path_density,
@@ -207,6 +211,18 @@ def test_params_validation():
         VGParams(theta=0.0, sigma=0.1, nu=0.003, spot=2360.0, horizons=(2 / 12, 1 / 12))
     with pytest.raises(ValueError):
         VGParams(theta=0.0, sigma=0.1, nu=-0.3, spot=2360.0, horizons=(1 / 12,))
+
+
+def test_package_import_leaves_reference_quadrature_unloaded():
+    # scipy.stats and scipy.integrate serve only the reference quadrature and
+    # cost about a second of import
+    code = (
+        "import sys, semistatic.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
