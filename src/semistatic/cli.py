@@ -14,7 +14,6 @@ import sys
 from dataclasses import dataclass, field
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .claims import Claim, ClaimKind, configured_claim
@@ -133,6 +132,76 @@ CONFIG_SCHEMA = {
     },
     "additionalProperties": False,
 }
+
+
+class ValidationError(ValueError):
+    """A configuration that ``CONFIG_SCHEMA`` rejects; the message names where."""
+
+
+# The JSON types of the schema's "type" keyword.  An integer is a JSON integer
+# literal: 200.0 is a number but no count, where JSON Schema would take it.
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+}
+_SCHEMA_KEYWORDS = {"type", "enum", "minimum", "exclusiveMinimum", "properties",
+                    "additionalProperties", "items", "minItems", "maxItems", "default"}
+
+
+def _check_schema(schema: dict, path: str = "config") -> None:
+    """Raise ValueError on a schema that ``_validate`` would not fully check:
+    an unknown keyword or type, or an ``additionalProperties`` other than false."""
+    types = schema.get("type", [])
+    unknown = set(schema) - _SCHEMA_KEYWORDS
+    unknown |= set([types] if isinstance(types, str) else types) - set(_JSON_TYPES)
+    if unknown:
+        raise ValueError(f"schema at {path}: {sorted(unknown)} not interpreted")
+    if schema.get("additionalProperties", False) is not False:
+        raise ValueError(f"schema at {path}: only additionalProperties false is interpreted")
+    for key, spec in schema.get("properties", {}).items():
+        _check_schema(spec, f"{path}.{key}")
+    if "items" in schema:
+        _check_schema(schema["items"], f"{path}[]")
+
+
+def _validate(value, schema: dict, path: str = "config") -> None:
+    """Raise ValidationError, naming the path, where ``value`` breaks ``schema``."""
+    def reject(why):
+        raise ValidationError(f"{path}: {value!r} {why}")
+
+    types = schema.get("type")
+    names = [types] if isinstance(types, str) else types
+    if names is not None and not any(_JSON_TYPES[name](value) for name in names):
+        reject(f"is not of type {' or '.join(names)}")
+    if "enum" in schema and value not in schema["enum"]:
+        reject(f"is not one of {schema['enum']}")
+    if _JSON_TYPES["number"](value):
+        if "minimum" in schema and value < schema["minimum"]:
+            reject(f"is less than the minimum {schema['minimum']}")
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            reject(f"is not greater than {schema['exclusiveMinimum']}")
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for key, item in value.items():
+            if key in properties:
+                _validate(item, properties[key], f"{path}.{key}")
+            elif schema.get("additionalProperties") is False:
+                raise ValidationError(f"{path}: unknown key {key!r}")
+    if isinstance(value, list):
+        if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value)):
+            reject(f"has {len(value)} items, not {schema.get('minItems', 0)} to "
+                   f"{schema.get('maxItems', 'any')}")
+        if "items" in schema:
+            for i, item in enumerate(value):
+                _validate(item, schema["items"], f"{path}[{i}]")
+
+
+_check_schema(CONFIG_SCHEMA)
 
 
 def _defaults(schema: dict) -> dict:
@@ -259,19 +328,26 @@ class RunConfig:
 
 def _reject_non_finite(name):
     """JSON's ``NaN``, ``Infinity`` and ``-Infinity`` are no config numbers."""
-    raise jsonschema.ValidationError(f"non-finite number {name} in the config")
+    raise ValidationError(f"non-finite number {name} in the config")
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Load, schema-validate and materialize a run configuration.  ``path``
-    falls back to the environment override, then packaged defaults."""
+    falls back to the environment override, then packaged defaults.
+
+    The file is checked against ``CONFIG_SCHEMA`` by ``_validate``, which
+    reads the keywords ``type``, ``enum``, ``minimum``, ``exclusiveMinimum``,
+    ``properties``, ``additionalProperties: false``, ``items``, ``minItems``
+    and ``maxItems``; ``default`` fills ``DEFAULT_CONFIG``.  A rejected file
+    raises ``ValidationError``.
+    """
     data = {}
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR)
     if path:
         with open(path) as fh:
             data = json.load(fh, parse_constant=_reject_non_finite)
-    jsonschema.validate(data, CONFIG_SCHEMA)
+    _validate(data, CONFIG_SCHEMA)
     merged = _merge(DEFAULT_CONFIG, data)
     if overrides:
         merged = _merge(merged, overrides)
@@ -551,7 +627,7 @@ def main(argv=None) -> int:
     except (SolverFailure,) as exc:
         _report_error(args, "solver", str(exc))
         return 2
-    except (ValueError, OSError, KeyError, jsonschema.ValidationError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         _report_error(args, type(exc).__name__, str(exc))
         return 1
 

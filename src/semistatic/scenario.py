@@ -158,15 +158,20 @@ def _log1pmx(m: float) -> float:
     return total
 
 
+def _stirling_tail(a: float) -> float:
+    """log Gamma(a) - (a - 1/2) log a + a - log sqrt(2 pi), for a >= 10."""
+    omega = 0.0
+    for c in reversed(_STIRLING_SERIES):
+        omega = omega / (a * a) + c
+    return omega / a
+
+
 def _log_density_factor(a: float, x: float) -> float:
     """log(x^a e^-x / Gamma(a)), x times the gamma density; from Stirling's
     series above shape 10, where the three terms would cancel."""
     if a < 10.0:
         return a * math.log(x) - x - _gammaln(a)
-    omega = 0.0
-    for c in reversed(_STIRLING_SERIES):
-        omega = omega / (a * a) + c
-    return a * _log1pmx((x - a) / a) + 0.5 * math.log(a / (2.0 * math.pi)) - omega / a
+    return a * _log1pmx((x - a) / a) + 0.5 * math.log(a / (2.0 * math.pi)) - _stirling_tail(a)
 
 
 def _lower_series(a: float, x: float) -> float:
@@ -304,9 +309,14 @@ def _mixture_nodes(params: VGParams, dt: float, n_nodes: int) -> tuple[np.ndarra
     x, w = _gl_rule(n_nodes)
     s = 0.5 * (b - a) * x + 0.5 * (a + b)
     g = np.exp(s)
-    log_gamma_weight = (
-        shape * s - g / scale - _gammaln(shape) - shape * np.log(scale)
-    )
+    if shape < _TEMME_SHAPE:
+        log_gamma_weight = shape * s - g / scale - _gammaln(shape) - shape * np.log(scale)
+    else:
+        # the form of _log_density_factor at x = g / scale: the terms above
+        # are as large as log Gamma(shape), and their rounding scales every weight
+        m = (g / scale - shape) / shape
+        log_gamma_weight = (shape * (np.log1p(m) - m) + 0.5 * math.log(shape / (2.0 * math.pi))
+                            - _stirling_tail(shape))
     weights = 0.5 * (b - a) * w * np.exp(log_gamma_weight)
     return g, weights
 

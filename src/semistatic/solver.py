@@ -17,7 +17,10 @@ solves it for the affine predictor and for the corrector, whose centering
 weight is sigma = min(1, (mu_aff / mu)^3).  Primal and dual steps go 0.99 of
 the way to the nearest face, each with its own length; for the exponential
 objective the primal step is also backtracked on the merit
-f - sigma mu sum(log s).  Without faces the loop is damped Newton on f.
+f - sigma mu sum(log s).  Where the corrector's second-order term makes it
+an ascent direction of that merit, the step takes the centred direction
+(centering sigma mu alone), a descent direction, instead (Nocedal & Wright
+2006, ch. 19).  Without faces the loop is damped Newton on f.
 
 Stopping rule.  The loop stops when the duality gap s^T z and the Newton
 decrement r^T H^-1 r of the dual residual r = grad f + G^T z are both at most
@@ -43,7 +46,8 @@ permuted, and each Newton system is assembled from per-factor blocks (the
 cell-by-cell block is one bincount) without a dense (M, n) array.  An
 iteration makes three row products: R d for the predictor's and for the
 corrector's direction, and R y at the accepted point, whose row values serve
-as the next slacks and exponents (a shortened step costs one more).
+as the next slacks and exponents (a shortened step or a centred fallback
+costs one more).
 
 Determinism: all reductions run per block in a fixed order (numpy sums over
 one grid axis, bincounts in row order, then one matrix product per block);
@@ -392,6 +396,12 @@ def _interior_point(objective, rows, h, lower, upper, y0, settings, tol, scale):
         out[np.diag_indices(n)] += diag
         return out
 
+    def moves(dy, centering):
+        """R dy, and the slack and dual moves that go with dy."""
+        rdy = rows.matvec(dy)
+        ds = -faces(dy, rdy)
+        return rdy, ds, -z + (centering - z * ds) / s
+
     r = rows.matvec(y)
     s = slacks(y, r)
     if not (s > 0).all():
@@ -454,9 +464,17 @@ def _interior_point(objective, rows, h, lower, upper, y0, settings, tol, scale):
             # corrector: sigma * mu less the second-order term ds * dz
             centering = sigma * mu - ds * dz
             dy = -solve(g + faces_t(centering / s))
-        rdy = rows.matvec(dy)
-        ds = -faces(dy, rdy)
-        dz = -z + (centering - z * ds) / s
+        rdy, ds, dz = moves(dy, centering)
+        # the slope of the barrier merit f - sigma mu sum log s along dy
+        weight = sigma * mu if m else 0.0
+        slope = float(g @ dy) - weight * float((ds / s).sum())
+        if hess_f is not None and m and slope >= 0.0:
+            # the second-order term turned the corrector uphill: the centred
+            # direction, sigma mu alone, is H^-1 times minus the merit gradient
+            centering = np.full(m, weight)
+            dy = -solve(g + faces_t(centering / s))
+            rdy, ds, dz = moves(dy, centering)
+            slope = float(g @ dy) - weight * float((ds / s).sum())
         if not (np.isfinite(dy).all() and np.isfinite(dz).all()):
             status = "numerical_error"
             break
@@ -464,12 +482,10 @@ def _interior_point(objective, rows, h, lower, upper, y0, settings, tol, scale):
         alpha = min(1.0, _FRACTION_TO_BOUNDARY * _step_to_boundary(s, ds))
         accepts = None
         if hess_f is not None:
-            # backtrack on the barrier merit f - sigma mu sum log s
+            # backtrack on the barrier merit
             trial, cap = objective.along(r, rdy)
             alpha = min(alpha, cap)
-            weight = sigma * mu if m else 0.0
             merit0 = f - weight * float(np.log(s).sum())
-            slope = float(g @ dy) - weight * float((ds / s).sum())
             noise = 64.0 * np.finfo(float).eps * (abs(merit0) + abs(f))
 
             def accepts(a):

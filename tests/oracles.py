@@ -10,15 +10,18 @@ that the tests hold the package's fast paths to.
 - Programs: the expected-loss value and gradient from the dense rows, an
   exact LP solve on HiGHS and the weak-duality bound of returned duals.
 - Prices: the indifference price by a budget line search.
+- Config: a JSON Schema 2020-12 validator of the CLI's configuration schema.
 """
 import warnings
 from decimal import Decimal, localcontext
 
+import jsonschema
 import numpy as np
 import scipy.optimize
 from scipy import integrate, special, stats
 
 from semistatic.claims import ClaimKind
+from semistatic.cli import CONFIG_SCHEMA
 from semistatic.instruments import OptionKind
 from semistatic.pricing import SolverFailure, optimal_value
 from semistatic.scenario import _gamma_bracket, _mixture_nodes, vg_log_increment_density_vec
@@ -311,3 +314,8 @@ def dual_bound(program, solution) -> float:
             return -np.inf
         value += c * edge
     return value
+
+
+# The reference for ``cli._validate``.  It differs in one rule: JSON Schema
+# takes an integral float such as 200.0 for an "integer", the CLI does not.
+CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)

@@ -3,6 +3,7 @@
 Each subcommand runs once per module into its own directory; the tests then
 read the files it wrote.
 """
+import copy
 import csv
 import dataclasses
 import json
@@ -10,6 +11,7 @@ import pathlib
 import shutil
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from semistatic import cli
 from semistatic.claims import (
@@ -23,7 +25,7 @@ from semistatic.claims import (
 )
 from semistatic.solver import PHASE1_GAP, SolveSettings
 
-from oracles import acquisition_cost, claim_payout
+from oracles import CONFIG_VALIDATOR, acquisition_cost, claim_payout
 
 PORTFOLIO_HEADER = ["instrument", "position"]
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -270,6 +272,143 @@ def test_non_finite_config_number_exits_1(tmp_path, capsys, constant):
     assert error["error"] == "ValidationError"
     assert constant in error["message"]
     assert not (tmp_path / "price_report.json").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("solver", "max_iter", 200.0),
+    ("grid", "density_nodes", 400.0),
+])
+def test_integral_float_for_an_integer_exits_1(tmp_path, capsys, section, key, value):
+    # JSON Schema takes 200.0 for an integer; range() and leggauss do not
+    data = {section: {key: value}}
+    assert CONFIG_VALIDATOR.is_valid(data)
+    config = tmp_path / "count.json"
+    config.write_text(json.dumps(data))
+    code = cli.main(["price", "--config", str(config), "--json-errors", "--out", str(tmp_path)])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "ValidationError"
+    assert f"config.{section}.{key}" in error["message"]
+    assert not (tmp_path / "price_report.json").exists()
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "object", "required": ["agent"]},
+    {"properties": {"x": {"type": "number", "maximum": 1.0}}},
+    {"type": "array", "items": {"type": "string", "pattern": "^[0-9]"}},
+    {"type": ["float"]},
+    {"additionalProperties": {"type": "number"}},
+], ids=["required", "maximum", "pattern", "unknown-type", "additional-schema"])
+def test_schema_rule_the_validator_does_not_read_raises(schema):
+    # CONFIG_SCHEMA is checked at import: an edit the validator would skip fails there
+    with pytest.raises(ValueError, match="^schema at config"):
+        cli._check_schema(schema)
+
+
+def _schema_paths(schema, path=()):
+    """Every place the schema describes: object properties, and item 0 of arrays."""
+    for key, spec in schema.get("properties", {}).items():
+        yield path + (key,)
+        yield from _schema_paths(spec, path + (key,))
+    if "items" in schema:
+        yield path + (0,)
+        yield from _schema_paths(schema["items"], path + (0,))
+
+
+SECTIONS = [(section,) for section in cli.CONFIG_SCHEMA["properties"]]
+MUTATION_PATHS = (list(_schema_paths(cli.CONFIG_SCHEMA))
+                  + [("unknown",), ("strike_step",)]
+                  + [path + ("unknown",) for path in SECTIONS])
+NUMBERS = st.one_of(
+    st.integers(-100, 1000),
+    st.floats(-1e4, 1e4),
+    st.sampled_from([0, 0.0, -0.0, 1e-300, -1e-300, 15, 16, 15.5, 16.0, 200.0]),
+    st.floats(),
+)
+SCALARS = st.one_of(
+    NUMBERS, st.booleans(), st.none(), st.text(max_size=3),
+    st.sampled_from([kind.value for kind in ClaimKind] + ["Knockout_Call", "barrier", ""]),
+)
+VALUES = st.one_of(
+    NUMBERS,
+    SCALARS,
+    st.lists(NUMBERS, max_size=4),
+    st.lists(st.lists(NUMBERS, max_size=4), max_size=3),
+    st.recursive(SCALARS, lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    ), max_leaves=5),
+)
+
+
+def _has_place(node, key):
+    """Whether ``node[key]`` is a place in a JSON object or a non-empty array."""
+    if isinstance(node, dict):
+        return isinstance(key, str)
+    return isinstance(node, list) and isinstance(key, int) and key < len(node)
+
+
+def _set_at(config, path, value):
+    """Put ``value`` at ``path`` of ``config``; a path through a value that an
+    earlier mutation replaced is left alone."""
+    node = config
+    for key in path[:-1]:
+        if not _has_place(node, key):
+            return
+        node = node.get(key) if isinstance(node, dict) else node[key]
+    if _has_place(node, path[-1]):
+        node[path[-1]] = value
+
+
+@st.composite
+def mutated_configs(draw):
+    """The default configuration with one to three places replaced, or a top
+    level that is no object."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(VALUES.filter(lambda v: not isinstance(v, dict)))
+    config = copy.deepcopy(cli.DEFAULT_CONFIG)
+    for _ in range(draw(st.integers(1, 3))):
+        _set_at(config, draw(st.sampled_from(MUTATION_PATHS)), draw(VALUES))
+    return config
+
+
+def _integral_float_for_integer(value, schema):
+    """Whether ``value`` puts an integral float where ``schema`` asks for an integer."""
+    if schema.get("type") == "integer" and isinstance(value, float) and value.is_integer():
+        return True
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        return any(_integral_float_for_integer(v, properties[k]) for k, v in value.items()
+                   if k in properties)
+    if isinstance(value, list) and "items" in schema:
+        return any(_integral_float_for_integer(v, schema["items"]) for v in value)
+    return False
+
+
+@settings(max_examples=400, deadline=None)
+@given(config=mutated_configs())
+@example(config={"agent": {"initial_wealth": "100000"}})                     # wrong type
+@example(config={"agent": {"risk_aversion": True}})                         # bool for a number
+@example(config={"model": {"sigma": 0.0}})                                  # out of range
+@example(config={"grid": {"density_nodes": 15}})                            # below the minimum
+@example(config={"claim": {"units": 1.0, "notional": 2.0}})                 # unknown key
+@example(config={"market": {"truncation": [[1000.0, 3000.0, 4000.0]]}})     # pair too long
+@example(config={"market": {"truncation": [[1000.0]]}})                     # pair too short
+@example(config={"claim": {"table_path": None}})                            # null table path
+@example(config={"claim": {"variant": "digital"}})                          # not in the enum
+@example(config=[{"agent": {}}])                                            # top level no object
+@example(config={"solver": {"max_iter": 200.0}})                            # integral float
+def test_validator_accepts_what_json_schema_accepts(config):
+    try:
+        cli._validate(config, cli.CONFIG_SCHEMA)
+        accepted = True
+    except cli.ValidationError as exc:
+        accepted = False
+        assert str(exc).startswith("config")
+    if _integral_float_for_integer(config, cli.CONFIG_SCHEMA):
+        # the one disagreement: JSON Schema counts 200.0 as an integer
+        assert not accepted
+    else:
+        assert accepted == CONFIG_VALIDATOR.is_valid(config)
 
 
 def test_every_config_key_is_read():

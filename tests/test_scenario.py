@@ -54,15 +54,23 @@ class TestIncrementDensity:
         # at nu = 1e-10 the gamma shape dt / nu is 8.3e8: the fixed nodes sit
         # in a bracket 5.7e-4 wide around dt, 16.4 standard deviations, and a
         # quantile five deviations (1.7e-4) inside cuts 1e-3 of the mass
-        params = VGParams(theta=theta, sigma=0.1206, nu=1e-10, spot=2360.0, horizons=(1 / 12,))
-        sd = 0.1206 * np.sqrt(1 / 12)
-        us = theta / 12 + sd * np.linspace(-4.0, 4.0, 33)
-        got = vg_log_increment_density_vec(params, 1 / 12, us)
-        want = stats.norm.pdf(us, loc=theta / 12, scale=sd)
+        dt, sigma = 1 / 12, 0.1206
+        us = theta * dt + sigma * np.sqrt(dt) * np.linspace(-4.0, 4.0, 33)
         # The model departs from the normal by its excess kurtosis 3 nu / dt,
-        # 3.6e-9.  The fast path's log weights subtract terms as large as
-        # log Gamma(shape) = 1.7e10, whose rounding leaves 4.5e-6.
-        np.testing.assert_allclose(got, want, rtol=1e-5)
+        # 3.6e-9 at nu = 1e-10: the reference carries that departure, half
+        # the gamma time's variance nu dt times the second derivative in g of
+        # the normal pdf at g = dt, and drops the next term, O((nu / dt)^2).
+        # d1 and d2 are the first two g-derivatives of the log pdf.
+        d1 = -1 / (2 * dt) + us**2 / (2 * sigma**2 * dt**2) - theta**2 / (2 * sigma**2)
+        d2 = 1 / (2 * dt**2) - us**2 / (sigma**2 * dt**3)
+        normal = stats.norm.pdf(us, loc=theta * dt, scale=sigma * np.sqrt(dt))
+        # Measured: 3.9e-13 at nu = 1e-10, 3.0e-12 at 1e-12, the rounding of
+        # the weights' Stirling form.
+        for nu, rtol in ((1e-10, 1e-12), (1e-12, 1e-11)):
+            params = VGParams(theta=theta, sigma=sigma, nu=nu, spot=2360.0, horizons=(dt,))
+            got = vg_log_increment_density_vec(params, dt, us)
+            want = normal * (1.0 + 0.5 * nu * dt * (d1**2 + d2))
+            np.testing.assert_allclose(got, want, rtol=rtol, err_msg=f"nu = {nu}")
 
     def test_fast_path_agrees_with_adaptive_reference(self):
         us = np.concatenate([np.linspace(-0.25, 0.25, 21), [1e-9, -1e-9]])

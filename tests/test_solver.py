@@ -1,3 +1,4 @@
+import ast
 import itertools
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from semistatic import cli, pricing, solver
 from semistatic.claims import knockout_call
 from semistatic.fixtures import BASE_MODEL, small_market
 from semistatic.galerkin import RowFactors, assemble_frictionless
+from semistatic.instruments import OptionKind, Quote
 from semistatic.pricing import AgentSpec, Market, optimal_value
 from semistatic.solver import (
     SolveSettings,
@@ -215,6 +217,29 @@ class TestMinimize:
         assert sol.status == "optimal"
         assert constrained.loss_arguments(sol.x).max() <= cap + 1e-10
         assert sol.duals["point"] is not None
+
+    @pytest.mark.parametrize("case", ["bid1-ask2", "small-buyer"])
+    def test_uphill_corrector_falls_back_to_the_centred_direction(self, case):
+        # Where the corrector's second-order term -ds dz points uphill for
+        # the barrier merit, no backtracked step is accepted.  Without the
+        # centred fallback, the 44-quote chain that quotes every option at
+        # bid 1, ask 2 stopped baseline, seller and buyer at max_iter after 3
+        # systems, and the small market's buyer at max_iter after 201.
+        if case == "bid1-ask2":
+            market = Market(quotes=tuple(
+                Quote(id=f"{kind.value}:{k}:{t}", kind=kind, strike=float(k), maturity=t,
+                      bid_price=1.0, ask_price=2.0, bid_qty=10, ask_qty=10)
+                for t in (1, 2) for kind in (OptionKind.CALL, OptionKind.PUT)
+                for k in range(1500, 2501, 100)
+            ), model=BASE_MODEL)
+            claim, units = knockout_call(2350.0, 2400.0), 1.0
+        else:
+            market = small_market(strikes=(2400.0, 2500.0, 2600.0), contracts=57)
+            claim, units = knockout_call(2300.0, 2350.0), 0.5
+        report = pricing.price_report(market, AgentSpec(100000.0, 2.0), claim, units=units)
+        assert len(report.legs) == 5
+        assert {name: leg["status"] for name, leg in report.legs.items()} == dict.fromkeys(
+            report.legs, "optimal")
 
 
 class TestNewtonDirection:
@@ -469,6 +494,27 @@ class TestHedgingLPs:
         run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=package_env(),
                              capture_output=True, text=True, check=True, timeout=300)
         assert run.stdout.split() == ["[]"] * 3
+        assert (tmp_path / "price_report.json").exists()
+
+    def test_cold_path_loads_numpy_and_nothing_else(self, tmp_path):
+        # with jsonschema blocked, the package import, a CLI price run and a
+        # synthetic chain add no module outside the standard library but
+        # numpy's and the package's own; the modules that site start-up (.pth
+        # files) loads before the first line are the bare interpreter's
+        code = (
+            "import sys; bare = set(sys.modules)\n"
+            "sys.modules['jsonschema'] = None\n"
+            "from semistatic import cli, fixtures\n"
+            "assert cli.main(['price', '--out', sys.argv[1]]) == 0\n"
+            "fixtures.synthetic_chain()\n"
+            "added = {m.split('.')[0] for m, v in sys.modules.items() if v and m not in bare}\n"
+            "print(sorted(added - set(sys.stdlib_module_names)))"
+        )
+        run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=package_env(),
+                             capture_output=True, text=True, check=True, timeout=300)
+        added = set(ast.literal_eval(run.stdout.strip()))
+        cython = {m for m in added if m == "cython_runtime" or m.startswith("_cython_")}
+        assert added - cython == {"numpy", "semistatic"}
         assert (tmp_path / "price_report.json").exists()
 
 
