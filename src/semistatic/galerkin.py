@@ -20,13 +20,18 @@ the expected-loss objective is sum_i m_i * exp(kappa * a_i) with
 kappa = risk_aversion / reference_wealth.  The program has only its boxes (and
 pointwise rows, where a caller adds them); terminal wealth is w - a_i + claim_i.
 
-The rows are never stored dense.  The grid is a Cartesian product, so a row
-index is a pair (leading point i, last-period level t), M = M' N_T, and every
-column falls in one of three factors (``RowFactors``):
+The rows are never stored dense, and a quote is stored once: its buy and
+sell columns ask - payoff and payoff - bid are its net column, the negated
+payoff, plus one cash column of ones shared by every quote, whose
+coefficient is the cash the quotes spend, ask x+ - bid x-.  The grid is a
+Cartesian product, so a row index is a pair (leading point i, last-period
+level t), M = M' N_T, and every such column falls in one of three factors
+(``RowFactors``):
 
 - A (M' x nA): columns constant along the last period, on the leading
-  points: options of the leading maturities, ``z0``, the rebalance cells of
-  every leading period but the last, and a level column of -1;
+  points: options of the leading maturities, the cash column, ``z0``, the
+  rebalance cells of every leading period but the last, and a level column
+  of -1;
 - B (N_T x nB): columns constant along the leading periods, on the last
   period's levels: last-maturity options, the period-0 ``dz`` legs;
 - cell slots: the columns of the last trading period's rebalance cells (and,
@@ -35,9 +40,9 @@ column falls in one of three factors (``RowFactors``):
   (cell column, value) pair per row and slot: one slot without costs, two
   (purchase, sale) per trading period with them.
 
-The paper's scale, 804 quotes on 401 strike levels per period (162,409
-points, 1,752 columns), holds its rows in 6.5 MB instead of 2.3 GB of dense
-rows.  A program without a grid (a hand-built one) is the case N_T = 1:
+The paper's scale, 804 quotes on 401 strike levels per period (159,201
+points, 1,752 columns on 949 net columns), holds its rows in 3.9 MB instead
+of 2.2 GB of dense rows.  A program without a grid (a hand-built one) is the case N_T = 1:
 every column in A.  ``rows`` builds the dense array on request, for tests
 and reference oracles.
 
@@ -54,7 +59,9 @@ of any period axes: the grid's factor axes or simulated paths.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,25 +141,54 @@ class DecisionLayout:
         }
 
 
+class NetLayout(NamedTuple):
+    """The variables in net order, [plain | buys | sells], against the N net
+    coordinates, [plain | quote nets | cash] in ``positions``."""
+
+    plain: int              # p: variables that are factor columns of their own
+    quotes: int             # J: quotes with both sides, one net coordinate each
+    positions: np.ndarray   # (N,) factor column of each net coordinate
+    to_factor: np.ndarray   # (N,) its inverse permutation
+    variables: np.ndarray   # (n,) program column of each variable
+    ask: np.ndarray         # (J,)
+    bid: np.ndarray         # (J,)
+
+
 @dataclass(frozen=True, eq=False)
 class RowFactors:
-    """The loss rows R (M, n) of a program as three factors.
+    """The loss rows R (M, n) of a program as three factors on net columns.
 
-    Rows are C-ordered over (leading point i, last-period level t), so R
-    viewed as (M', N_T, n) has, per factor column:
+    A quote's buy and sell variables x+ and x- enter every row only through
+    its net position u = x+ - x- and the cash they spend, t = ask x+ - bid x-.
+    The factors therefore hold R_net (M, N) with R = R_net P: per quote one
+    net column, its negated payoff, one cash column of ones for all of them,
+    and the other variables' columns as they are.  P maps the n program
+    variables to the N = J + 1 + r net coordinates (u, t, the rest) of J such
+    quotes and r other variables.  A quote that has lost a side (``keep``) is
+    a plain column, ask - payoff or payoff - bid; without quotes of both
+    sides there is no cash column and P is a permutation.  Only ``dense``
+    spells the buy and sell columns out.
+
+    Rows are C-ordered over (leading point i, last-period level t), so R_net
+    viewed as (M', N_T, N) has, per factor column:
 
     - ``lead`` (M', nA): R[i, t, a] = lead[i, a];
     - ``last`` (N_T, nB): R[i, t, b] = last[t, b];
     - slots: R[i, t, c] = values[j, i, t] where c = cells[j, i], summed over
       the K slots j; there are k = ``cell_count`` cell columns.
 
-    Products take and give vectors in factor order [A | B | cells];
-    ``order`` holds the program's column of each factor column, so a
-    program's vector y is ``y[order]`` in factor order.  For weights w,
-    W = w as (M', N_T), r = W 1 and q = W^T 1, the Gram R^T diag(w) R has the
-    blocks A^T diag(r) A, B^T diag(q) B and A^T W B (Van Loan 2000); the cell
-    columns meet A and B through per-cell sums of the slots' weighted rows,
-    and each other through one bincount over cell pairs.
+    Factor columns are ordered [A | B | cells].  ``order`` holds the program
+    column of each, the buy variable at a quote's net column and -1 at the
+    cash column; ``sell``, ``ask`` and ``bid`` hold a net column's sell
+    variable and prices (-1 and 0 elsewhere).  ``net`` (P y) and ``net_t``
+    (P^T v) take and give the variables in net order (``NetLayout``);
+    ``matvec`` (R_net w), ``rmatvec`` (R_net^T v) and ``gram`` work on the
+    net coordinates, and ``product`` is R y in program order.  For weights
+    w, W = w as (M', N_T), r = W 1 and q = W^T 1, the Gram
+    R_net^T diag(w) R_net has the blocks A^T diag(r) A, B^T diag(q) B and
+    A^T W B (Van Loan 2000); the cell columns meet A and B through per-cell
+    sums of the slots' weighted rows, and each other through one bincount
+    over cell pairs, after the slots of a row that share a cell are summed.
     """
 
     lead: np.ndarray     # (M', nA)
@@ -160,35 +196,96 @@ class RowFactors:
     cells: np.ndarray    # (K, M') cell column of each slot, in [0, cell_count)
     values: np.ndarray   # (K, M', N_T) slot values
     cell_count: int
-    order: np.ndarray    # (n,) program column of each factor column
+    order: np.ndarray    # (N,) program column of each factor column, -1 for cash
+    sell: np.ndarray = None   # (N,) sell variable of a quote's net column, else -1
+    ask: np.ndarray = None    # (N,) ask of a quote's net column, else 0
+    bid: np.ndarray = None    # (N,) bid of a quote's net column, else 0
+
+    def __post_init__(self):
+        if self.sell is None:  # no quote columns: R_net = R, P a permutation
+            object.__setattr__(self, "sell", np.full(self.order.shape, -1, dtype=np.intp))
+            object.__setattr__(self, "ask", np.zeros(self.order.shape))
+            object.__setattr__(self, "bid", np.zeros(self.order.shape))
 
     @property
     def grid_shape(self) -> tuple[int, int]:
         return self.lead.shape[0], self.last.shape[0]
 
     @property
+    def width(self) -> int:
+        """N, the number of net coordinates (factor columns)."""
+        return self.order.shape[0]
+
+    @property
     def shape(self) -> tuple[int, int]:
         lead, last = self.grid_shape
-        return lead * last, self.order.shape[0]
+        return lead * last, int((self.order >= 0).sum() + (self.sell >= 0).sum())
 
-    def matvec(self, x):
-        """R x, for x in factor order."""
+    @functools.cached_property
+    def net_layout(self) -> NetLayout:
+        """Where each variable and net coordinate sits (see ``NetLayout``)."""
+        plain = np.flatnonzero((self.order >= 0) & (self.sell < 0))
+        nets = np.flatnonzero(self.sell >= 0)
+        positions = np.concatenate([plain, nets, np.flatnonzero(self.order < 0)])
+        return NetLayout(
+            plain.size, nets.size, positions, np.argsort(positions),
+            np.concatenate([self.order[plain], self.order[nets], self.sell[nets]]),
+            self.ask[nets], self.bid[nets],
+        )
+
+    def net(self, y):
+        """P y: the net coordinates of y (n,) or (n, k) in variable order."""
+        p, J, _, to_factor, _, ask, bid = self.net_layout
+        if not J:
+            return y[to_factor]
+        buy, sell = y[p:p + J], y[p + J:]
+        return np.concatenate([y[:p], buy - sell, (ask @ buy - bid @ sell)[None]])[to_factor]
+
+    def net_t(self, v):
+        """P^T v, in variable order, for net coordinates v (N,)."""
+        p, J, positions, _, _, ask, bid = self.net_layout
+        v = v[positions]
+        if not J:
+            return v
+        net, cash = v[p:p + J], v[-1]
+        return np.concatenate([v[:p], net + ask * cash, -net - bid * cash])
+
+    def matvec(self, w):
+        """R_net w, for net coordinates w."""
         na, nb = self.lead.shape[1], self.last.shape[1]
-        out = (self.lead @ x[:na])[:, None] + (self.last @ x[na:na + nb])[None, :]
-        rest = x[na + nb:]
+        out = (self.lead @ w[:na])[:, None] + (self.last @ w[na:na + nb])[None, :]
+        rest = w[na + nb:]
         for cells, values in zip(self.cells, self.values):
             out += values * rest[cells][:, None]
         return out.ravel()
 
     def rmatvec(self, v):
-        """R^T v, in factor order."""
+        """R_net^T v, on the net coordinates."""
         V = v.reshape(self.grid_shape)
         rest = np.bincount(self.cells.ravel(), (self.values * V).sum(axis=2).ravel(),
                            minlength=self.cell_count)
         return np.concatenate([self.lead.T @ V.sum(axis=1), self.last.T @ V.sum(axis=0), rest])
 
-    def gram(self, w):
-        """R^T diag(w) R for nonnegative weights w, in factor order.
+    def product(self, y):
+        """R y for y in program column order."""
+        return self.matvec(self.net(y[self.net_layout.variables]))
+
+    @functools.cached_property
+    def _merged_values(self):
+        """The slot values with the slots of one row that share a cell summed
+        into the first of them, so that the Gram sees each cell of a row once."""
+        values = self.values.copy()
+        for j in range(1, len(values)):
+            for l in range(j):
+                shared = self.cells[l] == self.cells[j]
+                values[l, shared] += values[j, shared]
+                values[j, shared] = 0.0
+        return values
+
+    def gram(self, w, shift=None):
+        """R_net^T diag(w) R_net for nonnegative weights w, on the net
+        coordinates; with ``shift`` (N,), zero on the cell columns, the Gram
+        of R_net + 1 shift^T, whose column c moves by shift[c] on every row.
 
         The A and B diagonal blocks are X^T X of one scaled buffer, a
         symmetric rank-k update (SYRK); off-diagonal blocks are written once
@@ -197,6 +294,8 @@ class RowFactors:
         W = w.reshape(self.grid_shape)
         A, B, k = self.lead, self.last, self.cell_count
         na, nb = A.shape[1], B.shape[1]
+        if shift is not None:
+            A, B = A + shift[:na], B + shift[na:na + nb]
         n = na + nb + k
         out = np.empty((n, n))
         sa, sb, sc = slice(0, na), slice(na, na + nb), slice(na + nb, n)
@@ -207,7 +306,8 @@ class RowFactors:
         out[sa, sb] = A.T @ (W @ B)
         out[sb, sa] = out[sa, sb].T
         # the cell columns against A and B: per-cell sums of the slots' rows
-        weighted = self.values * W   # (K, M', N_T)
+        values = self._merged_values
+        weighted = values * W   # (K, M', N_T)
         cross = np.concatenate([weighted.sum(axis=2)[:, :, None] * A, weighted @ B], axis=2)
         p = na + nb
         keys = self.cells[:, :, None] * p + np.arange(p)
@@ -218,7 +318,7 @@ class RowFactors:
         keys, sums = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
         for j in range(K):
             for l in range(j, K):
-                pair = (weighted[j] * self.values[l]).sum(axis=1)
+                pair = (weighted[j] * values[l]).sum(axis=1)
                 keys.append(self.cells[j] * k + self.cells[l])
                 sums.append(pair)
                 if l > j:
@@ -228,16 +328,31 @@ class RowFactors:
                                   minlength=k * k).reshape(k, k)
         return out
 
+    def _spelled(self, block, first):
+        """The program columns held by ``block`` (A or B), whose factor
+        columns start at ``first``, and their program indices: a quote's net
+        column spelled as its buy column ask - payoff and its sell column
+        payoff - bid, into which the cash column folds."""
+        at = slice(first, first + block.shape[1])
+        order, sell = self.order[at], self.sell[at]
+        plain, net = (order >= 0) & (sell < 0), sell >= 0
+        payoff = -block[:, net]
+        columns = np.concatenate(
+            [block[:, plain], self.ask[at][net] - payoff, payoff - self.bid[at][net]], axis=1)
+        return columns, np.concatenate([order[plain], order[net], sell[net]])
+
     def support_mass(self, weights):
         """weights @ (R != 0): the weight of the rows each column is nonzero
         on, per program column."""
         W = weights.reshape(self.grid_shape)
-        rest = np.bincount(self.cells.ravel(), ((self.values != 0) * W).sum(axis=2).ravel(),
-                           minlength=self.cell_count)
+        na, nb = self.lead.shape[1], self.last.shape[1]
         out = np.empty(self.shape[1])
-        out[self.order] = np.concatenate(
-            [(self.lead != 0).T @ W.sum(axis=1), (self.last != 0).T @ W.sum(axis=0), rest]
-        )
+        for block, first, mass in ((self.lead, 0, W.sum(axis=1)), (self.last, na, W.sum(axis=0))):
+            columns, at = self._spelled(block, first)
+            out[at] = (columns != 0).T @ mass
+        out[self.order[na + nb:]] = np.bincount(
+            self.cells.ravel(), ((self.values != 0) * W).sum(axis=2).ravel(),
+            minlength=self.cell_count)
         return out
 
     def dense(self) -> np.ndarray:
@@ -245,19 +360,38 @@ class RowFactors:
         (lead, last), (M, n) = self.grid_shape, self.shape
         na, nb = self.lead.shape[1], self.last.shape[1]
         out = np.zeros((lead, last, n))
-        out[:, :, self.order[:na]] = self.lead[:, None, :]
-        out[:, :, self.order[na:na + nb]] = self.last[None, :, :]
+        columns, at = self._spelled(self.lead, 0)
+        out[:, :, at] = columns[:, None, :]
+        columns, at = self._spelled(self.last, na)
+        out[:, :, at] = columns[None, :, :]
         at = (np.arange(lead)[:, None], np.arange(last)[None, :])
         for cells, values in zip(self.cells, self.values):
             out[at + (self.order[na + nb:][cells][:, None],)] += values
         return out.reshape(M, n)
 
     def keep(self, mask) -> RowFactors:
-        """The program columns where ``mask`` is true, renumbered in order."""
+        """The program columns where ``mask`` is true, renumbered in order.  A
+        quote that keeps one side keeps that side's full column; the cash
+        column stays while a quote keeps both."""
         mask = np.asarray(mask, dtype=bool)
         na, nb = self.lead.shape[1], self.last.shape[1]
-        kept = mask[self.order]
         renumber = np.cumsum(mask) - 1
+        cash, net = self.order < 0, self.sell >= 0
+        buys = ~cash & mask[self.order]
+        sells = net & mask[self.sell]
+        both = buys & sells
+        kept = np.where(cash, both.any(), buys | sells)
+        only_sell = sells & ~buys
+
+        def spell(block, first):
+            # the net column of a quote that keeps one side becomes that side's column
+            at = slice(first, first + block.shape[1])
+            block = block.copy()
+            buy, sell = (buys & net & ~sells)[at], only_sell[at]
+            block[:, buy] = self.ask[at][buy] + block[:, buy]
+            block[:, sell] = -block[:, sell] - self.bid[at][sell]
+            return block[:, kept[at]]
+
         cells, values = self.cells[:0], self.values[:0]
         live_cells = kept[na + nb:]
         if live_cells.any():
@@ -267,17 +401,21 @@ class RowFactors:
             cells = np.where(live, (np.cumsum(live_cells) - 1)[self.cells], 0)[slots]
             values = np.where(live[:, :, None], self.values, 0.0)[slots]
         return RowFactors(
-            self.lead[:, kept[:na]], self.last[:, kept[na:na + nb]], cells, values,
-            int(live_cells.sum()), renumber[self.order[kept]],
+            spell(self.lead, 0), spell(self.last, na), cells, values, int(live_cells.sum()),
+            np.where(cash, -1, renumber[np.where(only_sell, self.sell, self.order)])[kept],
+            np.where(both, renumber[self.sell], -1)[kept],
+            np.where(both, self.ask, 0.0)[kept],
+            np.where(both, self.bid, 0.0)[kept],
         )
 
     def with_level_column(self) -> RowFactors:
         """These rows with one more program column, -1 on every row; it joins A."""
         na, n = self.lead.shape[1], self.shape[1]
-        return replace(
-            self,
-            lead=np.hstack([self.lead, -np.ones((self.lead.shape[0], 1))]),
-            order=np.concatenate([self.order[:na], [n], self.order[na:]]),
+        return RowFactors(
+            np.hstack([self.lead, -np.ones((self.lead.shape[0], 1))]), self.last,
+            self.cells, self.values, self.cell_count,
+            np.insert(self.order, na, n), np.insert(self.sell, na, -1),
+            np.insert(self.ask, na, 0.0), np.insert(self.bid, na, 0.0),
         )
 
 
@@ -324,11 +462,11 @@ class AssembledProgram:
         return n + int(np.isfinite(self.lower).sum()) + int(np.isfinite(self.upper).sum())
 
     def loss_arguments(self, y: np.ndarray) -> np.ndarray:
-        return self.offsets + self.factors.matvec(y[self.factors.order])
+        return self.offsets + self.factors.product(y)
 
     def portfolio_payout(self, y: np.ndarray) -> np.ndarray:
         """Terminal wealth per grid point, cash included (claim liability excluded)."""
-        return self.budget - self.factors.matvec(y[self.factors.order])
+        return self.budget - self.factors.product(y)
 
     def leg(self, claim_terms, budget: float, kappa: float | None = None) -> AssembledProgram:
         """This strategy space against ``claim_terms`` in full at ``budget``,
@@ -418,8 +556,9 @@ def strategy_factors(quotes, levels, spot: float, delta_pct: float | None = None
     basis_strikes = _strikes_by_period(quotes, T)
     payoff = [option_payoff(q.kind, q.strike, levels[q.maturity - 1]) for q in quotes]
     names = [f"buy:{q.id}" for q in quotes] + [f"sell:{q.id}" for q in quotes]
-    columns = [q.ask_price - p for q, p in zip(quotes, payoff)]
-    columns += [p - q.bid_price for q, p in zip(quotes, payoff)]
+    # (program column, column): a quote's net column, its negated payoff, at
+    # its buy variable, and one cash column of ones, at -1, for all of them
+    columns = [(j, -p) for j, p in enumerate(payoff)] + [(-1, np.ones((1, 1)))] * bool(quotes)
     cells = {s: trading_cells(basis_strikes[s - 1]) for s in range(1, T)}
     trading = []  # (cell count, cell of each leading point, leg values) per period
 
@@ -427,7 +566,7 @@ def strategy_factors(quotes, levels, spot: float, delta_pct: float | None = None
         # frictionless: the row carries -sum_(t=0..T-1) z_t(X_t) (X_(t+1) - X_t)
         # with z_0 a single scalar (X_0 is known)
         names.append("z0")
-        columns.append(-(levels[0] - spot))
+        columns.append((len(names) - 1, -(levels[0] - spot)))
         for s in range(1, T):
             names += [f"z{s}[{lo:g},{hi:g})" for lo, hi in cells[s]]
             idx = cell_index(basis_strikes[s - 1], levels[s - 1])
@@ -462,9 +601,9 @@ def strategy_factors(quotes, levels, spot: float, delta_pct: float | None = None
             last_at.append(j)
             last_columns.append(np.broadcast_to(column, (1, last))[0])
 
-    for j, column in enumerate(columns):
-        place(j, column)
-    j = len(columns)
+    for at, column in columns:
+        place(at, column)
+    j = 2 * len(quotes) + (delta_pct is None)  # the trading variables follow the options and z0
     slot_at, slot_cells, slot_values = [], [], []
     for count, idx, legs in trading:
         shape = np.broadcast_shapes(idx.shape, *(np.shape(v) for v in legs))
@@ -479,13 +618,21 @@ def strategy_factors(quotes, levels, spot: float, delta_pct: float | None = None
             slot_values.append(np.broadcast_to(v, (lead, last)))
         slot_at += range(j, j + count * len(legs))
         j += count * len(legs)
+    order = np.array(lead_at + last_at + slot_at, dtype=np.intp)
+    net = (order >= 0) & (order < len(quotes))
+    ask, bid = np.zeros(order.shape), np.zeros(order.shape)
+    ask[net] = [quotes[j].ask_price for j in order[net]]
+    bid[net] = [quotes[j].bid_price for j in order[net]]
     factors = RowFactors(
         lead=np.column_stack(lead_columns) if lead_columns else np.zeros((lead, 0)),
         last=np.column_stack(last_columns) if last_columns else np.zeros((last, 0)),
         cells=np.array(slot_cells, dtype=np.intp).reshape(-1, lead),
         values=np.array(slot_values, dtype=float).reshape(-1, lead, last),
         cell_count=len(slot_at),
-        order=np.array(lead_at + last_at + slot_at, dtype=np.intp),
+        order=order,
+        sell=np.where(net, order + len(quotes), -1),
+        ask=ask,
+        bid=bid,
     )
     return tuple(names), factors, cells
 

@@ -12,12 +12,12 @@ Method.  Every face G_i y <= h_i, pointwise rows and finite box edges alike,
 carries a slack s_i > 0 and a dual z_i > 0, started at z = mu0 / s with
 mu0 = max(1, |f0|) / m.  The primal iterate stays strictly feasible: the
 slacks are h - G y, recomputed at every accepted point.  Each iteration
-factors one Newton system H = Hess f + G^T diag(z/s) G by Cholesky and
-solves it for the affine predictor and for the corrector, whose centering
-weight is sigma = min(1, (mu_aff / mu)^3).  Primal and dual steps go 0.99 of
-the way to the nearest face, each with its own length; for the exponential
-objective the primal step is also backtracked on the merit
-f - sigma mu sum(log s).  Where the corrector's second-order term makes it
+factors one Newton system H = Hess f + G^T diag(z/s) G by Cholesky, in its
+condensed form (below), and solves it for the affine predictor and for the
+corrector, whose centering weight is sigma = min(1, (mu_aff / mu)^3).
+Primal and dual steps go 0.99 of the way to the nearest face, each with its
+own length; for the exponential objective the primal step is also
+backtracked on the merit f - sigma mu sum(log s).  Where the corrector's second-order term makes it
 an ascent direction of that merit, the step takes the centred direction
 (centering sigma mu alone), a descent direction, instead (Nocedal & Wright
 2006, ch. 19).  Without faces the loop is damped Newton on f.
@@ -37,17 +37,38 @@ phase-1; ``numerical_error`` as soon as f, y, s, z or a direction is not
 finite, never ``optimal``.
 
 Every product with the loss rows goes through the program's row factors
-(``galerkin.RowFactors``): A on the leading periods' points, B on the last
-period's levels and one (cell, value) slot per row for each set of cell
-columns that depends on both.  The loop runs in the factors' column order
-[A | B | cells]: ``_solve`` permutes the boxes, the start and the cost into
-it and the point and its box duals back, so no n x n matrix is ever
-permuted, and each Newton system is assembled from per-factor blocks (the
-cell-by-cell block is one bincount) without a dense (M, n) array.  An
+(``galerkin.RowFactors``), which hold R = R_net P: A on the leading periods'
+points, B on the last period's levels and one (cell, value) slot per row for
+each set of cell columns that depends on both, on N net coordinates.  A
+quote with both sides is one net column (its negated payoff), and one cash
+column of ones carries ask x+ - bid x- for all of them; P maps the program
+variables onto them.  The loop runs in the rows' variable order
+[plain | buys | sells] (``NetLayout``): ``_solve`` permutes the boxes, the
+start and the cost into it and the point and its box duals back.  An
 iteration makes three row products: R d for the predictor's and for the
 corrector's direction, and R y at the accepted point, whose row values serve
 as the next slacks and exponents (a shortened step or a centred fallback
 costs one more).
+
+Condensed Newton step (Wright 1997, ch. 11).  The Newton matrix is
+H = P^T K P + D, with K the net Hessian of the objective and the rows on the
+N coordinates and D the box weights z/s per variable.  The other variables'
+weights join K's diagonal.  A quote's buy and sell weights d+ and d- are
+condensed: with h = d+ d- / (d+ + d-), omega = (ask d- + bid d+) / (d+ + d-)
+and rho = sum (ask - bid)^2 / (d+ + d-), the net coordinates (u, t) solve
+K + diag(h) + (1/rho)(omega, -1)(omega, -1)^T, an N-square matrix where H is
+n-square (n = N + J - 1).  It is factored in the shifted cash coordinate
+tau = t - omega @ u, where the rank-one term is 1/rho on tau's diagonal, so
+no large rank-one term cancels in the factorization.  K in that coordinate
+is the Hessian of the rows whose net columns move by omega times the cash
+column of ones: the Gram takes the shift on its factors, and no N x N
+matrix is updated.  Where no quote has a spread (rho = 0) the cash is
+omega @ u and tau is 0.  Each pair is recovered
+with only d+ + d- dividing: its weighted mean (d+ x+ + d- x-) / (d+ + d-)
+moves by the cash row's multiplier (gamma - tau) / rho, the quote with the
+largest share of rho restores the identity spread @ mean = tau (which a
+small d+ + d- would otherwise break), and x+ - x- = u.  A program without
+quotes condenses nothing.
 
 Determinism: all reductions run per block in a fixed order (numpy sums over
 one grid axis, bincounts in row order, then one matrix product per block);
@@ -170,14 +191,23 @@ class _ExpSumObjective:
         return _logsumexp(self._exponents(r))
 
     def derivatives(self, y, r):
+        """The value, the gradient in the variables, and the Hessian K on
+        the rows' net coordinates (P^T K P in the variables) as a function
+        of a shift s: that of the rows R_net + 1 s^T (``_condensed_solver``).
+        """
         e = self._exponents(r)
         c = e.max()
         p = np.exp(e - c)
         total = p.sum()
         pi = p / total
         grad = self.kappa * self.rows.rmatvec(pi)
-        hess = self.kappa**2 * self.rows.gram(pi) - np.outer(grad, grad)
-        return float(c + np.log(total)), grad, hess
+
+        def hess(shift):
+            # the shifted rows' gradient is grad + kappa * shift, as sum(pi) = 1
+            moved = grad if shift is None else grad + self.kappa * shift
+            return self.kappa**2 * self.rows.gram(pi, shift) - np.outer(moved, moved)
+
+        return float(c + np.log(total)), self.rows.net_t(grad), hess
 
     def along(self, r, rd):
         """The value at y + a d as a function of a, and the largest a that
@@ -382,27 +412,32 @@ def _interior_point(objective, rows, h, lower, upper, y0, settings, tol, scale):
 
     def faces_t(v):
         """G^T v."""
-        out = rows.rmatvec(v[:k]) if k else np.zeros(n)
+        out = rows.net_t(rows.rmatvec(v[:k])) if k else np.zeros(n)
         out[lo] -= v[k:k + lo.size]
         out[up] += v[k + lo.size:]
         return out
 
-    def faces_gram(w):
-        """G^T diag(w) G."""
-        out = rows.gram(w[:k]) if k else np.zeros((n, n))
-        diag = np.zeros(n)
-        diag[lo] += w[k:k + lo.size]
-        diag[up] += w[k + lo.size:]
-        out[np.diag_indices(n)] += diag
-        return out
+    def newton_solver(w, hess_f):
+        """solve(b) = H^-1 b for H = Hess f + G^T diag(w) G: the net
+        Hessian of the objective and the rows, and the box weights."""
+        def net_hess(shift):
+            if not k:
+                return np.zeros((rows.width,) * 2) if hess_f is None else hess_f(shift)
+            hess = rows.gram(w[:k], shift)
+            return hess if hess_f is None else hess + hess_f(shift)
+
+        box = np.zeros(n)
+        box[lo] += w[k:k + lo.size]
+        box[up] += w[k + lo.size:]
+        return _condensed_solver(net_hess, box, rows)
 
     def moves(dy, centering):
         """R dy, and the slack and dual moves that go with dy."""
-        rdy = rows.matvec(dy)
+        rdy = rows.matvec(rows.net(dy))
         ds = -faces(dy, rdy)
         return rdy, ds, -z + (centering - z * ds) / s
 
-    r = rows.matvec(y)
+    r = rows.matvec(rows.net(y))
     s = slacks(y, r)
     if not (s > 0).all():
         raise ValueError("interior-point start is not strictly feasible")
@@ -423,10 +458,7 @@ def _interior_point(objective, rows, h, lower, upper, y0, settings, tol, scale):
         if f < settings.objective_floor:
             status = "unbounded"
             break
-        hess = faces_gram(z / s)
-        if hess_f is not None:
-            hess += hess_f
-        solve = _newton_solver(hess)
+        solve = newton_solver(z / s, hess_f)
         solved = solve(np.column_stack([residual, g]))
         gap = float(s @ z)
         decrement = float(residual @ solved[:, 0])
@@ -445,7 +477,7 @@ def _interior_point(objective, rows, h, lower, upper, y0, settings, tol, scale):
             # the dual part of one more Newton step at fixed slacks: for a
             # linear objective G^T dz cancels the dual residual
             u = solved[:, 0]
-            z = np.maximum(z - z / s * faces(u, rows.matvec(u) if k else None), 0.0)
+            z = np.maximum(z - z / s * faces(u, rows.matvec(rows.net(u)) if k else None), 0.0)
             break
         if steps == settings.max_iter:
             break
@@ -455,7 +487,7 @@ def _interior_point(objective, rows, h, lower, upper, y0, settings, tol, scale):
         centering = np.zeros(m)
         if m:
             mu = gap / m
-            ds = -faces(dy, rows.matvec(dy) if k else None)
+            ds = -faces(dy, rows.matvec(rows.net(dy)) if k else None)
             dz = -z - z / s * ds
             alpha_p = min(1.0, _step_to_boundary(s, ds))
             alpha_d = min(1.0, _step_to_boundary(z, dz))
@@ -500,7 +532,7 @@ def _interior_point(objective, rows, h, lower, upper, y0, settings, tol, scale):
         while alpha >= _STEP_SHRINK_MIN:
             if accepts is None or accepts(alpha):
                 y_new = y + alpha * dy
-                r_new = rows.matvec(y_new)
+                r_new = rows.matvec(rows.net(y_new))
                 s_new = slacks(y_new, r_new)
                 if (s_new > 0).all():
                     break
@@ -548,6 +580,67 @@ def _newton_solver(hess):
         jitter = max(jitter * 100.0, 1e-14 * scale)
     # last resort: a steepest-descent step in a badly conditioned corner
     return lambda rhs: rhs / scale
+
+
+def _condensed_solver(net_hess, box, rows):
+    """solve(b) = H^-1 b for the Newton matrix H = P^T K P + diag(box) in
+    the variables' net order, from one Cholesky factorization of its
+    condensed form on the rows' N net coordinates (see the module
+    docstring).  ``net_hess(shift)`` is K for the rows R_net + 1 shift^T, a
+    new array; ``box`` holds the box weight of every variable and ``rows``
+    the row factors, which define P."""
+    p, J, positions, to_factor, _, ask, bid = rows.net_layout
+    d_buy, d_sell = box[p:p + J], box[p + J:]
+    total = d_buy + d_sell
+    spread = ask - bid
+    share = spread**2 / total  # each quote's part of rho
+    rho = float(share.sum())
+    cash_free = rho > np.finfo(float).tiny
+    diagonal = [box[:p]]
+    if J:
+        # K + diag(h) + (1/rho)(omega, -1)(omega, -1)^T in the cash coordinate
+        # tau = t - omega @ u, which moves the rank-one term onto the cash
+        # diagonal: Q^T K Q + diag(h, 1/rho), where Q^T K Q is K of the rows
+        # whose net columns move by omega times the cash column of ones
+        cash = positions[-1]
+        shift = np.concatenate([np.zeros(p), (ask * d_sell + bid * d_buy) / total, [0.0]])
+        hess = net_hess(shift[to_factor])
+        diagonal += [d_buy * d_sell / total, [1.0 / rho if cash_free else 0.0]]
+    else:
+        hess = net_hess(None)
+    hess[positions, positions] += np.concatenate(diagonal)
+    if J and not cash_free:
+        # no quote has a spread: the cash is omega @ u, and tau = 0
+        hess[cash, :] = hess[:, cash] = 0.0
+        hess[cash, cash] = 1.0
+    solve_net = _newton_solver(hess)
+    pivot = int(np.argmax(share)) if cash_free else None
+    to_buy, to_sell = (d_sell / total)[:, None], (d_buy / total)[:, None]
+    per_total, per_spread = (1.0 / total)[:, None], (spread / total)[:, None]
+
+    def solve(b):
+        flat = b if b.ndim == 2 else b[:, None]
+        if not J:
+            x = solve_net(flat[to_factor])[positions]
+            return x if b.ndim == 2 else x[:, 0]
+        b_buy, b_sell = flat[p:p + J], flat[p + J:]
+        mean = (b_buy + b_sell) * per_total
+        gamma = spread @ mean
+        tau_rhs = gamma / rho if cash_free else np.zeros_like(gamma)
+        rhs = np.concatenate([flat[:p], to_buy * b_buy - to_sell * b_sell, tau_rhs[None]])
+        w = solve_net(rhs[to_factor])[positions]
+        u, tau = w[p:p + J], w[-1]
+        if cash_free:
+            # each pair's weighted mean (d+ x+ + d- x-) / (d+ + d-), through
+            # the cash row's multiplier (gamma - tau) / rho; the quote with
+            # the largest share of rho then restores spread @ mean = tau,
+            # which a small d+ + d- would otherwise break
+            mean -= per_spread * ((gamma - tau) / rho)
+            mean[pivot] += (tau - spread @ mean) / spread[pivot]
+        x = np.concatenate([w[:p], mean + to_buy * u, mean - to_sell * u])
+        return x if b.ndim == 2 else x[:, 0]
+
+    return solve
 
 
 def feasibility_start(program: AssembledProgram, settings: SolveSettings | None = None):
@@ -607,8 +700,9 @@ def _solve(program: AssembledProgram, settings: SolveSettings, start=None, tol=N
             status="infeasible",
             wall_time=time.perf_counter() - started,
         )
-    # the loop runs in the factors' column order [A | B | cells]
-    rows, order = program.factors, program.factors.order
+    # the loop runs in the rows' variable order [plain | buys | sells]
+    rows = program.factors
+    order = rows.net_layout.variables
     if exponential:
         objective = _ExpSumObjective(rows, program.offsets, program.masses, program.kappa)
     else:

@@ -12,7 +12,7 @@ from semistatic.galerkin import (
     strategy_columns,
     trading_cells,
 )
-from semistatic.instruments import OptionKind, Quote
+from semistatic.instruments import OptionKind, Quote, option_payoff
 from semistatic.pricing import AgentSpec, Market, _assemble, optimal_value
 from semistatic.scenario import VGParams, build_grid
 from semistatic.solver import SolveSettings, minimize
@@ -301,6 +301,51 @@ def test_column_kernel_equals_assembled_rows(market, claim_terms, delta_pct):
     assert cells == program.layout.cells
     kept = [names.index(name) for name in program.layout.names]
     np.testing.assert_array_equal(columns[:, kept], program.rows)
+
+
+@pytest.mark.parametrize("delta_pct", [None, 0.7])
+def test_dense_rows_spell_each_quote_bit_for_bit(market, delta_pct):
+    # the factors hold a quote once, as a net column beside one cash column;
+    # dense() spells its buy column ask - payoff and its sell column
+    # payoff - bid out with the kernel's own floats
+    grid = market.grid_for(())
+    program = _assemble(market, grid, delta_pct)
+    quotes = {q.id: q for q in market.quotes}
+    names, columns, _ = strategy_columns(market.quotes, grid.points, grid.spot, delta_pct)
+
+    def kernel_rows(program):
+        out = []
+        for name in program.layout.names:
+            tag, _, qid = name.partition(":")
+            if tag in ("buy", "sell"):
+                q = quotes[qid]
+                payoff = option_payoff(q.kind, q.strike, grid.points[:, q.maturity - 1])
+                out.append(q.ask_price - payoff if tag == "buy" else payoff - q.bid_price)
+            else:
+                out.append(columns[:, names.index(name)])
+        return np.column_stack(out)
+
+    rows = kernel_rows(program)
+    np.testing.assert_array_equal(program.rows, rows)
+    np.testing.assert_array_equal(columns[:, [names.index(n) for n in program.layout.names]], rows)
+    # the hedging LPs' epigraph adds a column of -1
+    lifted = program.epigraph(np.zeros(grid.size), -1.0, 0.0)
+    np.testing.assert_array_equal(lifted.rows, np.column_stack([rows, -np.ones(grid.size)]))
+    # one quote loses its sell side, another its buy side: each keeps the
+    # other side as a full column, and the cash column stays for the rest
+    first, second = market.quotes[0].id, market.quotes[1].id
+    mask = np.array([n not in (f"sell:{first}", f"buy:{second}") for n in program.layout.names])
+    kept = program.keep(mask)
+    np.testing.assert_array_equal(kept.rows, kernel_rows(kept))
+    np.testing.assert_array_equal(kept.epigraph(np.zeros(grid.size), -1.0, 0.0).rows,
+                                  np.column_stack([kernel_rows(kept), -np.ones(grid.size)]))
+    assert kept.factors.net_layout.quotes == program.factors.net_layout.quotes - 2
+    assert kept.factors.width == program.factors.width
+    # without a quote of both sides the cash column goes too
+    options = program.layout.block("dynamic").start
+    sells = program.keep(np.arange(program.variable_count) >= options // 2)
+    np.testing.assert_array_equal(sells.rows, kernel_rows(sells))
+    assert sells.factors.net_layout.quotes == 0 and (sells.factors.order >= 0).all()
 
 
 def test_keep_gives_the_static_only_space(market):

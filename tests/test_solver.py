@@ -283,6 +283,92 @@ class TestNewtonDirection:
         assert np.abs(fallback - default).max() <= 1e-12 * np.abs(default).max()
 
 
+def quote_factors(rng, spreads, points=40, plain=3):
+    """Rows without a grid of len(spreads) quotes, each a net column (its
+    negated payoff) at an ask of 20 and a bid of 20 - spread, one cash
+    column and ``plain`` other columns; (factors, program width)."""
+    J = len(spreads)
+    lead = np.column_stack([-rng.uniform(0.0, 300.0, (points, J))]
+                           + [np.ones((points, 1))] * bool(J)
+                           + [rng.standard_normal((points, plain))])
+    order = np.concatenate([np.arange(J), [-1] * bool(J), 2 * J + np.arange(plain)])
+    sell = np.where(np.arange(order.size) < J, J + np.arange(order.size), -1)
+    ask = np.where(sell >= 0, 20.0, 0.0)
+    bid = ask - np.concatenate([spreads, np.zeros(order.size - J)])
+    factors = RowFactors(lead, np.zeros((1, 0)), np.zeros((0, points), dtype=np.intp),
+                         np.zeros((0, points, 1)), 0, order, sell, ask, bid)
+    return factors, 2 * J + plain
+
+
+def backward_error(H, x, b):
+    return np.linalg.norm(H @ x - b) / (np.linalg.norm(H, 2) * np.linalg.norm(x) + np.linalg.norm(b))
+
+
+class TestCondensedNewtonSystem:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("case", ["spreads", "crossed", "zero-spread", "no-spread", "no-quotes"])
+    def test_residual_no_worse_than_the_spelled_out_solve(self, case, seed):
+        # H = P^T K P + D with box weights d+ and d- over 1e-12..1e8: the
+        # condensed solve against numpy's solve of H spelled out
+        rng = np.random.default_rng(seed)
+        spreads = rng.uniform(0.05, 2.0, 6)
+        if case == "crossed":
+            spreads[1] = -0.5
+        elif case == "zero-spread":
+            spreads[2] = 0.0
+        elif case == "no-spread":
+            spreads[:] = 0.0
+        elif case == "no-quotes":
+            spreads = spreads[:0]
+        factors, n = quote_factors(rng, spreads)
+        weights = rng.random(factors.grid_shape[0])
+        K = factors.gram(weights)
+        box = np.concatenate([10.0 ** rng.uniform(-12.0, 8.0, n - 3), 10.0 ** rng.uniform(-3, 3, 3)])
+        P = factors.net(np.eye(n))
+        H = P.T @ K @ P + np.diag(box)
+        b = rng.standard_normal((n, 2))
+        condensed = solver._condensed_solver(lambda shift: factors.gram(weights, shift), box, factors)
+        for rhs in (b, b[:, 0]):
+            try:
+                dense = backward_error(H, np.linalg.solve(H, rhs), rhs)
+            except np.linalg.LinAlgError:
+                # singular to working precision: a quote without a spread
+                # whose d+ + d- is far below K leaves H an exact null vector
+                dense = 0.0
+            assert backward_error(H, condensed(rhs), rhs) <= max(dense, np.finfo(float).eps)
+
+    def test_packaged_report_factors_condensed_systems(self, monkeypatch, packaged):
+        # each quote's buy and sell variables condense into one net
+        # coordinate beside one cash coordinate: 57 quotes and 16 other
+        # variables are 74 coordinates, where the program has 130 variables
+        config, market = packaged
+        factor, solve = solver._cholesky_routines()
+        interior_point = solver._interior_point
+        legs, sizes = [], []
+
+        def tagged(objective, *args):
+            legs.append(type(objective).__name__)
+            try:
+                return interior_point(objective, *args)
+            finally:
+                legs.pop()
+
+        def spy(a):
+            sizes.append((legs[-1], a.shape))
+            return factor(a)
+
+        monkeypatch.setattr(solver, "_interior_point", tagged)
+        monkeypatch.setattr(solver, "_cholesky_routines", lambda: (spy, solve))
+        report = pricing.price_report(
+            market, config.agent, config.claim, units=config.claim_units,
+            delta_pct=config.delta_pct, exclude_claim_quote=config.exclude_claim_strike,
+            settings=config.solver,
+        )
+        assert {leg["status"] for leg in report.legs.values()} == {"optimal"}
+        assert {shape for kind, shape in sizes if kind == "_ExpSumObjective"} == {(74, 74)}
+        assert {shape for kind, shape in sizes if kind == "_LinearObjective"} == {(75, 75)}
+
+
 # ---------------------------------------------------------------------------
 # linear programs
 # ---------------------------------------------------------------------------
