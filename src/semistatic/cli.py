@@ -338,8 +338,10 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     The file is checked against ``CONFIG_SCHEMA`` by ``_validate``, which
     reads the keywords ``type``, ``enum``, ``minimum``, ``exclusiveMinimum``,
     ``properties``, ``additionalProperties: false``, ``items``, ``minItems``
-    and ``maxItems``; ``default`` fills ``DEFAULT_CONFIG``.  A rejected file
-    raises ``ValidationError``.
+    and ``maxItems``; ``default`` fills ``DEFAULT_CONFIG``.  ``overrides``,
+    one section -> key -> value map as the CLI flags give it, are checked
+    against the same schema and, like the file, may hold no non-finite
+    number.  A rejected file or override raises ``ValidationError``.
     """
     data = {}
     if path is None:
@@ -350,6 +352,11 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     _validate(data, CONFIG_SCHEMA)
     merged = _merge(DEFAULT_CONFIG, data)
     if overrides:
+        _validate(overrides, CONFIG_SCHEMA)
+        for section, values in overrides.items():
+            for key, value in values.items():
+                if isinstance(value, float) and not np.isfinite(value):
+                    raise ValidationError(f"config.{section}.{key}: non-finite number {value!r}")
         merged = _merge(merged, overrides)
 
     model = VGParams(

@@ -5,10 +5,11 @@ subhedging costs on the truncated scenario grid, and arbitrage detection.
 Every price is an optimal value over one strategy space assembled from the
 quotes and the scenario grid alone; the agent and the claim enter only
 through ``leg``, ``keep`` and ``epigraph`` (see ``galerkin``).  A price report
-assembles one space for its five legs (the baseline, seller and buyer
-log-values and the super- and subhedging LPs) and one for the arbitrage
-grid.  The buyer's price and the subhedge are sign duals: indifference_buy(u)
-is -indifference_sell(-u), and subhedge_cost(u) is -superhedge_cost(-u).
+builds one grid and assembles one space for its six solves: the baseline,
+seller and buyer log-values, the super- and subhedging LPs and the hedging
+LP of the zero claim, which decides the arbitrage flag.  The buyer's price
+and the subhedge are sign duals: indifference_buy(u) is
+-indifference_sell(-u), and subhedge_cost(u) is -superhedge_cost(-u).
 
 Sign conventions: positive claim units are sold claims and enter the loss
 argument with a plus sign; prices are USD per claim unit times ``units``.
@@ -37,7 +38,8 @@ INFEASIBLE_SENTINEL = float("inf")
 # risk aversion, per unit of the budget, of the expected-loss program that
 # ``find_arbitrage`` solves under its payout floor
 ARBITRAGE_RISK_AVERSION = 2.0
-# an arbitrage's expected excess must beat this share of the budget
+# an arbitrage's excess must beat this share of the budget: the expected
+# excess in ``find_arbitrage``, the uniform one in a price report's flag
 ARBITRAGE_EXCESS_TOL = 1e-6
 # Each period's node range must sit strictly inside the next period's, so
 # every trading cell sees the index move both ways on the grid; otherwise the
@@ -316,17 +318,15 @@ def find_arbitrage(
     budget: float,
     delta_pct: float | None = None,
     settings: SolveSettings | None = None,
-    quick: bool = False,
 ) -> ArbitrageReport:
     """Search for a strategy whose payout is at least ``budget`` in every grid
-    scenario with expected payout strictly above it.
+    scenario with expected payout strictly above it, on the market's own grid
+    (quoted strikes and guard nodes, no claim breakpoints).
 
     Phase-1 slack minimization decides whether any strategy clears the floor;
-    when one does, the expected-loss program constrained to the floor is solved
-    and its expected excess reported.  The excess must beat
-    ``ARBITRAGE_EXCESS_TOL * budget`` for a find.  With ``quick``, only the phase-1
-    uniform slack is computed (a lower bound on the expected excess), which is
-    decisive unless the best strategy touches the floor somewhere.
+    when one does, the expected-loss program constrained to the floor is
+    solved from the phase-1 point and its expected excess reported.  The
+    excess must beat ``ARBITRAGE_EXCESS_TOL * budget`` for a find.
 
     The reported ``strategy`` is the expected-loss optimum under the floor, not
     the strategy that maximizes the uniform excess.  Its positions need not be
@@ -334,9 +334,7 @@ def find_arbitrage(
     trade only as much of the rich quote as the floor requires.
 
     ``min_uniform_slack`` lies above the true minimum uniform slack by at most
-    ``2.5e-10 * (1 + |budget|)`` in absolute terms, however large the excess;
-    the quick-mode ``expected_excess`` (its negative) lies below the maximum
-    uniform excess by at most the same amount.
+    ``2.5e-10 * (1 + |budget|)`` in absolute terms, however large the excess.
     """
     if budget <= 0:
         raise ValueError("the arbitrage budget must be positive")
@@ -345,16 +343,8 @@ def find_arbitrage(
     program = replace(leg, point_upper=np.full(grid.size, -budget))
 
     s_star, feasible = feasibility_start(program, settings)
-    if feasible is None:
-        return ArbitrageReport(found=False, expected_excess=0.0, min_uniform_slack=s_star)
-    if quick:
-        found = -s_star > ARBITRAGE_EXCESS_TOL * abs(budget)
-        return ArbitrageReport(
-            found=found, expected_excess=-s_star, min_uniform_slack=s_star
-        )
-
-    solution = minimize(replace(program, start=feasible), settings)
-    if solution.status in ("infeasible", "unbounded"):
+    solution = None if feasible is None else minimize(replace(program, start=feasible), settings)
+    if solution is None or solution.status in ("infeasible", "unbounded"):
         return ArbitrageReport(found=False, expected_excess=0.0, min_uniform_slack=s_star)
     payout = program.portfolio_payout(solution.x)
     excess = float(program.masses @ payout) - budget
@@ -433,7 +423,6 @@ def price_report(
     delta_pct: float | None = None,
     exclude_claim_quote: bool = False,
     settings: SolveSettings | None = None,
-    check_arbitrage: bool = True,
 ) -> PriceReport:
     """All four prices for one claim as legs of one assembled program on a
     shared scenario grid, with solver diagnostics per leg and precondition
@@ -441,6 +430,9 @@ def price_report(
 
     ``exclude_claim_quote`` removes the quoted instrument matching a vanilla
     claim (same kind, strike and horizon) from the hedging set.
+
+    ``arbitrage_detected`` holds when the least wealth w0 covering the zero
+    claim in the same space is unbounded or below -ARBITRAGE_EXCESS_TOL * w.
     """
     hedging = _hedging_market(market, claim, exclude_claim_quote)
     terms = _claim_terms(agent, claim, units)
@@ -458,18 +450,15 @@ def price_report(
     sup, _, sol_sup = _least_dominating_wealth(space, [(claim, units)], settings)
     neg_sub, _, sol_sub = _least_dominating_wealth(space, [(claim, -units)], settings)
     sub = -neg_sub
-
-    bounds_active = _bounds_active(space, (sol_base, sol_sell, sol_buy))
-    arbitrage = None
-    if check_arbitrage:
-        arbitrage = find_arbitrage(hedging, agent.initial_wealth, delta_pct, settings, quick=True)
+    # solved after the two hedging LPs, so a traced run meets theirs first
+    w0, _, sol_zero = _least_dominating_wealth(space, (), settings)
 
     tol = 1e-6 * w
     ordering_ok = (sub <= buyer + tol) and (buyer <= seller + tol) and (seller <= sup + tol)
 
     flags = {
-        "bounds_active": bool(bounds_active),
-        "arbitrage_detected": None if arbitrage is None else bool(arbitrage.found),
+        "bounds_active": _bounds_active(space, (sol_base, sol_sell, sol_buy)),
+        "arbitrage_detected": sol_zero.status == "unbounded" or -w0 > ARBITRAGE_EXCESS_TOL * w,
         "ordering_ok": bool(ordering_ok),
         "superhedge_infeasible": not np.isfinite(sup),
         "subhedge_infeasible": not np.isfinite(sub),

@@ -1,7 +1,8 @@
 """Self-contained solvers for the assembled programs: one primal-dual
 interior-point method (Mehrotra 1992; Wright 1997, ch. 10-11) for the
 exponential-sum programs, the hedging linear programs and the phase-1 slack
-program.
+program.  Phase-1 (``feasibility_start``) serves only ``find_arbitrage`` and
+the fallback of ``minimize`` and ``solve_lp`` from a start not inside the rows.
 
 The exponential-sum objective is minimized through its logarithm (log-sum-exp
 of affine rows), which is also convex, immune to overflow, and naturally

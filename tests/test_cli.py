@@ -274,6 +274,18 @@ def test_non_finite_config_number_exits_1(tmp_path, capsys, constant):
     assert not (tmp_path / "price_report.json").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_flag_outside_the_schema_exits_1(tmp_path, capsys, value):
+    # a flag overrides the config after the file's own checks; it must pass
+    # the same schema, and a float flag can also parse to nan or inf
+    code = cli.main(["price", "--delta-pct", value, "--json-errors", "--out", str(tmp_path)])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "ValidationError"
+    assert "market.delta_pct" in error["message"]
+    assert not (tmp_path / "price_report.json").exists()
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("solver", "max_iter", 200.0),
     ("grid", "density_nodes", 400.0),

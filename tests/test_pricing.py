@@ -11,6 +11,7 @@ from semistatic.fixtures import (
     crossed_quote_market,
     planted_arbitrage_market,
     small_market,
+    synthetic_market,
 )
 from semistatic import pricing
 from semistatic.instruments import OptionKind, Quote
@@ -26,7 +27,7 @@ from semistatic.pricing import (
     subhedge_cost,
     superhedge_cost,
 )
-from semistatic.solver import PHASE1_GAP
+from semistatic.solver import PHASE1_GAP, SolveSettings
 
 from oracles import indifference_bisection
 
@@ -37,14 +38,20 @@ def knockout():
 
 
 class TestOptimalValue:
-    def test_budget_shift_identity(self, market_small, agent):
-        grid = market_small.grid_for(())
-        base = optimal_value(market_small, agent, grid=grid)
+    @pytest.mark.parametrize("delta_pct", [None, 0.1])
+    @pytest.mark.parametrize("make_market", [small_market, synthetic_market])
+    def test_budget_shift_identity(self, agent, make_market, delta_pct):
+        # cash enters every loss row alike, so a budget shifted by a scales
+        # the optimal expected loss by exp(-kappa a), with or without index
+        # costs; the log values are accurate to gap_tol each
+        market = make_market()
+        grid = market.grid_for(())
+        tol = 2 * SolveSettings().gap_tol
         w = agent.initial_wealth
-        for h in (-0.1 * w, 0.01 * w, 0.5 * w):
-            shifted = optimal_value(market_small, agent, budget=w + h, grid=grid)
-            target = base * np.exp(-agent.risk_aversion * h / w)
-            assert shifted == pytest.approx(target, rel=1e-9)
+        base = optimal_value(market, agent, delta_pct=delta_pct, grid=grid)
+        for a in (-5000.0, 250.0, 20000.0):
+            shifted = optimal_value(market, agent, budget=w + a, delta_pct=delta_pct, grid=grid)
+            assert abs(np.log(shifted) - (np.log(base) - agent.kappa * a)) <= tol
 
     def test_investing_beats_cash(self, market_small, agent):
         value = optimal_value(market_small, agent)
@@ -99,7 +106,7 @@ class TestReplication:
     def test_all_four_prices_equal_the_quote(self, market_replication, agent):
         quote = market_replication.quotes[0]
         claim = vanilla_call(quote.strike)
-        report = price_report(market_replication, agent, claim, check_arbitrage=False)
+        report = price_report(market_replication, agent, claim)
         per_option = claim.contract_size
         for price in (report.subhedge, report.buyer_price, report.seller_price, report.superhedge):
             assert price / per_option == pytest.approx(quote.ask_price, rel=1e-4)
@@ -112,7 +119,7 @@ class TestReplication:
         claim = vanilla_call(market_replication.quotes[0].strike)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            report = price_report(market_replication, agent, claim, check_arbitrage=False)
+            report = price_report(market_replication, agent, claim)
         for name, leg in report.legs.items():
             assert leg["status"] == "optimal", name
             assert np.isfinite(leg["kkt_residual"]), name
@@ -181,32 +188,44 @@ class TestArbitrage:
         report = find_arbitrage(market, 100000.0)
         assert not report.found
 
-    def test_quick_mode_matches_on_clear_cases(self):
-        market = crossed_quote_market()
-        quick = find_arbitrage(market, 100000.0, quick=True)
-        assert quick.found
-        assert quick.expected_excess == pytest.approx(1500.0, rel=1e-6)
-
     def test_friction_removes_planted_arbitrage(self):
         # a deep in-the-money call offered `edge` below its cash-and-short-index
         # bound: riskless with a free index, not once index trades cost 0.1%
         edge, contracts = 0.5, 2
         market = planted_arbitrage_market(edge=edge, contracts=contracts)
         budget = 1e5
-        free = find_arbitrage(market, budget, quick=True)
+        free = find_arbitrage(market, budget)
         assert free.found
-        assert free.expected_excess == pytest.approx(
-            edge * contracts * market.lot_size, abs=PHASE1_GAP * (1.0 + budget)
+        assert free.min_uniform_slack == pytest.approx(
+            -edge * contracts * market.lot_size, abs=PHASE1_GAP * (1.0 + budget)
         )
         # with costs the best uniform excess is that of holding cash: zero
-        costly = find_arbitrage(market, budget, delta_pct=0.1, quick=True)
+        costly = find_arbitrage(market, budget, delta_pct=0.1)
         assert not costly.found
         assert 0.0 <= costly.min_uniform_slack <= PHASE1_GAP * (1.0 + budget)
+
+    @pytest.mark.parametrize("make_market, delta_pct, expected", [
+        (planted_arbitrage_market, None, True),
+        (planted_arbitrage_market, 0.1, False),
+        (crossed_quote_market, None, True),
+        (crossed_quote_market, 0.1, True),
+        (synthetic_market, None, False),
+        (synthetic_market, 0.1, False),
+    ])
+    def test_report_flag_agrees_with_find_arbitrage(self, agent, knockout, make_market,
+                                                     delta_pct, expected):
+        # the report asks its own space, on the claim's grid, for the least
+        # wealth that covers nothing; find_arbitrage searches the market's grid
+        market = make_market()
+        report = price_report(market, agent, knockout, delta_pct=delta_pct)
+        assert all(leg["status"] == "optimal" for leg in report.legs.values())
+        assert report.flags["arbitrage_detected"] == expected
+        assert find_arbitrage(market, agent.initial_wealth, delta_pct).found == expected
 
 
 class TestPriceReport:
     def test_fields_and_ordering(self, market_small, agent, knockout):
-        report = price_report(market_small, agent, knockout, check_arbitrage=False)
+        report = price_report(market_small, agent, knockout)
         assert report.claim == knockout.label
         assert report.flags["ordering_ok"]
         assert report.subhedge <= report.buyer_price + 1e-4
@@ -229,10 +248,8 @@ class TestPriceReport:
 
     def test_exclude_claim_quote(self, market_small, agent):
         claim = vanilla_call(2400.0)
-        hedged = price_report(market_small, agent, claim, check_arbitrage=False)
-        naked = price_report(
-            market_small, agent, claim, exclude_claim_quote=True, check_arbitrage=False
-        )
+        hedged = price_report(market_small, agent, claim)
+        naked = price_report(market_small, agent, claim, exclude_claim_quote=True)
         # without the replicating quote the spread must widen (or stay equal)
         hedged_spread = hedged.seller_price - hedged.buyer_price
         naked_spread = naked.seller_price - naked.buyer_price
@@ -242,9 +259,7 @@ class TestPriceReport:
                                                  knockout):
         # the price order needs every exponential optimum free of binding
         # limits, the baseline's too: a limit binding there alone sets the flag
-        assert not price_report(market_small, agent, knockout, check_arbitrage=False).flags[
-            "bounds_active"
-        ]
+        assert not price_report(market_small, agent, knockout).flags["bounds_active"]
         optimum = pricing._optimum
 
         def baseline_at_its_limits(program, settings):
@@ -256,13 +271,13 @@ class TestPriceReport:
             return solution
 
         monkeypatch.setattr(pricing, "_optimum", baseline_at_its_limits)
-        report = price_report(market_small, agent, knockout, check_arbitrage=False)
+        report = price_report(market_small, agent, knockout)
         assert report.flags["bounds_active"]
 
     def test_report_json(self, tmp_path, market_small, agent, knockout):
         import json
 
-        report = price_report(market_small, agent, knockout, check_arbitrage=False)
+        report = price_report(market_small, agent, knockout)
         out = tmp_path / "report.json"
         report.to_json(out)
         doc = json.loads(out.read_text())
@@ -313,7 +328,7 @@ def test_semistatic_band_inside_static_and_dynamic_bands(agent, case):
     # this one.  Both statements are about optima, so an example with a leg
     # that stops short of optimal is discarded.
     market, claim, units, delta_pct = case
-    report = price_report(market, agent, claim, units, delta_pct, check_arbitrage=False)
+    report = price_report(market, agent, claim, units, delta_pct)
     grid = market.grid_for([(claim, units)])
     bare = Market(quotes=(), model=market.model)
     bands = [

@@ -9,7 +9,7 @@ import pytest
 
 from semistatic import cli, pricing, solver
 from semistatic.claims import knockout_call
-from semistatic.fixtures import BASE_MODEL, small_market
+from semistatic.fixtures import BASE_MODEL, crossed_quote_market, small_market
 from semistatic.galerkin import RowFactors, assemble_frictionless
 from semistatic.instruments import OptionKind, Quote
 from semistatic.pricing import AgentSpec, Market, optimal_value
@@ -434,6 +434,31 @@ class TestSolveLP:
         s_star, point = feasibility_start(program, SolveSettings(gap_tol=gap_tol))
         assert -1500.0 <= s_star <= -1500.0 + 2.5e-10 * scale
         assert np.all(program.rows @ point < program.point_upper)
+
+
+@pytest.mark.xfail(strict=True, reason="a start a hair inside the box faces ends `optimal` "
+                   "short of the optimum; see ROADMAP item 2")
+def test_near_face_start_reaches_the_optimum():
+    # find_arbitrage's expected-loss program on the crossed chain at a 0.1%
+    # cost, started from phase-1's point and from the point of the zero
+    # claim's hedging LP, which sits 1.7e-13 below the cheap quote's cap and
+    # within 1e-10 of every dz leg's zero bound.  A start does not change the
+    # optimum of a convex program, but the second ends `optimal` (kkt 7e-12)
+    # at log value -2.0343510 where the first reaches -2.0344582.
+    market, budget = crossed_quote_market(), 1e5
+    grid = market.grid_for(())
+    space = pricing._assemble(market, grid, 0.1)
+    leg = space.leg((), budget, pricing.ARBITRAGE_RISK_AVERSION / budget)
+    program = replace(leg, point_upper=np.full(grid.size, -budget))
+    _, phase1_point = feasibility_start(program)
+    _, _, lp = pricing._least_dominating_wealth(space, (), None)
+    near_face = lp.x[: space.variable_count]
+    settings = SolveSettings()
+    from_phase1, from_lp = (
+        minimize(replace(program, start=start), settings) for start in (phase1_point, near_face)
+    )
+    assert from_phase1.status == from_lp.status == "optimal"
+    assert abs(from_lp.log_objective - from_phase1.log_objective) <= 2 * settings.gap_tol
 
 
 class TestNumericalError:
