@@ -397,6 +397,8 @@ def _market(config: RunConfig, quotes_path=None) -> Market:
     result = ingest_quotes(path, config.maturities)
     for lineno, message in result.rejected:
         print(f"warning: row {lineno} rejected: {message}", file=sys.stderr)
+    if result.rejected and not result.quotes:
+        raise ValueError(f"{path}: all {len(result.rejected)} quote rows rejected")
     return Market(
         quotes=tuple(result.quotes),
         model=config.model,
@@ -522,8 +524,6 @@ def _cmd_superhedge(config, market, outdir, args, side="superhedge") -> int:
         "truncation": [list(t) for t in market.truncation or ()],
     }
     _dump_json(os.path.join(outdir, f"{side}_summary.json"), summary)
-    if portfolio is None:
-        return 2
     _write_portfolio(os.path.join(outdir, f"{side}_portfolio.csv"), portfolio)
     return 0
 

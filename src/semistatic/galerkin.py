@@ -53,7 +53,8 @@ its decision lives: ``leg`` sets the claim offsets claim_i - w, the budget
 and kappa; ``keep`` takes a column subset and records the rest in
 ``layout.dropped`` (the assembler's drop rule, the static-only strategies);
 ``epigraph`` lifts the rows to [rows | -1] for the least level t with
-a_i(y) - t <= point_upper_i (the hedging LPs, the phase-1 slack).  The one
+a_i(y) - t <= point_upper_i (the hedging LPs, the phase-1 slack) and starts
+t inside every row, the one LP start.  The one
 column kernel, ``strategy_factors``, evaluates every variable on the levels
 of any period axes: the grid's factor axes or simulated paths.
 """
@@ -85,17 +86,6 @@ def cell_index(strikes, x) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class VariableBlock:
-    name: str
-    start: int
-    size: int
-
-    @property
-    def slice(self) -> slice:
-        return slice(self.start, self.start + self.size)
-
-
-@dataclass(frozen=True)
 class DecisionLayout:
     """Names and cell geometry of the decision vector."""
 
@@ -109,17 +99,11 @@ class DecisionLayout:
     def size(self) -> int:
         return len(self.names)
 
-    def block(self, name: str) -> VariableBlock:
-        """The "buy", "sell" or "dynamic" block, read off the ``buy:`` and
-        ``sell:`` name prefixes; the dynamic variables follow the options."""
-        tags = [n.partition(":")[0] for n in self.names]
-        n_buy, n_sell = tags.count("buy"), tags.count("sell")
-        start, size = {
-            "buy": (0, n_buy),
-            "sell": (n_buy, n_sell),
-            "dynamic": (n_buy + n_sell, self.size - n_buy - n_sell),
-        }[name]
-        return VariableBlock(name, start, size)
+    @property
+    def options(self) -> int:
+        """The number of option variables, the ``buy:`` and ``sell:`` names,
+        which come before the dynamic block."""
+        return sum(n.startswith(("buy:", "sell:")) for n in self.names)
 
     def net_positions(self, y: np.ndarray) -> dict[str, float]:
         """Net option count per quote id (buys minus sells), zeros included."""
@@ -134,11 +118,8 @@ class DecisionLayout:
 
     def dynamic_coefficients(self, y: np.ndarray) -> dict:
         """Dynamic-leg variables by name (z0/z-cells or dz legs)."""
-        dyn = self.block("dynamic")
-        return {
-            name: float(value)
-            for name, value in zip(self.names[dyn.start :], y[dyn.slice])
-        }
+        first = self.options
+        return {name: float(value) for name, value in zip(self.names[first:], y[first:])}
 
 
 class NetLayout(NamedTuple):
@@ -497,11 +478,14 @@ class AssembledProgram:
             start=self.start[mask],
         )
 
-    def epigraph(self, point_upper, level_lower: float, level_start: float) -> AssembledProgram:
+    def epigraph(self, point_upper, level_lower: float) -> AssembledProgram:
         """The linear program: minimize a level t over (y, t) subject to
         a_i(y) - t <= point_upper_i on this program's loss rows, t >= level_lower,
-        started at (start, level_start).  The level is the last column; the
-        layout names only y."""
+        started at (start, t0) with t0 = max_i(a_i(start) - point_upper_i) + 1
+        + max|point_upper|, strictly inside every row.  The level is the last
+        column; the layout names only y."""
+        scale = 1.0 + float(np.abs(point_upper).max())
+        violation = float((self.loss_arguments(self.start) - point_upper).max())
         return replace(
             self,
             objective="linear",
@@ -510,7 +494,7 @@ class AssembledProgram:
             point_upper=point_upper,
             lower=np.append(self.lower, level_lower),
             upper=np.append(self.upper, np.inf),
-            start=np.append(self.start, level_start),
+            start=np.append(self.start, violation + scale),
         )
 
 

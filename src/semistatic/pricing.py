@@ -34,7 +34,6 @@ from .instruments import OptionKind, Quote
 from .scenario import DEFAULT_TRUNCATION, QuadratureGrid, VGParams, build_grid
 from .solver import SolveSettings, Solution, feasibility_start, minimize, solve_lp
 
-INFEASIBLE_SENTINEL = float("inf")
 # risk aversion, per unit of the budget, of the expected-loss program that
 # ``find_arbitrage`` solves under its payout floor
 ARBITRAGE_RISK_AVERSION = 2.0
@@ -160,14 +159,14 @@ def _assemble(market, grid, delta_pct, allow_dynamic=True) -> AssembledProgram:
     else:
         space = assemble_transaction_cost(market.quotes, grid, delta_pct, market.lot_size)
     if not allow_dynamic:
-        space = space.keep(np.arange(space.variable_count) < space.layout.block("dynamic").start)
+        space = space.keep(np.arange(space.variable_count) < space.layout.options)
     return space
 
 
 def _optimum(program: AssembledProgram, settings: SolveSettings | None) -> Solution:
-    """The minimized ``program``; an infeasible or unbounded leg raises SolverFailure."""
+    """The minimized ``program``; an unbounded leg raises SolverFailure."""
     solution = minimize(program, settings)
-    if solution.status in ("infeasible", "unbounded"):
+    if solution.status == "unbounded":
         raise SolverFailure(f"solve ended with status {solution.status}")
     return solution
 
@@ -256,13 +255,10 @@ def _least_dominating_wealth(program: AssembledProgram, claim_terms, settings):
     """Least initial wealth w whose strategy in ``program`` dominates the
     liability ``claim_terms`` at every grid point: minimize w subject to
     a_i(y) - w <= 0 on the leg's loss rows a_i at budget 0: the leg's epigraph,
-    with w free and started one above the largest loss at the program's start.
-    Returns (w, HedgePortfolio, Solution); (inf, None, Solution) if infeasible."""
+    with w free, so always feasible, and started where ``epigraph`` starts it.
+    Returns (w, HedgePortfolio, Solution)."""
     leg = program.leg(claim_terms, 0.0)
-    w0 = max(0.5, float(leg.loss_arguments(leg.start).max()) + 1.0)
-    solution = solve_lp(leg.epigraph(np.zeros(leg.grid.size), -np.inf, w0), settings)
-    if solution.status == "infeasible":
-        return INFEASIBLE_SENTINEL, None, solution
+    solution = solve_lp(leg.epigraph(np.zeros(leg.grid.size), -np.inf), settings)
     y = solution.x[: leg.variable_count]
     return solution.objective, _portfolio(leg, y, solution.objective), solution
 
@@ -277,8 +273,8 @@ def superhedge_cost(
     allow_dynamic: bool = True,
 ):
     """Least cost of a portfolio whose payout dominates the claim at every grid
-    point.  Returns (cost, HedgePortfolio, Solution); infeasibility yields an
-    infinite sentinel and no portfolio."""
+    point.  Returns (cost, HedgePortfolio, Solution); an unbounded solve has a
+    cost below the solver's objective floor."""
     terms = [(claim, units)]
     if grid is None:
         grid = market.grid_for(terms)
@@ -344,7 +340,7 @@ def find_arbitrage(
 
     s_star, feasible = feasibility_start(program, settings)
     solution = None if feasible is None else minimize(replace(program, start=feasible), settings)
-    if solution is None or solution.status in ("infeasible", "unbounded"):
+    if solution is None or solution.status == "unbounded":
         return ArbitrageReport(found=False, expected_excess=0.0, min_uniform_slack=s_star)
     payout = program.portfolio_payout(solution.x)
     excess = float(program.masses @ payout) - budget
@@ -407,7 +403,7 @@ def _leg_diag(solution: Solution) -> dict:
 
 def _bounds_active(program: AssembledProgram, solutions, rel: float = 1e-6) -> bool:
     """True when a quote's quantity limit binds at any of the ``solutions``."""
-    options = slice(0, program.layout.block("dynamic").start)
+    options = slice(0, program.layout.options)
     ub = program.upper[options]
     finite = np.isfinite(ub)
     return any(

@@ -1,8 +1,9 @@
 """Self-contained solvers for the assembled programs: one primal-dual
 interior-point method (Mehrotra 1992; Wright 1997, ch. 10-11) for the
 exponential-sum programs, the hedging linear programs and the phase-1 slack
-program.  Phase-1 (``feasibility_start``) serves only ``find_arbitrage`` and
-the fallback of ``minimize`` and ``solve_lp`` from a start not inside the rows.
+program.  Every solve starts at its program's own ``start``, which must lie
+strictly inside the rows and boxes; phase-1 (``feasibility_start``) serves
+only ``find_arbitrage``'s search for a point inside its payout floor.
 
 The exponential-sum objective is minimized through its logarithm (log-sum-exp
 of affine rows), which is also convex, immune to overflow, and naturally
@@ -33,9 +34,8 @@ met: the loop also stops, ``optimal``, once the residual is at most
 ``grad_tol`` and its least value over the last five systems is not below
 half the least before them.  Statuses: ``optimal``; ``max_iter`` when the
 iterations run out, or no step is possible, with the residual above
-``grad_tol``; ``unbounded`` below ``objective_floor``; ``infeasible`` from
-phase-1; ``numerical_error`` as soon as f, y, s, z or a direction is not
-finite, never ``optimal``.
+``grad_tol``; ``unbounded`` below ``objective_floor``; ``numerical_error``
+as soon as f, y, s, z or a direction is not finite, never ``optimal``.
 
 Every product with the loss rows goes through the program's row factors
 (``galerkin.RowFactors``), which hold R = R_net P: A on the leading periods'
@@ -150,7 +150,7 @@ class Solution:
     x: np.ndarray
     objective: float
     log_objective: float | None
-    status: str  # optimal | infeasible | unbounded | max_iter | numerical_error
+    status: str  # optimal | unbounded | max_iter | numerical_error
     duals: dict = field(default_factory=dict)
     outer_iterations: int = 0
     newton_iterations: int = 0
@@ -648,11 +648,11 @@ def feasibility_start(program: AssembledProgram, settings: SolveSettings | None 
     """Phase-1 slack minimization for pointwise-constrained programs.
 
     Minimizes the uniform relaxation ``s`` of the pointwise rows over the
-    boxes: the program's epigraph, with ``s`` at least -10 * scale and started
-    one scale above the largest violation at the program's start.  Returns
-    (minimum slack, point or None): the point is strictly feasible for the
-    original rows, and given only when the slack lies below
-    ``-PHASE1_MARGIN * scale``.
+    boxes: the program's epigraph, with ``s`` at least -10 * scale, from the
+    start ``epigraph`` sets.  Returns (minimum slack, point or None): the
+    point is strictly feasible for the original rows, and given only when the
+    slack lies below ``-PHASE1_MARGIN * scale``, so a None point is how
+    phase-1 reports rows without an interior.
 
     The returned slack is that of the returned point, so it never lies below
     the true minimum, and it exceeds it by at most ``2.5e-10 * scale`` with
@@ -663,44 +663,22 @@ def feasibility_start(program: AssembledProgram, settings: SolveSettings | None 
         raise ValueError("phase-1 needs pointwise constraint rows")
     settings = settings or SolveSettings()
     scale = 1.0 + float(np.abs(program.point_upper).max())
-    violation = float((program.loss_arguments(program.start) - program.point_upper).max())
-    lifted = program.epigraph(program.point_upper, -10.0 * scale, violation + scale)
+    lifted = program.epigraph(program.point_upper, -10.0 * scale)
     # The target is absolute, a quarter of the margin: a target relative to
     # |s| would let the error grow with the slack.
-    solution = _solve(lifted, settings, lifted.start, PHASE1_GAP, lambda f: scale)
+    solution = _solve(lifted, settings, PHASE1_GAP, lambda f: scale)
     s_star = solution.objective
     strict = s_star < -PHASE1_MARGIN * scale
     return s_star, (solution.x[: program.variable_count] if strict else None)
 
 
-def _interior_start(program: AssembledProgram, settings: SolveSettings):
-    """The program's start when it lies strictly inside the pointwise rows,
-    else a phase-1 point; None when the rows leave no interior."""
-    if program.point_upper is None:
-        return program.start
-    margin = PHASE1_MARGIN * (1.0 + float(np.abs(program.point_upper).max()))
-    if (program.point_upper - program.loss_arguments(program.start)).min() > margin:
-        return program.start
-    return feasibility_start(program, settings)[1]
-
-
-def _solve(program: AssembledProgram, settings: SolveSettings, start=None, tol=None,
-           scale=None) -> Solution:
-    """Minimize ``program`` from ``start`` (by default its own start or a
-    phase-1 point) until the gap and the decrement are at most ``tol``
-    (``settings.gap_tol``) times ``scale(f)`` (1 for a log value, 1 + |f|
-    for a linear objective)."""
+def _solve(program: AssembledProgram, settings: SolveSettings, tol=None, scale=None) -> Solution:
+    """Minimize ``program`` from its own start until the gap and the
+    decrement are at most ``tol`` (``settings.gap_tol``) times ``scale(f)``
+    (1 for a log value, 1 + |f| for a linear objective).  A start not
+    strictly inside the rows and boxes raises ValueError."""
     started = time.perf_counter()
     exponential = program.objective == "exp_sum"
-    start = _interior_start(program, settings) if start is None else start
-    if start is None:
-        return Solution(
-            x=program.start.copy(),
-            objective=np.inf,
-            log_objective=np.inf if exponential else None,
-            status="infeasible",
-            wall_time=time.perf_counter() - started,
-        )
     # the loop runs in the rows' variable order [plain | buys | sells]
     rows = program.factors
     order = rows.net_layout.variables
@@ -714,7 +692,7 @@ def _solve(program: AssembledProgram, settings: SolveSettings, start=None, tol=N
         None if program.point_upper is None else program.point_upper - program.offsets,
         program.lower[order],
         program.upper[order],
-        start[order],
+        program.start[order],
         settings,
         settings.gap_tol if tol is None else tol,
         scale or ((lambda f: 1.0) if exponential else (lambda f: 1.0 + abs(f))),
@@ -739,19 +717,22 @@ def _solve(program: AssembledProgram, settings: SolveSettings, start=None, tol=N
 
 
 def minimize(program: AssembledProgram, settings: SolveSettings | None = None) -> Solution:
-    """Minimize the exponential-sum program; returns an optimal-within-tolerance
-    point, with phase-1 fallback when pointwise rows make the start infeasible.
-    A bare strategy space, without a risk scale ``kappa``, is no such program."""
+    """Minimize the exponential-sum program from its start; returns an
+    optimal-within-tolerance point.  A start not strictly inside the rows and
+    boxes raises ValueError.  A bare strategy space, without a risk scale
+    ``kappa``, is no such program."""
     if program.objective != "exp_sum" or program.kappa is None:
         raise ValueError("minimize expects an exponential-sum program with a risk scale")
     return _solve(program, settings or SolveSettings())
 
 
 def solve_lp(program: AssembledProgram, settings: SolveSettings | None = None) -> Solution:
-    """Minimize ``cost @ y`` under the program's rows and boxes.
+    """Minimize ``cost @ y`` under the program's rows and boxes, from its
+    start.
 
     Unboundedness is reported when the objective passes below the configured
-    floor; infeasibility comes from phase-1.
+    floor.  A start not strictly inside the rows and boxes raises ValueError:
+    an epigraph (``AssembledProgram.epigraph``) starts inside its rows.
     """
     if program.objective != "linear":
         raise ValueError("solve_lp expects a linear-objective program")

@@ -229,6 +229,23 @@ def test_ingest_rejects_non_finite_numbers(tmp_path, ticker, prices):
     assert "finite" in result.rejected[0][1]
 
 
+def test_chain_with_every_row_rejected_exits_1(tmp_path, capsys):
+    chain = write_chain(tmp_path / "chain.csv", ["SPX US 5/19/2017 X2350 Index"] * 2)
+    code = cli.main(["price", "--quotes", str(chain), "--json-errors", "--out", str(tmp_path)])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "ValueError"
+    assert str(chain) in error["message"] and "all 2 quote rows rejected" in error["message"]
+    assert not (tmp_path / "price_report.json").exists()
+
+
+def test_chain_of_only_a_header_prices_without_quotes(tmp_path):
+    chain = tmp_path / "header.csv"
+    chain.write_text("ticker,type,bid_qty,bid_price,ask_price,ask_qty\n")
+    assert cli.main(["price", "--quotes", str(chain), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "price_report.json").exists()
+
+
 @pytest.mark.parametrize("kind", list(ClaimKind), ids=lambda kind: kind.value)
 def test_config_builds_each_variant_as_its_factory(tmp_path, kind):
     # barrier and payout_level off their defaults: a kind that does not read

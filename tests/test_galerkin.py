@@ -253,9 +253,10 @@ def test_no_simultaneous_buy_and_sell(market):
     grid = market.grid_for(())
     program = agent_leg(assemble_frictionless(market.quotes, grid, market.lot_size))
     solution = minimize(program, SolveSettings(gap_tol=1e-12))
-    buys = solution.x[program.layout.block("buy").slice]
-    sells = solution.x[program.layout.block("sell").slice]
-    assert float((buys * sells).max()) <= 1e-7
+    held = dict(zip(program.layout.names, solution.x))
+    both = [held[f"buy:{q}"] * held[f"sell:{q}"] for q in program.layout.quote_ids
+            if f"buy:{q}" in held and f"sell:{q}" in held]
+    assert both and max(both) <= 1e-7
 
 
 def test_dynamic_columns_are_measurable(market):
@@ -329,7 +330,7 @@ def test_dense_rows_spell_each_quote_bit_for_bit(market, delta_pct):
     np.testing.assert_array_equal(program.rows, rows)
     np.testing.assert_array_equal(columns[:, [names.index(n) for n in program.layout.names]], rows)
     # the hedging LPs' epigraph adds a column of -1
-    lifted = program.epigraph(np.zeros(grid.size), -1.0, 0.0)
+    lifted = program.epigraph(np.zeros(grid.size), -1.0)
     np.testing.assert_array_equal(lifted.rows, np.column_stack([rows, -np.ones(grid.size)]))
     # one quote loses its sell side, another its buy side: each keeps the
     # other side as a full column, and the cash column stays for the rest
@@ -337,23 +338,41 @@ def test_dense_rows_spell_each_quote_bit_for_bit(market, delta_pct):
     mask = np.array([n not in (f"sell:{first}", f"buy:{second}") for n in program.layout.names])
     kept = program.keep(mask)
     np.testing.assert_array_equal(kept.rows, kernel_rows(kept))
-    np.testing.assert_array_equal(kept.epigraph(np.zeros(grid.size), -1.0, 0.0).rows,
+    np.testing.assert_array_equal(kept.epigraph(np.zeros(grid.size), -1.0).rows,
                                   np.column_stack([kernel_rows(kept), -np.ones(grid.size)]))
     assert kept.factors.net_layout.quotes == program.factors.net_layout.quotes - 2
     assert kept.factors.width == program.factors.width
     # without a quote of both sides the cash column goes too
-    options = program.layout.block("dynamic").start
+    options = program.layout.options
     sells = program.keep(np.arange(program.variable_count) >= options // 2)
     np.testing.assert_array_equal(sells.rows, kernel_rows(sells))
     assert sells.factors.net_layout.quotes == 0 and (sells.factors.order >= 0).all()
+
+
+@pytest.mark.parametrize("delta_pct", [None, 0.1])
+@pytest.mark.parametrize("bound", ["zero", "floor", "varying"])
+def test_epigraph_starts_inside_its_rows(market, claim_terms, bound, delta_pct):
+    # the level starts max_i(a_i(start) - point_upper_i) + 1 + max|point_upper|,
+    # which leaves every row that much slack at the least
+    grid = market.grid_for(claim_terms)
+    leg = _assemble(market, grid, delta_pct).leg(claim_terms, 0.0)
+    point_upper = {
+        "zero": np.zeros(grid.size),
+        "floor": np.full(grid.size, -1e5),
+        "varying": np.random.default_rng(5).uniform(-50.0, 50.0, grid.size),
+    }[bound]
+    lifted = leg.epigraph(point_upper, -np.inf)
+    slack = point_upper - lifted.loss_arguments(lifted.start)
+    assert slack.min() == pytest.approx(1.0 + np.abs(point_upper).max(), rel=1e-9)
+    np.testing.assert_array_equal(lifted.start[:-1], leg.start)
 
 
 def test_keep_gives_the_static_only_space(market):
     grid = market.grid_for(())
     program = _assemble(market, grid, None)
     static = _assemble(market, grid, None, allow_dynamic=False)
-    n_options = program.layout.block("dynamic").start
-    assert n_options > 0 and static.layout.block("dynamic").size == 0
+    n_options = program.layout.options
+    assert n_options > 0 and static.layout.options == static.variable_count
     assert static.layout.names == program.layout.names[:n_options]
     assert static.layout.dropped == program.layout.dropped + program.layout.names[n_options:]
     np.testing.assert_array_equal(static.rows, program.rows[:, :n_options])

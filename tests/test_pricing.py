@@ -265,7 +265,7 @@ class TestPriceReport:
         def baseline_at_its_limits(program, settings):
             solution = optimum(program, settings)
             if np.all(program.offsets == -agent.initial_wealth):  # the leg without a claim
-                options = program.layout.block("dynamic").start
+                options = program.layout.options
                 solution = replace(solution, x=np.r_[program.upper[:options],
                                                      solution.x[options:]])
             return solution

@@ -198,16 +198,6 @@ class TestMinimize:
         with pytest.raises(ValueError, match="risk scale"):
             minimize(space)
 
-    def test_infeasible_pointwise_program(self):
-        program = make_exp_program(
-            rows=[[1.0], [-1.0]], offsets=[0.0, 0.0], masses=[0.5, 0.5], kappa=1.0,
-            lower=[0.0], upper=[1.0], start=[0.5],
-            point_upper=[-5.0, -5.0],
-        )
-        sol = minimize(program)
-        assert sol.status == "infeasible"
-        assert sol.objective == np.inf
-
     def test_pointwise_constrained_solution_feasible(self):
         rng = np.random.default_rng(12)
         program = random_exp_instance(rng, 2, 5)
@@ -405,11 +395,12 @@ class TestSolveLP:
         sol = solve_lp(program, SolveSettings(objective_floor=-1e6))
         assert sol.status == "unbounded"
 
-    def test_infeasible_detected(self):
-        # y <= -1 conflicts with y in [0, 1]
+    def test_phase1_reports_rows_without_interior(self):
+        # y <= -1 conflicts with y in [0, 1]: the least slack is 1, at y = 0
         program = make_lp_program([1.0], [[1.0]], [-1.0], [0.0], [1.0], start=[0.5])
-        sol = solve_lp(program)
-        assert sol.status == "infeasible"
+        s_star, point = feasibility_start(program)
+        assert s_star == pytest.approx(1.0, abs=2.5e-10 * 2.0)
+        assert point is None
 
     def test_phase1_finds_interior(self):
         program = make_lp_program(
@@ -434,6 +425,19 @@ class TestSolveLP:
         s_star, point = feasibility_start(program, SolveSettings(gap_tol=gap_tol))
         assert -1500.0 <= s_star <= -1500.0 + 2.5e-10 * scale
         assert np.all(program.rows @ point < program.point_upper)
+
+
+@pytest.mark.parametrize("solve, program", [
+    (minimize, make_exp_program(
+        rows=[[1.0], [-1.0]], offsets=[0.0, 0.0], masses=[0.5, 0.5], kappa=1.0,
+        lower=[0.0], upper=[1.0], start=[0.5], point_upper=[-5.0, -5.0])),
+    # y <= -1 conflicts with y in [0, 1]
+    (solve_lp, make_lp_program([1.0], [[1.0]], [-1.0], [0.0], [1.0], start=[0.5])),
+], ids=["minimize", "solve_lp"])
+def test_start_outside_the_rows_raises(solve, program):
+    # a solve starts at its program's start; phase-1 is find_arbitrage's alone
+    with pytest.raises(ValueError, match="not strictly feasible"):
+        solve(program)
 
 
 @pytest.mark.xfail(strict=True, reason="a start a hair inside the box faces ends `optimal` "
