@@ -341,7 +341,8 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     and ``maxItems``; ``default`` fills ``DEFAULT_CONFIG``.  ``overrides``,
     one section -> key -> value map as the CLI flags give it, are checked
     against the same schema and, like the file, may hold no non-finite
-    number.  A rejected file or override raises ``ValidationError``.
+    number.  A variance-gamma ``nu`` of at least twice the shortest period
+    is rejected too.  A rejected file or override raises ``ValidationError``.
     """
     data = {}
     if path is None:
@@ -366,6 +367,14 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         spot=merged["model"]["spot"],
         horizons=tuple(merged["model"]["horizons"]),
     )
+    # a period whose gamma shape dt / nu is at most 1/2 has a variance-gamma
+    # density unbounded at a zero log move: the grid's points where the index
+    # stays put would take almost all the mass
+    shortest = min(model.period_lengths())
+    if shortest / model.nu <= 0.5:
+        raise ValidationError(
+            f"config.model.nu: {model.nu!r} must lie below 2 * min(dt) = {2.0 * shortest!r}, "
+            "twice the shortest period, where the grid can represent the density")
     agent = AgentSpec(
         initial_wealth=merged["agent"]["initial_wealth"],
         risk_aversion=merged["agent"]["risk_aversion"],

@@ -214,38 +214,56 @@ class RowFactors:
             self.ask[nets], self.bid[nets],
         )
 
+    @functools.cached_property
+    def _prices(self) -> np.ndarray:
+        """The asks and bids of the quotes with both sides, (2, J, 1)."""
+        _, _, _, _, _, ask, bid = self.net_layout
+        return np.stack([ask, bid])[:, :, None]
+
     def net(self, y):
-        """P y: the net coordinates of y (n,) or (n, k) in variable order."""
+        """P y: the net coordinates of y (n,), or of each row of a stack of
+        legs (B, n), in variable order."""
         p, J, _, to_factor, _, ask, bid = self.net_layout
         if not J:
-            return y[to_factor]
-        buy, sell = y[p:p + J], y[p + J:]
-        return np.concatenate([y[:p], buy - sell, (ask @ buy - bid @ sell)[None]])[to_factor]
+            return y.take(to_factor, axis=-1)
+        buy, sell = y[..., p:p + J], y[..., p + J:]
+        # ask @ buy and bid @ sell, one dot product each
+        spent = np.matmul(y[..., p:].reshape(y.shape[:-1] + (2, 1, J)), self._prices)[..., 0, 0]
+        cash = spent[..., 0] - spent[..., 1]
+        net = np.concatenate([y[..., :p], buy - sell, cash[..., None]], axis=-1)
+        return net.take(to_factor, axis=-1)
 
     def net_t(self, v):
-        """P^T v, in variable order, for net coordinates v (N,)."""
+        """P^T v, in variable order, for net coordinates v (N,) or (B, N)."""
         p, J, positions, _, _, ask, bid = self.net_layout
-        v = v[positions]
+        v = v.take(positions, axis=-1)
         if not J:
             return v
-        net, cash = v[p:p + J], v[-1]
-        return np.concatenate([v[:p], net + ask * cash, -net - bid * cash])
+        net, cash = v[..., p:p + J], v[..., -1:]
+        return np.concatenate([v[..., :p], net + ask * cash, -net - bid * cash], axis=-1)
 
     def matvec(self, w):
-        """R_net w, for net coordinates w."""
+        """R_net w, for net coordinates w (N,) or a stack of them (B, N)."""
+        W = w[None] if w.ndim == 1 else w
         na, nb = self.lead.shape[1], self.last.shape[1]
-        out = (self.lead @ w[:na])[:, None] + (self.last @ w[na:na + nb])[None, :]
-        rest = w[na + nb:]
+        out = (np.matmul(self.lead, W[:, :na, None])
+               + np.matmul(self.last, W[:, na:na + nb, None]).transpose(0, 2, 1))
+        rest = W[:, na + nb:]
         for cells, values in zip(self.cells, self.values):
-            out += values * rest[cells][:, None]
-        return out.ravel()
+            out += values * rest.take(cells, axis=1)[:, :, None]
+        return out.reshape(w.shape[:-1] + (-1,))
 
     def rmatvec(self, v):
-        """R_net^T v, on the net coordinates."""
-        V = v.reshape(self.grid_shape)
-        rest = np.bincount(self.cells.ravel(), (self.values * V).sum(axis=2).ravel(),
-                           minlength=self.cell_count)
-        return np.concatenate([self.lead.T @ V.sum(axis=1), self.last.T @ V.sum(axis=0), rest])
+        """R_net^T v, on the net coordinates, for v (M,) or (B, M)."""
+        V = v.reshape((-1,) + self.grid_shape)
+        legs = V.shape[0]
+        rest = np.bincount(self._keys("rows", legs),
+                           (self.values * V[:, None]).sum(axis=3).ravel(),
+                           minlength=legs * self.cell_count).reshape(legs, -1)
+        out = np.concatenate([np.matmul(self.lead.T, V.sum(axis=2)[:, :, None])[:, :, 0],
+                              np.matmul(self.last.T, V.sum(axis=1)[:, :, None])[:, :, 0], rest],
+                             axis=1)
+        return out.reshape(v.shape[:-1] + (-1,))
 
     def product(self, y):
         """R y for y in program column order."""
@@ -263,51 +281,95 @@ class RowFactors:
                 values[j, shared] = 0.0
         return values
 
+    @functools.cached_property
+    def _pairs(self) -> tuple[np.ndarray, list]:
+        """The Gram's cell pairs in bincount order: for each pair of slots
+        j <= l, the index j K + l of its weighted row sum and the key of its
+        cell pair in the (k, N) cell rows, and again with the two cells the
+        other way round when j < l."""
+        K, p = self.cells.shape[0], self.lead.shape[1] + self.last.shape[1]
+        n = p + self.cell_count
+        order, keys = [], []
+        for j in range(K):
+            for l in range(j, K):
+                for a, b in [(j, l), (l, j)][:1 + (l > j)]:
+                    order.append(j * K + l)
+                    keys.append(self.cells[a] * n + p + self.cells[b])
+        return np.array(order, dtype=np.intp), keys
+
+    @functools.cached_property
+    def _leg_keys(self) -> dict:
+        """The bincount keys of one leg and their bin count, by use: ``rows``
+        sums each slot into its cell column (``rmatvec``); ``cells`` fills
+        the Gram's cell rows, each slot's row against the A columns, then
+        against the B columns, then the cell pairs (``_pairs``).  Stacks of
+        legs add their own entries (``_keys``)."""
+        na, nb = self.lead.shape[1], self.last.shape[1]
+        n = na + nb + self.cell_count
+        row = self.cells[:, :, None] * n   # (K, M', 1): where each slot's cell row starts
+        return {
+            ("rows", 1): (self.cells.ravel(), self.cell_count),
+            ("cells", 1): (np.concatenate([(row + np.arange(na)).ravel(),
+                                           (row + na + np.arange(nb)).ravel()]
+                                          + self._pairs[1]).astype(np.intp), self.cell_count * n),
+        }
+
+    def _keys(self, use, legs):
+        """The keys of ``use`` for a stack of ``legs`` legs, each leg's keys
+        moved past the bins of the legs before it, so that one bincount sums
+        every leg apart and in its own row order; built once per height."""
+        stacked = self._leg_keys.get((use, legs))
+        if stacked is None:
+            keys, bins = self._leg_keys[(use, 1)]
+            stacked = ((np.arange(legs) * bins)[:, None] + keys).ravel(), bins
+            self._leg_keys[(use, legs)] = stacked
+        return stacked[0]
+
     def gram(self, w, shift=None):
         """R_net^T diag(w) R_net for nonnegative weights w, on the net
         coordinates; with ``shift`` (N,), zero on the cell columns, the Gram
         of R_net + 1 shift^T, whose column c moves by shift[c] on every row.
+        A stack of weights (B, M), with shifts (B, N), gives one Gram per leg
+        (B, N, N).
 
         The A and B diagonal blocks are X^T X of one scaled buffer, a
         symmetric rank-k update (SYRK); off-diagonal blocks are written once
-        and mirrored, and the cell block is symmetric by construction.
+        and mirrored, and the cell block is symmetric by construction.  Every
+        product runs per leg, so a leg's Gram does not depend on its stack.
         """
-        W = w.reshape(self.grid_shape)
+        W = w.reshape((-1,) + self.grid_shape)
+        legs = W.shape[0]
         A, B, k = self.lead, self.last, self.cell_count
         na, nb = A.shape[1], B.shape[1]
         if shift is not None:
-            A, B = A + shift[:na], B + shift[na:na + nb]
+            shift = shift.reshape(legs, -1)
+            A, B = A + shift[:, None, :na], B + shift[:, None, na:na + nb]
+        At = A.swapaxes(-1, -2)
         n = na + nb + k
-        out = np.empty((n, n))
+        out = np.empty((legs, n, n))
         sa, sb, sc = slice(0, na), slice(na, na + nb), slice(na + nb, n)
-        scaled = A * np.sqrt(W.sum(axis=1))[:, None]
-        out[sa, sa] = scaled.T @ scaled
-        scaled = B * np.sqrt(W.sum(axis=0))[:, None]
-        out[sb, sb] = scaled.T @ scaled
-        out[sa, sb] = A.T @ (W @ B)
-        out[sb, sa] = out[sa, sb].T
-        # the cell columns against A and B: per-cell sums of the slots' rows
+        scaled = A * np.sqrt(W.sum(axis=2))[:, :, None]
+        out[:, sa, sa] = np.matmul(scaled.transpose(0, 2, 1), scaled)
+        scaled = B * np.sqrt(W.sum(axis=1))[:, :, None]
+        out[:, sb, sb] = np.matmul(scaled.transpose(0, 2, 1), scaled)
+        out[:, sa, sb] = np.matmul(At, np.matmul(W, B))
+        out[:, sb, sa] = out[:, sa, sb].transpose(0, 2, 1)
+        # the cell columns against A and B, per-cell sums of the slots' rows,
+        # and each pair of slots j <= l: one bincount fills the cell rows
         values = self._merged_values
-        weighted = values * W   # (K, M', N_T)
-        cross = np.concatenate([weighted.sum(axis=2)[:, :, None] * A, weighted @ B], axis=2)
-        p = na + nb
-        keys = self.cells[:, :, None] * p + np.arange(p)
-        out[sc, :p] = np.bincount(keys.ravel(), cross.ravel(), minlength=k * p).reshape(k, p)
-        out[:p, sc] = out[sc, :p].T
-        # cell pairs: slot j with slot l >= j, both ways round when j < l
-        K = self.cells.shape[0]
-        keys, sums = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
-        for j in range(K):
-            for l in range(j, K):
-                pair = (weighted[j] * values[l]).sum(axis=1)
-                keys.append(self.cells[j] * k + self.cells[l])
-                sums.append(pair)
-                if l > j:
-                    keys.append(self.cells[l] * k + self.cells[j])
-                    sums.append(pair)
-        out[sc, sc] = np.bincount(np.concatenate(keys), np.concatenate(sums),
-                                  minlength=k * k).reshape(k, k)
-        return out
+        weighted = values * W[:, None]   # (B, K, M', N_T)
+        lead = A[:, None] if A.ndim == 3 else A
+        last = B[:, None] if B.ndim == 3 else B
+        K, p = self.cells.shape[0], na + nb
+        pairs = (weighted[:, :, None] * values).sum(axis=4).reshape(legs, K * K, W.shape[1])
+        sums = np.concatenate([
+            (weighted.sum(axis=3)[..., None] * lead).reshape(legs, -1),
+            np.matmul(weighted, last).reshape(legs, -1),
+            pairs.take(self._pairs[0], axis=1).reshape(legs, -1)], axis=1)
+        out[:, sc, :] = np.bincount(self._keys("cells", legs), sums.ravel(),
+                                    minlength=legs * k * n).reshape(legs, k, n)
+        out[:, :p, sc] = out[:, sc, :p].transpose(0, 2, 1)
+        return out.reshape(w.shape[:-1] + (n, n))
 
     def _spelled(self, block, first):
         """The program columns held by ``block`` (A or B), whose factor
@@ -389,8 +451,11 @@ class RowFactors:
             np.where(both, self.bid, 0.0)[kept],
         )
 
-    def with_level_column(self) -> RowFactors:
-        """These rows with one more program column, -1 on every row; it joins A."""
+    @functools.cached_property
+    def levelled(self) -> RowFactors:
+        """These rows with one more program column, -1 on every row; it joins
+        A.  Built once, so the epigraphs of one space share their factors and
+        can be solved as one stack."""
         na, n = self.lead.shape[1], self.shape[1]
         return RowFactors(
             np.hstack([self.lead, -np.ones((self.lead.shape[0], 1))]), self.last,
@@ -489,7 +554,7 @@ class AssembledProgram:
         return replace(
             self,
             objective="linear",
-            factors=self.factors.with_level_column(),
+            factors=self.factors.levelled,
             cost=np.append(np.zeros(self.variable_count), 1.0),
             point_upper=point_upper,
             lower=np.append(self.lower, level_lower),

@@ -5,9 +5,10 @@ subhedging costs on the truncated scenario grid, and arbitrage detection.
 Every price is an optimal value over one strategy space assembled from the
 quotes and the scenario grid alone; the agent and the claim enter only
 through ``leg``, ``keep`` and ``epigraph`` (see ``galerkin``).  A price report
-builds one grid and assembles one space for its six solves: the baseline,
-seller and buyer log-values, the super- and subhedging LPs and the hedging
-LP of the zero claim, which decides the arbitrage flag.  The buyer's price
+builds one grid and assembles one space for its six solves, run as two
+stacks of legs (``solver.solve_legs``): the baseline, seller and buyer
+log-values, then the super- and subhedging LPs and the hedging LP of the
+zero claim, which decides the arbitrage flag.  The buyer's price
 and the subhedge are sign duals: indifference_buy(u) is
 -indifference_sell(-u), and subhedge_cost(u) is -superhedge_cost(-u).
 
@@ -32,7 +33,7 @@ from .galerkin import (
 )
 from .instruments import OptionKind, Quote
 from .scenario import DEFAULT_TRUNCATION, QuadratureGrid, VGParams, build_grid
-from .solver import SolveSettings, Solution, feasibility_start, minimize, solve_lp
+from .solver import SolveSettings, Solution, feasibility_start, minimize, solve_legs, solve_lp
 
 # risk aversion, per unit of the budget, of the expected-loss program that
 # ``find_arbitrage`` solves under its payout floor
@@ -163,11 +164,19 @@ def _assemble(market, grid, delta_pct, allow_dynamic=True) -> AssembledProgram:
     return space
 
 
+def _optima(programs, settings: SolveSettings | None) -> list[Solution]:
+    """The minimized exponential-sum ``programs``, legs of one space solved
+    as one stack; an unbounded leg raises SolverFailure."""
+    solutions = solve_legs(programs, settings)
+    for solution in solutions:
+        if solution.status == "unbounded":
+            raise SolverFailure(f"solve ended with status {solution.status}")
+    return solutions
+
+
 def _optimum(program: AssembledProgram, settings: SolveSettings | None) -> Solution:
     """The minimized ``program``; an unbounded leg raises SolverFailure."""
-    solution = minimize(program, settings)
-    if solution.status == "unbounded":
-        raise SolverFailure(f"solve ended with status {solution.status}")
+    (solution,) = _optima([program], settings)
     return solution
 
 
@@ -251,16 +260,22 @@ def _portfolio(program: AssembledProgram, y: np.ndarray, budget: float) -> Hedge
     )
 
 
-def _least_dominating_wealth(program: AssembledProgram, claim_terms, settings):
-    """Least initial wealth w whose strategy in ``program`` dominates the
-    liability ``claim_terms`` at every grid point: minimize w subject to
-    a_i(y) - w <= 0 on the leg's loss rows a_i at budget 0: the leg's epigraph,
-    with w free, so always feasible, and started where ``epigraph`` starts it.
-    Returns (w, HedgePortfolio, Solution)."""
+def _hedging_lp(program: AssembledProgram, claim_terms) -> AssembledProgram:
+    """The LP of the least initial wealth w whose strategy in ``program``
+    dominates the liability ``claim_terms`` at every grid point: minimize w
+    subject to a_i(y) - w <= 0 on the leg's loss rows a_i at budget 0.  It is
+    the leg's epigraph, with w free, so always feasible, and started where
+    ``epigraph`` starts it."""
     leg = program.leg(claim_terms, 0.0)
-    solution = solve_lp(leg.epigraph(np.zeros(leg.grid.size), -np.inf), settings)
-    y = solution.x[: leg.variable_count]
-    return solution.objective, _portfolio(leg, y, solution.objective), solution
+    return leg.epigraph(np.zeros(leg.grid.size), -np.inf)
+
+
+def _least_dominating_wealth(program: AssembledProgram, claim_terms, settings):
+    """The least dominating wealth of ``_hedging_lp``: (w, HedgePortfolio,
+    Solution)."""
+    solution = solve_lp(_hedging_lp(program, claim_terms), settings)
+    y = solution.x[: program.variable_count]
+    return solution.objective, _portfolio(program, y, solution.objective), solution
 
 
 def superhedge_cost(
@@ -437,17 +452,17 @@ def price_report(
     space = _assemble(hedging, grid, delta_pct)
     baseline = space.leg(agent.baseline_terms(), w, agent.kappa)
 
-    sol_base = _optimum(baseline, settings)
-    sol_sell = _optimum(baseline.leg(terms, w), settings)
-    sol_buy = _optimum(baseline.leg(_claim_terms(agent, claim, -units), w), settings)
+    # two stacks of legs on the one space: the exponential legs, then the
+    # hedging LPs of the claim sold, the claim bought and the zero claim
+    sol_base, sol_sell, sol_buy = _optima(
+        [baseline, baseline.leg(terms, w), baseline.leg(_claim_terms(agent, claim, -units), w)],
+        settings)
     seller = w / lam * (sol_sell.log_objective - sol_base.log_objective)
     buyer = w / lam * (sol_base.log_objective - sol_buy.log_objective)
 
-    sup, _, sol_sup = _least_dominating_wealth(space, [(claim, units)], settings)
-    neg_sub, _, sol_sub = _least_dominating_wealth(space, [(claim, -units)], settings)
-    sub = -neg_sub
-    # solved after the two hedging LPs, so a traced run meets theirs first
-    w0, _, sol_zero = _least_dominating_wealth(space, (), settings)
+    sol_sup, sol_sub, sol_zero = solve_legs(
+        [_hedging_lp(space, t) for t in ([(claim, units)], [(claim, -units)], ())], settings)
+    sup, sub, w0 = sol_sup.objective, -sol_sub.objective, sol_zero.objective
 
     tol = 1e-6 * w
     ordering_ok = (sub <= buyer + tol) and (buyer <= seller + tol) and (seller <= sup + tol)

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .blas import one_blas_thread
+
 # Jump breakpoints are bracketed by a node pair at value*(1 -/+ this) so that
 # payouts are linear on every grid cell even across discontinuities.
 JUMP_BRACKET_REL = 1e-9
@@ -294,7 +296,13 @@ def _gamma_bracket(shape: float, scale: float, tail: float = _GAMMA_TAIL) -> tup
     return lo, hi
 
 
-_gl_rule = functools.cache(leggauss)
+@functools.cache
+def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's Gauss-Legendre rule of ``n`` nodes, on one BLAS thread: its
+    nodes are the eigenvalues of a dense n x n matrix, which two threads give
+    to the same bits but, on a busy machine, at times far more slowly."""
+    with one_blas_thread:
+        return leggauss(n)
 
 
 def _mixture_nodes(params: VGParams, dt: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:

@@ -4,6 +4,9 @@ exponential-sum programs, the hedging linear programs and the phase-1 slack
 program.  Every solve starts at its program's own ``start``, which must lie
 strictly inside the rows and boxes; phase-1 (``feasibility_start``) serves
 only ``find_arbitrage``'s search for a point inside its payout floor.
+Programs that share their rows and boxes, the legs of one strategy space,
+are solved together as one stack (``solve_legs``); ``minimize`` and
+``solve_lp`` solve a stack of one.
 
 The exponential-sum objective is minimized through its logarithm (log-sum-exp
 of affine rows), which is also convex, immune to overflow, and naturally
@@ -19,10 +22,21 @@ condensed form (below), and solves it for the affine predictor and for the
 corrector, whose centering weight is sigma = min(1, (mu_aff / mu)^3).
 Primal and dual steps go 0.99 of the way to the nearest face, each with its
 own length; for the exponential objective the primal step is also
-backtracked on the merit f - sigma mu sum(log s).  Where the corrector's second-order term makes it
-an ascent direction of that merit, the step takes the centred direction
-(centering sigma mu alone), a descent direction, instead (Nocedal & Wright
-2006, ch. 19).  Without faces the loop is damped Newton on f.
+backtracked on the merit f - sigma mu sum(log s).  Where the corrector's
+second-order term makes it an ascent direction of that merit, the step takes
+the centred direction (centering sigma mu alone), a descent direction,
+instead (Nocedal & Wright 2006, ch. 19).  Without faces the loop is damped
+Newton on f.
+
+Stacks.  The loop runs B legs in lockstep: the iterates y, the row values,
+s, z and f carry a leading leg axis, each leg with its own offsets, point
+bounds, cost and start.  Every elementwise step, reduction and row product
+works on the whole stack at once, and only the Cholesky factorization and
+its solves loop over the legs, one system per leg.  Each leg keeps its own
+step lengths, merit backtracking, centred fallback, stall rule and status,
+and leaves the stack when it stops; the others go on unchanged.  A stacked
+step costs far less than one step per leg, as most of a step's time is the
+per-call cost of small numpy operations.
 
 Stopping rule.  The loop stops when the duality gap s^T z and the Newton
 decrement r^T H^-1 r of the dual residual r = grad f + G^T z are both at most
@@ -44,10 +58,11 @@ each set of cell columns that depends on both, on N net coordinates.  A
 quote with both sides is one net column (its negated payoff), and one cash
 column of ones carries ask x+ - bid x- for all of them; P maps the program
 variables onto them.  The loop runs in the rows' variable order
-[plain | buys | sells] (``NetLayout``): ``_solve`` permutes the boxes, the
-start and the cost into it and the point and its box duals back.  An
-iteration makes three row products: R d for the predictor's and for the
-corrector's direction, and R y at the accepted point, whose row values serve
+[plain | buys | sells] (``NetLayout``): ``solve_legs`` permutes the boxes,
+the starts and the costs into it and the points and their box duals back.
+An iteration makes three row products for the whole stack: R d for the
+predictor's direction (and the last dual step of the legs that stop) and
+for the corrector's, and R y at the accepted points, whose row values serve
 as the next slacks and exponents (a shortened step or a centred fallback
 costs one more).
 
@@ -73,30 +88,36 @@ quotes condenses nothing.
 
 Determinism: all reductions run per block in a fixed order (numpy sums over
 one grid axis, bincounts in row order, then one matrix product per block);
-no randomness, no time-dependent branching.  The BLAS calls inside a solve
-(the block products and the Cholesky factorization) would round differently
-with the number of BLAS threads, so every solve runs on exactly one thread:
-every OpenBLAS copy in the process is set to one thread for the solve and
-back to the caller's count after it.  That is numpy's own copy, which also
-serves the factorization through LAPACK dpotrf and dpotrs, and scipy's copy
-only where numpy's lacks those two routines and the solver falls back to
-scipy's LAPACK.  Repeated solves of the same program therefore give
-bit-identical results whatever thread count the process uses.  A BLAS that
-is not OpenBLAS (MKL, Accelerate) or a system without ``/proc`` is not
-pinned; there the promise holds only at a fixed thread count.
+no randomness, no time-dependent branching.  A leg's bits do not depend on
+its stack: the arrays that enter reductions and BLAS calls are C-ordered
+with the leg axis first, so each leg's reductions and products run over its
+own contiguous rows as they would alone (a fancy column gather a[:, idx]
+returns a transposed layout, over which a product rounds differently, so
+column gathers use ``take``); every BLAS product runs once per leg (a
+stacked matmul, never one product across legs), and each leg's bincount
+entries fill bins of its own.  Alone or beside other legs, a program gives
+the same point, value, duals and Newton count
+(``test_stacked_legs_equal_their_solves_alone``).  The BLAS calls inside a
+solve (the block products and the Cholesky factorization) would round
+differently with the number of BLAS threads, so every solve runs on exactly
+one thread: every OpenBLAS copy in the process is set to one thread for the
+solve and back to the caller's count after it (``blas.one_blas_thread``).
+That is numpy's own copy, which also serves the factorization through
+LAPACK dpotrf and dpotrs, and scipy's copy only where numpy's lacks those
+two routines and the solver falls back to scipy's LAPACK.  Repeated solves
+of the same program therefore give bit-identical results whatever thread
+count the process uses.  A BLAS that is not OpenBLAS (MKL, Accelerate) or a
+system without ``/proc`` is not pinned; there the promise holds only at a
+fixed thread count.
 """
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
-import os
-import threading
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blas import _cholesky_routines, one_blas_thread
 from .galerkin import AssembledProgram
 
 _STEP_SHRINK_MIN = 1e-18
@@ -104,6 +125,7 @@ _STEP_SHRINK_MIN = 1e-18
 _STALL_WINDOW = 5
 # share of the step to the nearest face that an iterate may take
 _FRACTION_TO_BOUNDARY = 0.99
+_TINY = np.finfo(float).tiny
 # phase-1 strictness margin per unit of pointwise scale: a point is strictly
 # feasible only when its slack lies below -PHASE1_MARGIN * scale
 PHASE1_MARGIN = 1e-9
@@ -145,7 +167,9 @@ class Solution:
     """A solve's point and value.  ``outer_iterations`` counts
     predictor-corrector steps, ``newton_iterations`` the Newton systems
     factored (one per step and one at the final point), ``trace`` holds one
-    row per system with the objective, gap and decrement there."""
+    row per system with the objective, gap and decrement there.
+    ``wall_time`` runs from the start of the solve until the leg left its
+    stack, so the legs of one stack share its start."""
 
     x: np.ndarray
     objective: float
@@ -159,15 +183,29 @@ class Solution:
     trace: list = field(default_factory=list)
 
 
+def _legs(mask):
+    """Index of the legs where ``mask`` holds: every leg as a slice, which
+    selects without copying, or their positions."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
+
+
+def _dot(a, b):
+    """The dot product of each leg's rows of a and b (B, n), one BLAS call per
+    leg, so that a leg's value does not depend on the legs beside it."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def _logsumexp(e):
-    c = e.max()
-    return float(c + np.log(np.exp(e - c).sum()))
+    """log sum exp of each leg's row of e (B, M)."""
+    c = e.max(axis=1)
+    return c + np.log(np.exp(e - c[:, None]).sum(axis=1))
 
 
 class _ExpSumObjective:
-    """log sum_i m_i exp(kappa * (r0_i + r_i)) of the row values r = R y.
+    """log sum_i m_i exp(kappa * (r0_i + r_i)) of the row values r = R y, for
+    each leg of a stack: offsets r0 and log masses (B, M), kappa (B, 1).
 
-    The interior-point loop hands in the row values of its current point, so
+    The interior-point loop hands in the row values of its current points, so
     no method here multiplies by the rows except for the gradient and the
     Hessian; a trial value along a direction d costs O(M) given R d.
     """
@@ -179,11 +217,16 @@ class _ExpSumObjective:
     # solve needs few capped steps.
     MAX_EXPONENT_STEP = 50.0
 
-    def __init__(self, rows, offsets, masses, kappa):
-        self.rows = rows  # the program's RowFactors
+    def __init__(self, rows, offsets, log_masses, kappa):
+        self.rows = rows  # the programs' RowFactors
         self.offsets = offsets
-        self.log_masses = np.log(masses)
+        self.log_masses = log_masses
         self.kappa = kappa
+
+    def take(self, legs):
+        """The objective of the legs ``legs`` of this stack."""
+        return _ExpSumObjective(self.rows, self.offsets[legs], self.log_masses[legs],
+                                self.kappa[legs])
 
     def _exponents(self, r):
         return self.log_masses + self.kappa * (self.offsets + r)
@@ -192,373 +235,310 @@ class _ExpSumObjective:
         return _logsumexp(self._exponents(r))
 
     def derivatives(self, y, r):
-        """The value, the gradient in the variables, and the Hessian K on
+        """The values, the gradients in the variables, and the Hessians K on
         the rows' net coordinates (P^T K P in the variables) as a function
-        of a shift s: that of the rows R_net + 1 s^T (``_condensed_solver``).
+        of shifts s: those of the rows R_net + 1 s^T (``_condensed_solver``).
         """
         e = self._exponents(r)
-        c = e.max()
-        p = np.exp(e - c)
-        total = p.sum()
-        pi = p / total
+        c = e.max(axis=1)
+        p = np.exp(e - c[:, None])
+        total = p.sum(axis=1)
+        pi = p / total[:, None]
         grad = self.kappa * self.rows.rmatvec(pi)
 
         def hess(shift):
             # the shifted rows' gradient is grad + kappa * shift, as sum(pi) = 1
             moved = grad if shift is None else grad + self.kappa * shift
-            return self.kappa**2 * self.rows.gram(pi, shift) - np.outer(moved, moved)
+            return ((self.kappa**2)[:, :, None] * self.rows.gram(pi, shift)
+                    - moved[:, :, None] * moved[:, None, :])
 
-        return float(c + np.log(total)), self.rows.net_t(grad), hess
+        return c + np.log(total), self.rows.net_t(grad), hess
 
     def along(self, r, rd):
-        """The value at y + a d as a function of a, and the largest a that
-        moves no exponent by more than ``MAX_EXPONENT_STEP``."""
+        """The values at y + a d as a function of the legs and their a, and
+        the largest a per leg that moves no exponent by more than
+        ``MAX_EXPONENT_STEP``."""
         base, step = self._exponents(r), self.kappa * rd
-        reach = float(np.abs(step).max(initial=0.0))
-        cap = self.MAX_EXPONENT_STEP / reach if reach > 0 else np.inf
-        return (lambda a: _logsumexp(base + a * step)), cap
+        reach = np.abs(step).max(axis=1, initial=0.0)
+        cap = np.divide(self.MAX_EXPONENT_STEP, reach, out=np.full(reach.shape, np.inf),
+                        where=reach > 0)
+        return (lambda legs, a: _logsumexp(base[legs] + a[:, None] * step[legs])), cap
 
 
 class _LinearObjective:
+    """cost @ y, with one cost row per leg of a stack (B, n)."""
+
     def __init__(self, cost):
         self.cost = cost
 
+    def take(self, legs):
+        return _LinearObjective(self.cost[legs])
+
     def value(self, y, r):
-        return float(self.cost @ y)
+        return _dot(self.cost, y)
 
     def derivatives(self, y, r):
         return self.value(y, r), self.cost, None
 
 
-def _loaded_openblas():
-    """ctypes handles of the OpenBLAS copies loaded in the process, found in
-    ``/proc/self/maps`` and opened without loading anything new; empty when
-    there is no ``/proc``."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return []
-    libs = []
-    for path in paths:
-        try:
-            libs.append(ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY))
-        except OSError:
-            continue
-    return libs
-
-
-def _openblas_cholesky():
-    """(factor, solve) through LAPACK dpotrf and dpotrs of numpy's own
-    OpenBLAS, whose 64-bit-integer interface exports them as
-    ``scipy_dpotrf_64_`` and ``scipy_dpotrs_64_``; None where no loaded copy
-    does."""
-    for lib in _loaded_openblas():
-        potrf = getattr(lib, "scipy_dpotrf_64_", None)
-        potrs = getattr(lib, "scipy_dpotrs_64_", None)
-        if potrf is not None and potrs is not None:
-            break
-    else:
-        return None
-    # Fortran calling convention: every argument by reference, then the
-    # hidden length of the character argument
-    int64 = ctypes.POINTER(ctypes.c_int64)
-    potrf.argtypes = [ctypes.c_char_p, int64, ctypes.c_void_p, int64, int64, ctypes.c_size_t]
-    potrs.argtypes = [ctypes.c_char_p, int64, int64, ctypes.c_void_p, int64,
-                      ctypes.c_void_p, int64, int64, ctypes.c_size_t]
-    potrf.restype = potrs.restype = None
-
-    def factor(a):
-        # LAPACK reads one triangle of a symmetric matrix, the same numbers in
-        # either memory order: the row-major copy is a^T in column-major
-        # order, and a plain copy costs a third of a transposing one
-        c = np.array(a, dtype=np.float64)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise ValueError("Cholesky factorization needs a square matrix")
-        n, info = ctypes.c_int64(c.shape[0]), ctypes.c_int64(0)
-        potrf(b"L", ctypes.byref(n), c.ctypes.data, ctypes.byref(n), ctypes.byref(info), 1)
-        if info.value < 0:
-            raise ValueError(f"dpotrf rejected argument {-info.value}")
-        return c if info.value == 0 else None
-
-    def solve(c, b):
-        x = np.array(b, dtype=np.float64, order="F")
-        if x.ndim not in (1, 2) or x.shape[0] != c.shape[0]:
-            raise ValueError("right-hand side does not match the factor")
-        n, info = ctypes.c_int64(c.shape[0]), ctypes.c_int64(0)
-        nrhs = ctypes.c_int64(1 if x.ndim == 1 else x.shape[1])
-        potrs(b"L", ctypes.byref(n), ctypes.byref(nrhs), c.ctypes.data, ctypes.byref(n),
-              x.ctypes.data, ctypes.byref(n), ctypes.byref(info), 1)
-        if info.value < 0:
-            raise ValueError(f"dpotrs rejected argument {-info.value}")
-        return x
-
-    return factor, solve
-
-
-def _scipy_cholesky():
-    """(factor, solve) through scipy's LAPACK dpotrf and dpotrs, imported on
-    first use."""
-    from scipy.linalg import lapack
-
-    def factor(a):
-        c, info = lapack.dpotrf(a, lower=1, clean=0)
-        if info < 0:
-            raise ValueError(f"dpotrf rejected argument {-info}")
-        return c if info == 0 else None
-
-    def solve(c, b):
-        x, info = lapack.dpotrs(c, b, lower=1)
-        if info < 0:
-            raise ValueError(f"dpotrs rejected argument {-info}")
-        return x
-
-    return factor, solve
-
-
-@functools.cache
-def _cholesky_routines():
-    """(factor, solve), looked up once.  ``factor(a)`` is the lower Cholesky
-    factor of the symmetric ``a``, or None when ``a`` is not numerically
-    positive definite; ``solve(c, b)`` is a^-1 b from that factor.  The pair is
-    LAPACK's dpotrf and dpotrs from numpy's own OpenBLAS, or the same two
-    routines from scipy's LAPACK where numpy's copy lacks them."""
-    return _openblas_cholesky() or _scipy_cholesky()
-
-
-@functools.cache
-def _openblas_thread_controls():
-    """(getter, setter) of the thread count of every loaded OpenBLAS copy.
-
-    The wheels bundle OpenBLAS under prefixed symbols: numpy's copy has the
-    suffix ``64_`` of its 64-bit-integer interface, scipy's none.  Scipy's copy
-    is loaded only where the Cholesky routines fall back to scipy's LAPACK, so
-    they are resolved first, and a copy they load is pinned too.  Empty when
-    there is no ``/proc`` or no OpenBLAS.
-    """
-    _cholesky_routines()
-    controls = []
-    for lib in _loaded_openblas():
-        for suffix in ("64_", ""):
-            getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            if getter is None or setter is None:
-                continue
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            controls.append((getter, setter))
-    return tuple(controls)
-
-
-class _OneBlasThread(contextlib.ContextDecorator):
-    """Runs the wrapped code with every OpenBLAS copy on one thread.
-
-    The thread count is process-wide, so concurrent solves share one scope:
-    the first to enter saves the caller's counts and sets one thread, the last
-    to leave restores them.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved = ()
-
-    def __enter__(self):
-        with self._lock:
-            if self._depth == 0:
-                controls = _openblas_thread_controls()
-                self._saved = tuple(getter() for getter, _ in controls)
-                for _, setter in controls:
-                    setter(1)
-            self._depth += 1
-        return self
-
-    def __exit__(self, *exc):
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0:
-                for (_, setter), count in zip(_openblas_thread_controls(), self._saved):
-                    setter(count)
-        return False
-
-
 def _step_to_boundary(v, dv):
-    """Largest a with v + a dv >= 0; inf when no entry decreases."""
-    falling = dv < 0
-    return float((v[falling] / -dv[falling]).min()) if falling.any() else np.inf
+    """Largest a with v + a dv >= 0, per row of v and dv; inf where no entry
+    decreases.  An entry that does not decrease divides by NaN, which the
+    least value skips."""
+    return np.fmin.reduce(v / -np.where(dv < 0, dv, np.nan), axis=-1, initial=np.inf)
 
 
-@_OneBlasThread()
+@one_blas_thread
 def _interior_point(objective, rows, h, lower, upper, y0, settings, tol, scale):
-    """Mehrotra predictor-corrector for min f(y) s.t. R y <= h and the boxes,
-    from the strictly feasible ``y0`` (see the module docstring).
+    """Mehrotra predictor-corrector for a stack of legs, min f_b(y) s.t.
+    R y <= h_b and the boxes, each from its strictly feasible row of ``y0``
+    (B, n) (see the module docstring).
 
-    ``rows`` is the row operator R, which the exponential objective reads
-    too; ``h`` bounds the rows, or is None when they are no faces.  The loop
-    stops when the gap and the decrement are at most ``tol * scale(f)``.
+    The legs share the row operator R, which the exponential objective reads
+    too, and the boxes; ``h`` (B, M) bounds each leg's rows, or is None when
+    they are no faces.  A leg stops when its gap and decrement are at most
+    ``tol * scale(f)``, or by any other rule of the module docstring, and
+    leaves the stack then.  Returns one result per leg, in stack order, with
+    the ``perf_counter`` time at which the leg left.
     """
     y = np.array(y0, dtype=float)
-    n = y.shape[0]
+    n = y.shape[1]
     lo = np.flatnonzero(np.isfinite(lower))
     up = np.flatnonzero(np.isfinite(upper))
-    k = 0 if h is None else h.shape[0]
+    k = 0 if h is None else h.shape[1]
     m = k + lo.size + up.size
 
-    def slacks(v, r):
-        return np.concatenate([h - r if k else np.zeros(0), v[lo] - lower[lo], upper[up] - v[up]])
+    lower_edge, upper_edge = lower[lo], upper[up]
+
+    def slacks(v, r, h):
+        return np.concatenate([h - r if k else np.zeros((len(v), 0)),
+                               v.take(lo, axis=1) - lower_edge, upper_edge - v.take(up, axis=1)],
+                              axis=1)
 
     def faces(d, rd):
         """G d."""
-        return np.concatenate([rd if k else np.zeros(0), -d[lo], d[up]])
+        return np.concatenate([rd if k else np.zeros((len(d), 0)), -d.take(lo, axis=1),
+                               d.take(up, axis=1)], axis=1)
 
     def faces_t(v):
         """G^T v."""
-        out = rows.net_t(rows.rmatvec(v[:k])) if k else np.zeros(n)
-        out[lo] -= v[k:k + lo.size]
-        out[up] += v[k + lo.size:]
+        out = rows.net_t(rows.rmatvec(v[:, :k])) if k else np.zeros((len(v), n))
+        out[:, lo] -= v[:, k:k + lo.size]
+        out[:, up] += v[:, k + lo.size:]
         return out
 
     def newton_solver(w, hess_f):
-        """solve(b) = H^-1 b for H = Hess f + G^T diag(w) G: the net
-        Hessian of the objective and the rows, and the box weights."""
+        """solve(b, legs) = H^-1 b for H = Hess f + G^T diag(w) G of each
+        leg: the net Hessian of the objective and the rows, and the box
+        weights."""
         def net_hess(shift):
             if not k:
-                return np.zeros((rows.width,) * 2) if hess_f is None else hess_f(shift)
-            hess = rows.gram(w[:k], shift)
+                if hess_f is None:
+                    return np.zeros((len(w), rows.width, rows.width))
+                return hess_f(shift)
+            hess = rows.gram(w[:, :k], shift)
             return hess if hess_f is None else hess + hess_f(shift)
 
-        box = np.zeros(n)
-        box[lo] += w[k:k + lo.size]
-        box[up] += w[k + lo.size:]
+        box = np.zeros((len(w), n))
+        box[:, lo] += w[:, k:k + lo.size]
+        box[:, up] += w[:, k + lo.size:]
         return _condensed_solver(net_hess, box, rows)
 
-    def moves(dy, centering):
+    def moves(dy, centering, s, z):
         """R dy, and the slack and dual moves that go with dy."""
         rdy = rows.matvec(rows.net(dy))
         ds = -faces(dy, rdy)
         return rdy, ds, -z + (centering - z * ds) / s
 
     r = rows.matvec(rows.net(y))
-    s = slacks(y, r)
+    s = slacks(y, r, h)
     if not (s > 0).all():
         raise ValueError("interior-point start is not strictly feasible")
     f = objective.value(y, r)
-    z = max(1.0, abs(f)) / max(m, 1) / s
+    z = (np.fmax(1.0, np.abs(f)) / max(m, 1))[:, None] / s
 
-    trace = []
-    residuals = []
-    status = "max_iter"
-    kkt = np.inf
+    legs = np.arange(len(y))  # the stack position of each running leg
+    kkt = np.full(len(y), np.inf)
+    traces = [[] for _ in legs]
+    histories = [[] for _ in legs]
+    results = [None] * len(y)
+
+    def leave(done, status, *extra):
+        """Record the running legs where ``done`` holds as stopped with
+        ``status`` (one, or one per running leg), take them out of the stack,
+        and return the rest of each array of ``extra``."""
+        nonlocal y, r, s, z, h, kkt, legs, objective
+        status = np.broadcast_to(np.asarray(status, dtype=object), done.shape)
+        values = objective.take(done).value(y[done], r[done])
+        ended = time.perf_counter()
+        for i, value in zip(np.flatnonzero(done), values):
+            lower_z = np.full(n, np.nan)
+            upper_z = np.full(n, np.nan)
+            lower_z[lo] = z[i, k:k + lo.size]
+            upper_z[up] = z[i, k + lo.size:]
+            results[legs[i]] = {
+                "status": ("optimal" if status[i] == "max_iter" and kkt[i] <= settings.grad_tol
+                           else status[i]),
+                "y": y[i].copy(),
+                "objective": float(value),
+                "steps": steps,
+                "systems": len(traces[legs[i]]),
+                "trace": traces[legs[i]],
+                "kkt": float(kkt[i]),
+                "duals": {"point": None if h is None else z[i, :k].copy(),
+                          "lower": lower_z, "upper": upper_z},
+                "ended": ended,
+            }
+        keep = ~done
+        y, r, s, z, kkt, legs = y[keep], r[keep], s[keep], z[keep], kkt[keep], legs[keep]
+        h = None if h is None else h[keep]
+        objective = objective.take(keep)
+        return [a[keep] for a in extra]
+
     for steps in range(settings.max_iter + 1):
         f, g, hess_f = objective.derivatives(y, r)
         residual = g + faces_t(z)
-        if not (np.isfinite(f) and np.isfinite(y).all() and np.isfinite(z).all()
-                and np.isfinite(s).all() and np.isfinite(residual).all()):
-            status = "numerical_error"
-            break
-        if f < settings.objective_floor:
-            status = "unbounded"
-            break
+        broken = ~(np.isfinite(f) & np.isfinite(y).all(axis=1) & np.isfinite(z).all(axis=1)
+                   & np.isfinite(s).all(axis=1) & np.isfinite(residual).all(axis=1))
+        below = ~broken & (f < settings.objective_floor)
+        if (broken | below).any():
+            leave(broken | below, np.where(broken, "numerical_error", "unbounded"))
+            if not legs.size:
+                break
+            f, g, hess_f = objective.derivatives(y, r)
+            residual = g + faces_t(z)
         solve = newton_solver(z / s, hess_f)
-        solved = solve(np.column_stack([residual, g]))
-        gap = float(s @ z)
-        decrement = float(residual @ solved[:, 0])
-        trace.append({"objective": f, "gap": gap, "decrement": decrement})
-        if not np.isfinite(solved).all():
-            status = "numerical_error"
-            break
-        kkt = max(gap, abs(decrement)) / scale(f)
-        residuals.append(kkt)
+        stack = len(y)
+        at = np.arange(stack)  # each running leg's place in ``solve``
+        solved = solve(np.stack([residual, g], axis=2))
+        gap = _dot(s, z)
+        decrement = _dot(residual, solved[:, :, 0])
+        for leg, value, leg_gap, leg_decrement in zip(legs, f.tolist(), gap.tolist(),
+                                                        decrement.tolist()):
+            traces[leg].append({"objective": value, "gap": leg_gap, "decrement": leg_decrement})
+        broken = ~np.isfinite(solved).all(axis=(1, 2))
+        if broken.any():
+            f, g, solved, gap, decrement, at = leave(
+                broken, "numerical_error", f, g, solved, gap, decrement, at)
+            if not legs.size:
+                break
+        kkt = np.maximum(gap, np.abs(decrement)) / scale(f)
         # below grad_tol, a residual that has not halved over the last
         # _STALL_WINDOW systems sits at the rounding floor
-        stalled = (kkt <= settings.grad_tol and len(residuals) > _STALL_WINDOW
-                   and min(residuals[-_STALL_WINDOW:]) > 0.5 * min(residuals[:-_STALL_WINDOW]))
-        if kkt <= tol or stalled:
-            status = "optimal"
+        stalled = np.zeros(len(legs), dtype=bool)
+        for i, leg in enumerate(legs):
+            history = histories[leg]
+            history.append(kkt[i])
+            stalled[i] = (kkt[i] <= settings.grad_tol and len(history) > _STALL_WINDOW
+                          and min(history[-_STALL_WINDOW:]) > 0.5 * min(history[:-_STALL_WINDOW]))
+        done = (kkt <= tol) | stalled
+        # one row product serves the stopping legs' last dual step u and the
+        # others' predictor direction dy = -H^-1 g
+        direction = -solved[:, :, 1]
+        direction[done] = solved[done, :, 0]
+        rd = rows.matvec(rows.net(direction)) if k else np.zeros((len(legs), 0))
+        if done.any():
             # the dual part of one more Newton step at fixed slacks: for a
             # linear objective G^T dz cancels the dual residual
-            u = solved[:, 0]
-            z = np.maximum(z - z / s * faces(u, rows.matvec(rows.net(u)) if k else None), 0.0)
-            break
+            dual = z[done] - z[done] / s[done] * faces(direction[done], rd[done])
+            z[done] = np.maximum(dual, 0.0)
+            f, g, solved, gap, at, direction, rd = leave(
+                done, "optimal", f, g, solved, gap, at, direction, rd)
+            if not legs.size:
+                break
         if steps == settings.max_iter:
+            leave(np.ones(len(legs), dtype=bool), "max_iter")
             break
 
         # predictor: the affine direction, then the centering weight
-        dy = -solved[:, 1]
-        centering = np.zeros(m)
+        dy = direction
+        within = None if len(at) == stack else at  # the running legs' systems
+        centering = weight = 0.0
         if m:
             mu = gap / m
-            ds = -faces(dy, rows.matvec(rows.net(dy)) if k else None)
+            ds = -faces(dy, rd)
             dz = -z - z / s * ds
-            alpha_p = min(1.0, _step_to_boundary(s, ds))
-            alpha_d = min(1.0, _step_to_boundary(z, dz))
-            mu_aff = float((s + alpha_p * ds) @ (z + alpha_d * dz)) / m
-            sigma = min(1.0, (mu_aff / mu) ** 3)
+            alpha_p = np.fmin(1.0, _step_to_boundary(s, ds))
+            alpha_d = np.fmin(1.0, _step_to_boundary(z, dz))
+            mu_aff = _dot(s + alpha_p[:, None] * ds, z + alpha_d[:, None] * dz) / m
+            # Python's power of a float: numpy's vectorised one rounds differently
+            sigma = np.array([min(1.0, ratio**3) for ratio in (mu_aff / mu).tolist()])
+            weight = sigma * mu
             # corrector: sigma * mu less the second-order term ds * dz
-            centering = sigma * mu - ds * dz
-            dy = -solve(g + faces_t(centering / s))
-        rdy, ds, dz = moves(dy, centering)
+            centering = weight[:, None] - ds * dz
+            dy = -solve(g + faces_t(centering / s), within)
+        else:
+            centering, weight = np.zeros((len(legs), 0)), np.zeros(len(legs))
+        rdy, ds, dz = moves(dy, centering, s, z)
         # the slope of the barrier merit f - sigma mu sum log s along dy
-        weight = sigma * mu if m else 0.0
-        slope = float(g @ dy) - weight * float((ds / s).sum())
-        if hess_f is not None and m and slope >= 0.0:
+        slope = _dot(g, dy) - weight * (ds / s).sum(axis=1)
+        uphill = slope >= 0.0
+        if hess_f is not None and m and uphill.any():
             # the second-order term turned the corrector uphill: the centred
             # direction, sigma mu alone, is H^-1 times minus the merit gradient
-            centering = np.full(m, weight)
-            dy = -solve(g + faces_t(centering / s))
-            rdy, ds, dz = moves(dy, centering)
-            slope = float(g @ dy) - weight * float((ds / s).sum())
-        if not (np.isfinite(dy).all() and np.isfinite(dz).all()):
-            status = "numerical_error"
-            break
+            centering[uphill] = weight[uphill, None]
+            dy[uphill] = -solve(g[uphill] + faces_t(centering[uphill] / s[uphill]), at[uphill])
+            rdy[uphill], ds[uphill], dz[uphill] = moves(dy[uphill], centering[uphill], s[uphill],
+                                                        z[uphill])
+            slope[uphill] = (_dot(g[uphill], dy[uphill])
+                             - weight[uphill] * (ds[uphill] / s[uphill]).sum(axis=1))
+        broken = ~(np.isfinite(dy).all(axis=1) & np.isfinite(dz).all(axis=1))
+        if broken.any():
+            f, weight, slope, dy, ds, dz, rdy = leave(
+                broken, "numerical_error", f, weight, slope, dy, ds, dz, rdy)
+            if not legs.size:
+                break
 
-        alpha = min(1.0, _FRACTION_TO_BOUNDARY * _step_to_boundary(s, ds))
+        alpha = np.fmin(1.0, _FRACTION_TO_BOUNDARY * _step_to_boundary(s, ds))
         accepts = None
         if hess_f is not None:
             # backtrack on the barrier merit
             trial, cap = objective.along(r, rdy)
-            alpha = min(alpha, cap)
-            merit0 = f - weight * float(np.log(s).sum())
-            noise = 64.0 * np.finfo(float).eps * (abs(merit0) + abs(f))
+            alpha = np.fmin(alpha, cap)
+            merit0 = f - weight * np.log(s).sum(axis=1)
+            noise = 64.0 * np.finfo(float).eps * (np.abs(merit0) + np.abs(f))
 
-            def accepts(a):
-                s_a = s + a * ds
-                if (s_a <= 0).any():
-                    return False
-                merit = trial(a) - weight * float(np.log(s_a).sum())
-                return merit <= merit0 + 1e-4 * a * min(slope, 0.0) + noise
+            def accepts(run, a):
+                """The legs of ``run`` whose step ``a`` passes the merit test."""
+                s_a = s[run] + a[:, None] * ds[run]
+                inside = (s_a > 0).all(axis=1)
+                if not inside.all():
+                    run, a, s_a = np.arange(len(legs))[run][inside], a[inside], s_a[inside]
+                merit = trial(run, a) - weight[run] * np.log(s_a).sum(axis=1)
+                passed = merit <= merit0[run] + 1e-4 * a * np.fmin(slope[run], 0.0) + noise[run]
+                return run if passed.all() else np.arange(len(legs))[run][passed]
 
         # a step is taken only where the slacks recomputed at the new point
         # stay positive: h - G y can cancel to zero where s + a ds does not
-        while alpha >= _STEP_SHRINK_MIN:
-            if accepts is None or accepts(alpha):
-                y_new = y + alpha * dy
+        pending = alpha >= _STEP_SHRINK_MIN
+        stepped = np.zeros(len(legs), dtype=bool)
+        while pending.any():
+            run = _legs(pending)
+            if accepts is not None:
+                run = accepts(run, alpha[run])
+            y_new = y[run] + alpha[run, None] * dy[run]
+            if len(y_new):
                 r_new = rows.matvec(rows.net(y_new))
-                s_new = slacks(y_new, r_new)
-                if (s_new > 0).all():
+                s_new = slacks(y_new, r_new, None if h is None else h[run])
+                inside = (s_new > 0).all(axis=1)
+                if not inside.all():
+                    run, y_new, r_new, s_new = (np.arange(len(legs))[run][inside], y_new[inside],
+                                                r_new[inside], s_new[inside])
+                elif isinstance(run, slice):  # every leg stepped at its first length
+                    y, r, s = y_new, r_new, s_new
+                    stepped[:] = True
                     break
-            alpha *= 0.5
-        else:
-            break
-        y, r, s = y_new, r_new, s_new
-        z = z + min(1.0, _FRACTION_TO_BOUNDARY * _step_to_boundary(z, dz)) * dz
-    if status == "max_iter" and kkt <= settings.grad_tol:
-        status = "optimal"
-
-    lower_z = np.full(n, np.nan)
-    upper_z = np.full(n, np.nan)
-    lower_z[lo] = z[k:k + lo.size]
-    upper_z[up] = z[k + lo.size:]
-    return {
-        "status": status,
-        "y": y,
-        "objective": objective.value(y, r),
-        "steps": steps,
-        "systems": len(trace),
-        "trace": trace,
-        "kkt": kkt,
-        "duals": {"point": None if h is None else z[:k], "lower": lower_z, "upper": upper_z},
-    }
+                y[run], r[run], s[run] = y_new, r_new, s_new
+                stepped[run] = True
+                pending[run] = False
+            alpha[pending] *= 0.5
+            pending &= alpha >= _STEP_SHRINK_MIN
+        if not stepped.all():
+            (dz,) = leave(~stepped, "max_iter", dz)
+            if not legs.size:
+                break
+        z = z + np.fmin(1.0, _FRACTION_TO_BOUNDARY * _step_to_boundary(z, dz))[:, None] * dz
+    return results
 
 
 def _newton_solver(hess):
@@ -572,74 +552,90 @@ def _newton_solver(hess):
     if hess.shape[0] == 0:  # a program without variables
         return lambda rhs: np.array(rhs, dtype=float)
     factor, solve = _cholesky_routines()
+    c = factor(hess)
+    if c is not None:
+        return lambda rhs: solve(c, rhs)
     scale = float(np.abs(np.diag(hess)).max(initial=0.0)) or 1.0
-    jitter = 0.0
-    for _ in range(10):
-        c = factor(hess if jitter == 0.0 else hess + jitter * np.eye(hess.shape[0]))
+    jitter = 1e-14 * scale
+    for _ in range(9):
+        c = factor(hess + jitter * np.eye(hess.shape[0]))
         if c is not None:
             return lambda rhs: solve(c, rhs)
-        jitter = max(jitter * 100.0, 1e-14 * scale)
+        jitter *= 100.0
     # last resort: a steepest-descent step in a badly conditioned corner
     return lambda rhs: rhs / scale
 
 
 def _condensed_solver(net_hess, box, rows):
-    """solve(b) = H^-1 b for the Newton matrix H = P^T K P + diag(box) in
-    the variables' net order, from one Cholesky factorization of its
-    condensed form on the rows' N net coordinates (see the module
-    docstring).  ``net_hess(shift)`` is K for the rows R_net + 1 shift^T, a
-    new array; ``box`` holds the box weight of every variable and ``rows``
-    the row factors, which define P."""
+    """solve(b, legs) = H^-1 b for the Newton matrix H = P^T K P + diag(box)
+    of each leg of a stack, in the variables' net order, from one Cholesky
+    factorization per leg of its condensed form on the rows' N net
+    coordinates (see the module docstring).  ``net_hess(shift)`` is K
+    (B, N, N) for the rows R_net + 1 shift^T with shifts (B, N), a new array;
+    ``box`` (B, n) holds the box weight of every variable and ``rows`` the
+    row factors, which define P.  ``solve`` takes b (B', n) or (B', n, c) for
+    the legs ``legs`` of the stack (B',), all of them by default."""
     p, J, positions, to_factor, _, ask, bid = rows.net_layout
-    d_buy, d_sell = box[p:p + J], box[p + J:]
+    legs = len(box)
+    d_buy, d_sell = box[:, p:p + J], box[:, p + J:]
     total = d_buy + d_sell
     spread = ask - bid
     share = spread**2 / total  # each quote's part of rho
-    rho = float(share.sum())
-    cash_free = rho > np.finfo(float).tiny
-    diagonal = [box[:p]]
+    rho = share.sum(axis=1)
+    cash_free = rho > _TINY
+    # rho, infinite where no quote has a spread: there 1/rho and tau are 0
+    rho = np.where(cash_free, rho, np.inf)[:, None]
     if J:
         # K + diag(h) + (1/rho)(omega, -1)(omega, -1)^T in the cash coordinate
         # tau = t - omega @ u, which moves the rank-one term onto the cash
         # diagonal: Q^T K Q + diag(h, 1/rho), where Q^T K Q is K of the rows
         # whose net columns move by omega times the cash column of ones
         cash = positions[-1]
-        shift = np.concatenate([np.zeros(p), (ask * d_sell + bid * d_buy) / total, [0.0]])
-        hess = net_hess(shift[to_factor])
-        diagonal += [d_buy * d_sell / total, [1.0 / rho if cash_free else 0.0]]
+        shift = np.concatenate([np.zeros((legs, p)), (ask * d_sell + bid * d_buy) / total,
+                                np.zeros((legs, 1))], axis=1)
+        hess = net_hess(shift.take(to_factor, axis=1))
+        diagonal = np.concatenate([box[:, :p], d_buy * d_sell / total, 1.0 / rho], axis=1)
     else:
         hess = net_hess(None)
-    hess[positions, positions] += np.concatenate(diagonal)
-    if J and not cash_free:
+        diagonal = box
+    # each leg's diagonal, in factor order, through a strided view
+    hess.reshape(legs, -1)[:, ::positions.size + 1] += diagonal.take(to_factor, axis=1)
+    for leg in np.flatnonzero(~cash_free) if J else ():
         # no quote has a spread: the cash is omega @ u, and tau = 0
-        hess[cash, :] = hess[:, cash] = 0.0
-        hess[cash, cash] = 1.0
-    solve_net = _newton_solver(hess)
-    pivot = int(np.argmax(share)) if cash_free else None
-    to_buy, to_sell = (d_sell / total)[:, None], (d_buy / total)[:, None]
-    per_total, per_spread = (1.0 / total)[:, None], (spread / total)[:, None]
+        hess[leg, cash, :] = hess[leg, :, cash] = 0.0
+        hess[leg, cash, cash] = 1.0
+    solvers = [_newton_solver(leg) for leg in hess]
+    # per leg: its factors, the weights of each quote's buy and sell, and rho
+    every = (np.arange(legs), (d_sell / total)[:, :, None], (d_buy / total)[:, :, None],
+             (1.0 / total)[:, :, None], (spread / total)[:, :, None], rho,
+             np.argmax(share, axis=1) if J else None, cash_free)
 
-    def solve(b):
-        flat = b if b.ndim == 2 else b[:, None]
-        if not J:
-            x = solve_net(flat[to_factor])[positions]
-            return x if b.ndim == 2 else x[:, 0]
-        b_buy, b_sell = flat[p:p + J], flat[p + J:]
-        mean = (b_buy + b_sell) * per_total
-        gamma = spread @ mean
-        tau_rhs = gamma / rho if cash_free else np.zeros_like(gamma)
-        rhs = np.concatenate([flat[:p], to_buy * b_buy - to_sell * b_sell, tau_rhs[None]])
-        w = solve_net(rhs[to_factor])[positions]
-        u, tau = w[p:p + J], w[-1]
-        if cash_free:
+    def solve(b, legs=None):
+        flat = b if b.ndim == 3 else b[:, :, None]
+        at, buys, sells, per_total, per_spread, rho, pivot, free = (
+            every if legs is None else [None if a is None else a[legs] for a in every])
+        if J:
+            b_buy, b_sell = flat[:, p:p + J], flat[:, p + J:]
+            mean = (b_buy + b_sell) * per_total
+            gamma = np.matmul(spread, mean)
+            tau_rhs = gamma / rho
+            flat = np.concatenate([flat[:, :p], buys * b_buy - sells * b_sell, tau_rhs[:, None]],
+                                  axis=1)
+        rhs = flat.take(to_factor, axis=1)
+        w = np.array([solvers[leg](part) for leg, part in zip(at, rhs)]).take(positions, axis=1)
+        if J:
             # each pair's weighted mean (d+ x+ + d- x-) / (d+ + d-), through
             # the cash row's multiplier (gamma - tau) / rho; the quote with
             # the largest share of rho then restores spread @ mean = tau,
             # which a small d+ + d- would otherwise break
-            mean -= per_spread * ((gamma - tau) / rho)
-            mean[pivot] += (tau - spread @ mean) / spread[pivot]
-        x = np.concatenate([w[:p], mean + to_buy * u, mean - to_sell * u])
-        return x if b.ndim == 2 else x[:, 0]
+            u, tau = w[:, p:p + J], w[:, -1]
+            on = _legs(free)
+            mean[on] -= per_spread[on] * ((gamma[on] - tau[on]) / rho[on])[:, None, :]
+            top = pivot[on]
+            restore = (tau[on] - np.matmul(spread, mean[on])) / spread[top, None]
+            mean[np.arange(len(w))[on], top] += restore
+            w = np.concatenate([w[:, :p], mean + buys * u, mean - sells * u], axis=1)
+        return w if b.ndim == 3 else w[:, :, 0]
 
     return solve
 
@@ -661,59 +657,81 @@ def feasibility_start(program: AssembledProgram, settings: SolveSettings | None 
     """
     if program.point_upper is None:
         raise ValueError("phase-1 needs pointwise constraint rows")
-    settings = settings or SolveSettings()
     scale = 1.0 + float(np.abs(program.point_upper).max())
     lifted = program.epigraph(program.point_upper, -10.0 * scale)
     # The target is absolute, a quarter of the margin: a target relative to
     # |s| would let the error grow with the slack.
-    solution = _solve(lifted, settings, PHASE1_GAP, lambda f: scale)
+    (solution,) = solve_legs([lifted], settings, PHASE1_GAP, lambda f: scale)
     s_star = solution.objective
     strict = s_star < -PHASE1_MARGIN * scale
     return s_star, (solution.x[: program.variable_count] if strict else None)
 
 
-def _solve(program: AssembledProgram, settings: SolveSettings, tol=None, scale=None) -> Solution:
-    """Minimize ``program`` from its own start until the gap and the
-    decrement are at most ``tol`` (``settings.gap_tol``) times ``scale(f)``
-    (1 for a log value, 1 + |f| for a linear objective).  A start not
-    strictly inside the rows and boxes raises ValueError."""
+def solve_legs(programs, settings: SolveSettings | None = None, tol=None, scale=None):
+    """Minimize each of ``programs`` from its own start, all as one stack of
+    legs; returns one Solution per program, in order, each bit for bit the
+    one that program gets alone.
+
+    The programs share one objective type, their row factors (the same
+    object: the legs of one strategy space) and their boxes, and differ in
+    their claim offsets, point bounds, costs and starts.  Each leg stops when
+    its gap and decrement are at most ``tol`` (``settings.gap_tol``) times
+    ``scale(f)`` (1 for a log value, 1 + |f| for a linear objective), and its
+    ``wall_time`` runs until it left the stack.  A start not strictly inside
+    its rows and boxes raises ValueError."""
+    settings = settings or SolveSettings()
+    first = programs[0]
+    rows = first.factors
+    exponential = first.objective == "exp_sum"
+    for program in programs:
+        if (program.objective != first.objective or program.factors is not rows
+                or (program.point_upper is None) != (first.point_upper is None)
+                or not np.array_equal(program.lower, first.lower)
+                or not np.array_equal(program.upper, first.upper)):
+            raise ValueError("stacked legs must share their objective, row factors and boxes")
+        if exponential and program.kappa is None:
+            raise ValueError("an exponential-sum leg needs a risk scale")
     started = time.perf_counter()
-    exponential = program.objective == "exp_sum"
     # the loop runs in the rows' variable order [plain | buys | sells]
-    rows = program.factors
     order = rows.net_layout.variables
     if exponential:
-        objective = _ExpSumObjective(rows, program.offsets, program.masses, program.kappa)
+        objective = _ExpSumObjective(rows, np.stack([p.offsets for p in programs]),
+                                     np.log(np.stack([p.masses for p in programs])),
+                                     np.array([[p.kappa] for p in programs], dtype=float))
     else:
-        objective = _LinearObjective(program.cost[order])
-    core = _interior_point(
+        objective = _LinearObjective(np.stack([p.cost[order] for p in programs]))
+    cores = _interior_point(
         objective,
         rows,
-        None if program.point_upper is None else program.point_upper - program.offsets,
-        program.lower[order],
-        program.upper[order],
-        program.start[order],
+        None if first.point_upper is None
+        else np.stack([p.point_upper - p.offsets for p in programs]),
+        first.lower[order],
+        first.upper[order],
+        np.stack([p.start[order] for p in programs]),
         settings,
         settings.gap_tol if tol is None else tol,
         scale or ((lambda f: 1.0) if exponential else (lambda f: 1.0 + abs(f))),
     )
-    x, lower_z, upper_z = (np.empty(order.size) for _ in range(3))
-    x[order] = core["y"]
-    lower_z[order] = core["duals"]["lower"]
-    upper_z[order] = core["duals"]["upper"]
-    value = core["objective"]
-    return Solution(
-        x=x,
-        objective=float(np.exp(value)) if exponential else value,
-        log_objective=value if exponential else None,
-        status=core["status"],
-        duals={"point": core["duals"]["point"], "lower": lower_z, "upper": upper_z},
-        outer_iterations=core["steps"],
-        newton_iterations=core["systems"],
-        wall_time=time.perf_counter() - started,
-        kkt_residual=core["kkt"],
-        trace=core["trace"],
-    )
+    solutions = []
+    for core in cores:
+        x, lower_z, upper_z = (np.empty(order.size) for _ in range(3))
+        x[order] = core["y"]
+        lower_z[order] = core["duals"]["lower"]
+        upper_z[order] = core["duals"]["upper"]
+        value = core["objective"]
+        solutions.append(Solution(
+            x=x,
+            objective=float(np.exp(value)) if exponential else value,
+            log_objective=value if exponential else None,
+            status=core["status"],
+            duals={"point": core["duals"]["point"], "lower": lower_z, "upper": upper_z},
+            outer_iterations=core["steps"],
+            newton_iterations=core["systems"],
+            wall_time=core["ended"] - started,
+            kkt_residual=core["kkt"],
+            trace=core["trace"],
+        ))
+    return solutions
 
 
 def minimize(program: AssembledProgram, settings: SolveSettings | None = None) -> Solution:
@@ -723,7 +741,8 @@ def minimize(program: AssembledProgram, settings: SolveSettings | None = None) -
     ``kappa``, is no such program."""
     if program.objective != "exp_sum" or program.kappa is None:
         raise ValueError("minimize expects an exponential-sum program with a risk scale")
-    return _solve(program, settings or SolveSettings())
+    (solution,) = solve_legs([program], settings)
+    return solution
 
 
 def solve_lp(program: AssembledProgram, settings: SolveSettings | None = None) -> Solution:
@@ -736,5 +755,5 @@ def solve_lp(program: AssembledProgram, settings: SolveSettings | None = None) -
     """
     if program.objective != "linear":
         raise ValueError("solve_lp expects a linear-objective program")
-    return _solve(program, settings or SolveSettings())
-
+    (solution,) = solve_legs([program], settings)
+    return solution

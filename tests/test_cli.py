@@ -291,6 +291,30 @@ def test_non_finite_config_number_exits_1(tmp_path, capsys, constant):
     assert not (tmp_path / "price_report.json").exists()
 
 
+def test_nu_the_grid_cannot_represent_exits_1(tmp_path, capsys):
+    # at nu = 0.2 the one-month period's gamma shape is 0.42: the density is
+    # unbounded where the index stays put, and those grid points took a mass
+    # of 0.998 (raw_mass 2,012) before the config rejected it
+    config = tmp_path / "nu.json"
+    config.write_text(json.dumps({"model": {"nu": 0.2}}))
+    code = cli.main(["price", "--config", str(config), "--json-errors", "--out", str(tmp_path)])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "ValidationError"
+    assert "config.model.nu" in error["message"] and "2 * min(dt)" in error["message"]
+    assert not (tmp_path / "price_report.json").exists()
+
+
+def test_nu_just_below_the_bound_loads(tmp_path):
+    bound = 2.0 / 12.0  # twice the default one-month period
+    config = tmp_path / "nu.json"
+    config.write_text(json.dumps({"model": {"nu": bound * (1.0 - 1e-9)}}))
+    assert cli.load_config(config).model.nu == bound * (1.0 - 1e-9)
+    config.write_text(json.dumps({"model": {"nu": bound}}))
+    with pytest.raises(cli.ValidationError, match="config.model.nu"):
+        cli.load_config(config)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 def test_flag_outside_the_schema_exits_1(tmp_path, capsys, value):
     # a flag overrides the config after the file's own checks; it must pass

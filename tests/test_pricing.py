@@ -13,7 +13,7 @@ from semistatic.fixtures import (
     small_market,
     synthetic_market,
 )
-from semistatic import pricing
+from semistatic import pricing, solver
 from semistatic.instruments import OptionKind, Quote
 from semistatic.pricing import (
     AgentSpec,
@@ -260,19 +260,54 @@ class TestPriceReport:
         # the price order needs every exponential optimum free of binding
         # limits, the baseline's too: a limit binding there alone sets the flag
         assert not price_report(market_small, agent, knockout).flags["bounds_active"]
-        optimum = pricing._optimum
+        optima = pricing._optima
 
-        def baseline_at_its_limits(program, settings):
-            solution = optimum(program, settings)
-            if np.all(program.offsets == -agent.initial_wealth):  # the leg without a claim
-                options = program.layout.options
-                solution = replace(solution, x=np.r_[program.upper[:options],
-                                                     solution.x[options:]])
-            return solution
+        def baseline_at_its_limits(programs, settings):
+            solutions = optima(programs, settings)
+            for i, program in enumerate(programs):
+                if np.all(program.offsets == -agent.initial_wealth):  # the leg without a claim
+                    options = program.layout.options
+                    solutions[i] = replace(solutions[i], x=np.r_[program.upper[:options],
+                                                                 solutions[i].x[options:]])
+            return solutions
 
-        monkeypatch.setattr(pricing, "_optimum", baseline_at_its_limits)
+        monkeypatch.setattr(pricing, "_optima", baseline_at_its_limits)
         report = price_report(market_small, agent, knockout)
         assert report.flags["bounds_active"]
+
+    @pytest.mark.parametrize("delta_pct", [None, 0.1])
+    def test_stacked_legs_equal_their_solves_alone(self, monkeypatch, market_chain, agent,
+                                                   knockout, delta_pct):
+        # a report solves its legs as two stacks; each leg's solve is bit for
+        # bit the one it gets alone, through the single-price functions
+        stacks = []
+        solve_legs = solver.solve_legs
+
+        def recorded(programs, *args, **kwargs):
+            stacks.append(solve_legs(programs, *args, **kwargs))
+            return stacks[-1]
+
+        monkeypatch.setattr(solver, "solve_legs", recorded)
+        monkeypatch.setattr(pricing, "solve_legs", recorded)
+        grid = market_chain.grid_for([(knockout, 1.0)])
+        report = price_report(market_chain, agent, knockout, delta_pct=delta_pct)
+        (base, sell, buy), (sup, sub, _) = stacks
+        assert [len(stack) for stack in stacks] == [3, 3]
+        del stacks[:]
+        args = (market_chain, agent, knockout, 1.0, delta_pct, grid)
+        assert indifference_sell(*args) == report.seller_price
+        assert indifference_buy(*args) == report.buyer_price
+        assert superhedge_cost(market_chain, knockout, 1.0, delta_pct, grid)[0] == report.superhedge
+        assert subhedge_cost(market_chain, knockout, 1.0, delta_pct, grid)[0] == report.subhedge
+        alone = [solution for (solution,) in stacks]  # one leg per solve
+        for stacked, single in zip((sell, base, buy, base, sup, sub), alone):
+            assert stacked.status == single.status == "optimal"
+            assert stacked.newton_iterations == single.newton_iterations
+            assert stacked.objective == single.objective
+            assert stacked.kkt_residual == single.kkt_residual
+            np.testing.assert_array_equal(stacked.x, single.x)
+            for key in ("lower", "upper"):
+                np.testing.assert_array_equal(stacked.duals[key], single.duals[key])
 
     def test_report_json(self, tmp_path, market_small, agent, knockout):
         import json

@@ -106,6 +106,33 @@ def kernel_rows(market, program, delta_pct):
 
 @pytest.mark.parametrize("delta_pct", [None, 0.1])
 @pytest.mark.parametrize("periods", [1, 2, 3])
+def test_stacked_products_equal_each_leg_alone(periods, delta_pct):
+    # the solver runs legs as a stack; every product gives each leg the bits
+    # it gets alone, and a stack of one the bits of an unstacked product
+    _, program = grid_program(periods, delta_pct)
+    lifted = program.epigraph(np.zeros(program.grid.size), -np.inf)
+    for factors in (program.factors, lifted.factors):
+        (M, n), N = factors.shape, factors.width
+        rng = np.random.default_rng(periods)
+        w, v, y = (rng.standard_normal((3, size)) for size in (N, M, n))
+        weights = rng.random((3, M))
+        shift = rng.standard_normal((3, N))
+        shift[:, N - factors.cell_count:] = 0.0
+        stacked = [(factors.matvec(w), factors.matvec, (w,)),
+                   (factors.rmatvec(v), factors.rmatvec, (v,)),
+                   (factors.net(y), factors.net, (y,)),
+                   (factors.net_t(w), factors.net_t, (w,)),
+                   (factors.gram(weights), factors.gram, (weights,)),
+                   (factors.gram(weights, shift), factors.gram, (weights, shift))]
+        for out, product, args in stacked:
+            for leg in range(3):
+                alone = product(*(a[leg] for a in args))
+                np.testing.assert_array_equal(out[leg], alone)
+                np.testing.assert_array_equal(product(*(a[leg:leg + 1] for a in args))[0], alone)
+
+
+@pytest.mark.parametrize("delta_pct", [None, 0.1])
+@pytest.mark.parametrize("periods", [1, 2, 3])
 def test_assembled_programs(periods, delta_pct):
     market, program = grid_program(periods, delta_pct)
     factors = program.factors

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semistatic import cli, pricing, solver
+from semistatic import cli, pricing, scenario, solver
 from semistatic.claims import knockout_call
 from semistatic.fixtures import BASE_MODEL, crossed_quote_market, small_market
 from semistatic.galerkin import RowFactors, assemble_frictionless
@@ -19,8 +19,8 @@ from semistatic.solver import (
     minimize,
     solve_lp,
     _newton_solver,
-    _openblas_thread_controls,
 )
+from semistatic.blas import _openblas_thread_controls, _scipy_cholesky
 
 from conftest import make_exp_program, make_lp_program, package_env
 from oracles import dual_bound, highs_value, objective_and_gradient
@@ -268,7 +268,7 @@ class TestNewtonDirection:
         hess = (basis * np.geomspace(1.0, 1e3, n)) @ basis.T
         grad = rng.standard_normal((n, 2))
         default = _newton_solver(hess)(grad)
-        monkeypatch.setattr(solver, "_cholesky_routines", solver._scipy_cholesky)
+        monkeypatch.setattr(solver, "_cholesky_routines", _scipy_cholesky)
         fallback = _newton_solver(hess)(grad)
         assert np.abs(fallback - default).max() <= 1e-12 * np.abs(default).max()
 
@@ -311,21 +311,26 @@ class TestCondensedNewtonSystem:
         elif case == "no-quotes":
             spreads = spreads[:0]
         factors, n = quote_factors(rng, spreads)
-        weights = rng.random(factors.grid_shape[0])
-        K = factors.gram(weights)
-        box = np.concatenate([10.0 ** rng.uniform(-12.0, 8.0, n - 3), 10.0 ** rng.uniform(-3, 3, 3)])
-        P = factors.net(np.eye(n))
-        H = P.T @ K @ P + np.diag(box)
-        b = rng.standard_normal((n, 2))
-        condensed = solver._condensed_solver(lambda shift: factors.gram(weights, shift), box, factors)
-        for rhs in (b, b[:, 0]):
-            try:
-                dense = backward_error(H, np.linalg.solve(H, rhs), rhs)
-            except np.linalg.LinAlgError:
-                # singular to working precision: a quote without a spread
-                # whose d+ + d- is far below K leaves H an exact null vector
-                dense = 0.0
-            assert backward_error(H, condensed(rhs), rhs) <= max(dense, np.finfo(float).eps)
+        # a stack of three legs, each with its own row and box weights
+        weights = rng.random((3, factors.grid_shape[0]))
+        box = np.concatenate([10.0 ** rng.uniform(-12.0, 8.0, (3, n - 3)),
+                              10.0 ** rng.uniform(-3, 3, (3, 3))], axis=1)
+        b = rng.standard_normal((3, n, 2))
+        condensed = solver._condensed_solver(lambda shift: factors.gram(weights, shift), box,
+                                             factors)
+        P = factors.net(np.eye(n)).T
+        for leg in range(3):
+            H = P.T @ factors.gram(weights[leg]) @ P + np.diag(box[leg])
+            for rhs, got in ((b[leg], condensed(b)[leg]),
+                             (b[leg, :, 0], condensed(b[:, :, 0])[leg]),
+                             (b[leg], condensed(b[[leg]], np.array([leg]))[0])):
+                try:
+                    dense = backward_error(H, np.linalg.solve(H, rhs), rhs)
+                except np.linalg.LinAlgError:
+                    # singular to working precision: a quote without a spread
+                    # whose d+ + d- is far below K leaves H an exact null vector
+                    dense = 0.0
+                assert backward_error(H, got, rhs) <= max(dense, np.finfo(float).eps)
 
     def test_packaged_report_factors_condensed_systems(self, monkeypatch, packaged):
         # each quote's buy and sell variables condense into one net
@@ -570,6 +575,47 @@ class TestHedgingLPs:
         assert sol.status == "optimal"
         assert len(calls) <= 3 * sol.newton_iterations
 
+    def test_three_row_products_per_stacked_step(self, monkeypatch, packaged):
+        # a report's two stacks: each stacked step (the longest leg's Newton
+        # systems) makes three row products however many legs run, and a
+        # step that some leg shortens one more; alone, the packaged subhedge
+        # shortens four of its 27 steps and makes 84 products
+        config, market = packaged
+        calls, stacks = [], []
+        matvec, interior_point = RowFactors.matvec, solver._interior_point
+
+        def spy(self, w):
+            if stacks:  # the solver's products, not the caller's
+                stacks[-1][0] += 1
+            return matvec(self, w)
+
+        def solve(*args):
+            stacks.append([0])
+            results = interior_point(*args)
+            calls.append((stacks.pop()[0], max(result["systems"] for result in results),
+                          len(results)))
+            return results
+
+        monkeypatch.setattr(RowFactors, "matvec", spy)
+        monkeypatch.setattr(solver, "_interior_point", solve)
+        pricing.price_report(market, config.agent, config.claim, units=config.claim_units,
+                             delta_pct=config.delta_pct, settings=config.solver)
+        assert len(calls) == 2  # the exponential legs, then the hedging LPs: one loop each
+        for products, steps, legs in calls:
+            assert products <= 3 * steps + legs
+
+    def test_stack_shares_its_rows_and_boxes(self, packaged):
+        config, market = packaged
+        grid = market.grid_for([(config.claim, 1.0)])
+        space = pricing._assemble(market, grid, None)
+        leg = space.leg((), 1e5, 1e-5)
+        with pytest.raises(ValueError, match="share"):
+            solver.solve_legs([leg, pricing._assemble(market, grid, None).leg((), 1e5, 1e-5)])
+        with pytest.raises(ValueError, match="share"):
+            solver.solve_legs([leg, replace(leg, upper=leg.upper + 1.0)])
+        with pytest.raises(ValueError, match="share"):
+            solver.solve_legs([leg, pricing._hedging_lp(space, ())])
+
     def test_packaged_report_legs_within_sixty_systems(self, packaged):
         config, market = packaged
         report = pricing.price_report(
@@ -727,15 +773,46 @@ class TestBlasThreads:
         assert seen and set(seen) == {(1,) * len(controls)}
         assert after == (2,) * len(controls)
 
-    def test_price_report_bytes_independent_of_thread_count(self, tmp_path):
+    @pytest.mark.parametrize("flags", [[], ["--delta-pct", "0.1"]], ids=["frictionless", "cost"])
+    def test_price_report_bytes_independent_of_thread_count(self, tmp_path, flags):
         openblas_controls()
         reports = []
         for threads in ("1", "2"):
             out = tmp_path / threads
             subprocess.run(
-                [sys.executable, "-m", "semistatic.cli", "price", "--out", str(out)],
+                [sys.executable, "-m", "semistatic.cli", "price", "--out", str(out), *flags],
                 env=package_env(OPENBLAS_NUM_THREADS=threads),
                 capture_output=True, check=True, timeout=300,
             )
             reports.append((out / "price_report.json").read_bytes())
         assert reports[0] == reports[1]
+
+    def test_gauss_legendre_rule_runs_on_one_thread(self, monkeypatch):
+        # numpy's leggauss is a dense eigenvalue problem: one BLAS thread
+        # gives the same nodes as two, without their slow outliers on a
+        # busy machine
+        controls = openblas_controls()
+
+        def counts():
+            return tuple(getter() for getter, _ in controls)
+
+        seen = []
+        leggauss = scenario.leggauss
+
+        def spy(n):
+            seen.append(counts())
+            return leggauss(n)
+
+        monkeypatch.setattr(scenario, "leggauss", spy)
+        saved = counts()
+        try:
+            for _, setter in controls:
+                setter(2)
+            nodes, weights = scenario._gl_rule.__wrapped__(24)
+            after = counts()
+        finally:
+            for (_, setter), count in zip(controls, saved):
+                setter(count)
+        assert seen == [(1,) * len(controls)]
+        assert after == (2,) * len(controls)
+        np.testing.assert_array_equal(nodes, leggauss(24)[0])
