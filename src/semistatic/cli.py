@@ -33,7 +33,7 @@ from .pricing import (
     subhedge_cost,
     superhedge_cost,
 )
-from .scenario import VGParams, simulate_paths
+from .scenario import VGParams, check_nu, simulate_paths
 from .solver import SolveSettings
 
 CONFIG_ENV_VAR = "SEMISTATIC_CONFIG"
@@ -341,8 +341,8 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     and ``maxItems``; ``default`` fills ``DEFAULT_CONFIG``.  ``overrides``,
     one section -> key -> value map as the CLI flags give it, are checked
     against the same schema and, like the file, may hold no non-finite
-    number.  A variance-gamma ``nu`` of at least twice the shortest period
-    is rejected too.  A rejected file or override raises ``ValidationError``.
+    number.  A variance-gamma ``nu`` that ``scenario.check_nu`` rejects is
+    rejected too.  A rejected file or override raises ``ValidationError``.
     """
     data = {}
     if path is None:
@@ -367,14 +367,10 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         spot=merged["model"]["spot"],
         horizons=tuple(merged["model"]["horizons"]),
     )
-    # a period whose gamma shape dt / nu is at most 1/2 has a variance-gamma
-    # density unbounded at a zero log move: the grid's points where the index
-    # stays put would take almost all the mass
-    shortest = min(model.period_lengths())
-    if shortest / model.nu <= 0.5:
-        raise ValidationError(
-            f"config.model.nu: {model.nu!r} must lie below 2 * min(dt) = {2.0 * shortest!r}, "
-            "twice the shortest period, where the grid can represent the density")
+    try:
+        check_nu(model)
+    except ValueError as exc:
+        raise ValidationError(f"config.model.nu: {exc}") from None
     agent = AgentSpec(
         initial_wealth=merged["agent"]["initial_wealth"],
         risk_aversion=merged["agent"]["risk_aversion"],

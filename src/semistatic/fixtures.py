@@ -9,10 +9,10 @@ in-the-money call can be planted on top to create one.
 
 The chain is sensitive to rounding: deep in-the-money mids land on tick
 boundaries, so one ulp in a grid mass or in a tilt root can move a quote by
-a tick.  The grid's log Gamma and the root finder here are therefore
-bit-exact ports of the scipy routines the chains were first built with; the
-gamma quantiles, which only bound the quadrature range, agree with scipy's
-to 1e-13 and left every chain the tests and the benchmark build unchanged.
+a tick.  A change in how the grid's densities are rounded may therefore move
+a few such quotes by one tick; the packaged CSV is data, and stays within a
+tick of the chain generated here.  The tilt's root finder is a port of
+scipy's C Brent solver, so that generating a chain imports numpy only.
 """
 from __future__ import annotations
 

@@ -5,15 +5,13 @@ that the tests hold the package's fast paths to.
 - Quotes: the acquisition cost and the per-path payoff of one quote.
 - Index trading: the cash flow of one index trade under proportional costs.
 - Model: the VG log-increment density by adaptive quadrature, its CDF and
-  moments, the joint path density, and the lower regularized incomplete
-  gamma function at large shapes, where scipy's loses accuracy.
+  moments, and the joint path density.
 - Programs: the expected-loss value and gradient from the dense rows, an
   exact LP solve on HiGHS and the weak-duality bound of returned duals.
 - Prices: the indifference price by a budget line search.
 - Config: a JSON Schema 2020-12 validator of the CLI's configuration schema.
 """
 import warnings
-from decimal import Decimal, localcontext
 
 import jsonschema
 import numpy as np
@@ -124,36 +122,6 @@ def vg_log_increment_cdf_vec(params, dt: float, u, n_nodes: int = 400) -> np.nda
         z = (u[start : start + chunk, None] - params.theta * g) / sd
         out[start : start + chunk] = np.einsum("j,ij->i", weights, special.ndtr(z))
     return out
-
-
-_PI_40 = Decimal("3.141592653589793238462643383279502884197")
-
-
-def lower_gamma_tail(a: float, x: float) -> float:
-    """P(a, x) for shape a >= 1e4 and x < a.
-
-    P = x^a e^-x / Gamma(a + 1) * sum_n x^n / ((a+1)...(a+n)).  The factor in
-    front is formed in 40-digit decimal arithmetic, with log Gamma(a + 1) from
-    Stirling's series (the first omitted term is below 1e-28 at a >= 1e4),
-    so no cancellation among terms of size a log a reaches the result; the sum,
-    of order a / (a - x), is accumulated in double precision.  (scipy's
-    ``gammainc`` is off by 7.6e-9 relative at a = 1e6 and 4e-3 at 1e7 in the
-    1e-16 lower tail, against mpmath at 30 digits.)
-    """
-    if not (a >= 1e4 and 0.0 < x < a):
-        raise ValueError("the reference covers shapes >= 1e4 below their mean")
-    total, term, n = 1.0, 1.0, 1
-    while term >= 1e-17 * total:
-        terms = term * np.cumprod(x / (a + np.arange(n, n + 4096)))
-        total += float(terms.sum())
-        term, n = float(terms[-1]), n + 4096
-    with localcontext() as ctx:
-        ctx.prec = 40
-        big_a, big_x = Decimal(a), Decimal(x)
-        log_gamma = ((big_a + Decimal("0.5")) * big_a.ln() - big_a + (2 * _PI_40).ln() / 2
-                     + 1 / (12 * big_a) - 1 / (360 * big_a**3) + 1 / (1260 * big_a**5))
-        log_p = big_a * big_x.ln() - big_x - log_gamma + Decimal(total).ln()
-        return float(log_p.exp())
 
 
 def vg_increment_moments(params, dt: float) -> tuple[float, float]:

@@ -33,3 +33,18 @@ def test_brentq_port_is_bit_equal_to_scipy(monkeypatch, step, seed):
 def test_brentq_port_rejects_an_unbracketed_root():
     with pytest.raises(ValueError):
         fixtures._brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-14)
+
+
+def test_packaged_chain_is_the_generated_chain_to_a_tick():
+    # The packaged CSV was written by synthetic_chain.  Deep in-the-money
+    # mids sit on tick boundaries, so a change in the grid's rounding may move
+    # a price there by one tick; tickers and quantities do not move.
+    packaged = cli.ingest_quotes(cli.packaged_chain_path(), fixtures.DEFAULT_MATURITIES)
+    assert not packaged.rejected
+    generated = fixtures.synthetic_chain()
+    assert [q.id for q in packaged.quotes] == [q.id for q in generated]
+    for ours, ref in zip(packaged.quotes, generated):
+        assert (ours.bid_qty, ours.ask_qty) == (ref.bid_qty, ref.ask_qty), ref.id
+        for side in ("bid_price", "ask_price"):
+            gap = abs(getattr(ours, side) - getattr(ref, side))
+            assert gap <= fixtures.TICK * (1.0 + 1e-9), (ref.id, side, gap)

@@ -1,16 +1,17 @@
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, special, stats
 
 from semistatic.claims import Breakpoint
+from semistatic.pricing import Market
 from semistatic.scenario import (
     VGParams,
     _gamma_bracket,
-    _gamma_quantile,
-    _gammaln,
     build_grid,
     simulate_paths,
     vg_log_increment_density_vec,
@@ -18,7 +19,6 @@ from semistatic.scenario import (
 
 from conftest import package_env
 from oracles import (
-    lower_gamma_tail,
     path_density,
     vg_increment_moments,
     vg_log_increment_cdf_vec,
@@ -52,8 +52,8 @@ class TestIncrementDensity:
     @pytest.mark.parametrize("theta", [0.0, -0.15])
     def test_fast_path_normal_limit_small_nu(self, theta):
         # at nu = 1e-10 the gamma shape dt / nu is 8.3e8: the fixed nodes sit
-        # in a bracket 5.7e-4 wide around dt, 16.4 standard deviations, and a
-        # quantile five deviations (1.7e-4) inside cuts 1e-3 of the mass
+        # in a bracket of width 5.9e-4 dt, 17.2 standard deviations, and an end
+        # five deviations (1.7e-4 dt) further in would cut 1e-3 of the mass
         dt, sigma = 1 / 12, 0.1206
         us = theta * dt + sigma * np.sqrt(dt) * np.linspace(-4.0, 4.0, 33)
         # The model departs from the normal by its excess kurtosis 3 nu / dt,
@@ -64,13 +64,14 @@ class TestIncrementDensity:
         d1 = -1 / (2 * dt) + us**2 / (2 * sigma**2 * dt**2) - theta**2 / (2 * sigma**2)
         d2 = 1 / (2 * dt**2) - us**2 / (sigma**2 * dt**3)
         normal = stats.norm.pdf(us, loc=theta * dt, scale=sigma * np.sqrt(dt))
-        # Measured: 3.9e-13 at nu = 1e-10, 3.0e-12 at 1e-12, the rounding of
-        # the weights' Stirling form.
-        for nu, rtol in ((1e-10, 1e-12), (1e-12, 1e-11)):
+        # Measured: at most 2.4e-15 at both nu.  The weights are formed around
+        # the gamma mean and normalised by their own sum, so no constant as
+        # large as log Gamma(shape) rounds into them.
+        for nu in (1e-10, 1e-12):
             params = VGParams(theta=theta, sigma=sigma, nu=nu, spot=2360.0, horizons=(dt,))
             got = vg_log_increment_density_vec(params, dt, us)
             want = normal * (1.0 + 0.5 * nu * dt * (d1**2 + d2))
-            np.testing.assert_allclose(got, want, rtol=rtol, err_msg=f"nu = {nu}")
+            np.testing.assert_allclose(got, want, rtol=1e-13, err_msg=f"nu = {nu}")
 
     def test_fast_path_agrees_with_adaptive_reference(self):
         us = np.concatenate([np.linspace(-0.25, 0.25, 21), [1e-9, -1e-9]])
@@ -173,6 +174,13 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(BASE, [(2300.0,), (2300.0,)], truncation=[(2000.0, 2000.0)] * 2)
 
+    def test_nu_the_grid_cannot_represent_rejected(self):
+        # at nu = 0.2 the one-month period's gamma shape is 0.42: the density
+        # is unbounded where the index stays put
+        model = VGParams(theta=0.0, sigma=0.1206, nu=0.2, spot=2360.0, horizons=(1 / 12, 2 / 12))
+        with pytest.raises(ValueError, match=r"nu = 0\.2 .*2 \* min\(dt\)"):
+            Market(quotes=(), model=model).grid_for(())
+
 
 class TestSimulation:
     def test_deterministic_given_seed(self):
@@ -234,64 +242,8 @@ def test_package_import_leaves_reference_quadrature_unloaded():
 
 
 # ---------------------------------------------------------------------------
-# gamma functions: scipy.special stays a test oracle
+# the gamma bracket: scipy.special stays a test oracle
 # ---------------------------------------------------------------------------
-
-# the default model's first-period gamma shape, dt / nu
-DEFAULT_SHAPE = (1 / 12) / 0.0031
-
-
-def test_gammaln_port_is_bit_equal_to_scipy():
-    rng = np.random.default_rng(20170321)
-    shapes = np.concatenate([
-        np.geomspace(1e-3, 1e9, 20001),
-        np.exp(rng.uniform(np.log(1e-3), np.log(1e9), 20000)),
-        np.arange(1, 40) / 2,  # the integer and half-integer branch edges
-        [DEFAULT_SHAPE, 2 / 12 / 0.0031, 13.0, np.nextafter(13.0, 0.0), 1000.0, 1e8],
-    ])
-    ported = np.array([_gammaln(float(a)) for a in shapes])
-    np.testing.assert_array_equal(ported, special.gammaln(shapes))
-
-
-QUANTILE_SHAPES = np.geomspace(1e-3, 1e9, 73)
-# Above this shape scipy's lower-tail inverse is wrong (its forward function
-# too: P at its 1e-16 quantile is 1.004e-16 at shape 1e7 and 1.7e-16 at
-# 4e8, against mpmath at 30 digits).  The lower tail is held to the decimal
-# reference there instead.
-SCIPY_LOWER_LIMIT = 1e5
-
-
-@pytest.mark.parametrize("tail", [1e-16, 1e-6])
-@pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
-def test_gamma_quantiles_match_scipy(tail, upper):
-    inverse = special.gammainccinv if upper else special.gammaincinv
-    tiny = np.finfo(float).tiny
-    checked = 0
-    for shape in QUANTILE_SHAPES:
-        if not upper and shape > SCIPY_LOWER_LIMIT:
-            continue
-        ours, ref = _gamma_quantile(float(shape), tail, upper), float(inverse(shape, tail))
-        if ref < tiny:
-            # both underflow, and the bracket clamps both to tiny
-            assert ours < tiny
-            continue
-        # Below shape 1 the lower quantile moves by 1/shape times a relative
-        # error of P, and scipy's inverse carries about 2e-15 of it: 9.7e-14
-        # off the 40-digit root at shape 0.0214, where this port is 4.8e-15 off.
-        rel = 1e-13 + (4e-15 / shape if not upper else 0.0)
-        assert abs(ours - ref) <= rel * ref, (shape, ours, ref)
-        checked += 1
-    assert checked >= 30
-
-
-@pytest.mark.parametrize("tail", [1e-16, 1e-6])
-def test_lower_gamma_quantile_at_large_shapes(tail):
-    # the 40-digit reference brackets the quantile to 1e-13 relative: there
-    # P moves by a factor exp(x P'/P * 1e-13) with x P'/P >= 8 sqrt(shape)
-    for shape in np.geomspace(SCIPY_LOWER_LIMIT, 1e9, 17):
-        q = _gamma_quantile(float(shape), tail)
-        below, above = (lower_gamma_tail(shape, q * (1 + e)) for e in (-1e-13, 1e-13))
-        assert below < tail < above, shape
 
 
 def test_gamma_bracket_at_extreme_shapes():
@@ -299,3 +251,26 @@ def test_gamma_bracket_at_extreme_shapes():
     for shape in np.geomspace(1e-12, 1e300, 61):
         lo, hi = _gamma_bracket(float(shape), 1.0)
         assert 0.0 < lo <= hi < np.inf, shape
+
+
+def assert_bracket_covers(shape: float, tail: float):
+    # Chernoff's bound holds each side to at most tail, whatever the shape;
+    # the true tails lie below it by a factor of order sqrt(shape)
+    lo, hi = _gamma_bracket(shape, 1.0, tail)
+    assert special.gammainc(shape, lo) <= tail, (shape, tail, lo)
+    assert special.gammaincc(shape, hi) <= tail, (shape, tail, hi)
+
+
+@pytest.mark.parametrize("tail", [1e-16, 1e-6])
+def test_gamma_bracket_leaves_at_most_tail_each_side(tail):
+    for shape in np.geomspace(0.5, 1e9, 200):
+        assert_bracket_covers(float(shape), tail)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_shape=st.floats(math.log(0.5), math.log(1e9)),
+    log_tail=st.floats(math.log(1e-16), math.log(1e-2)),
+)
+def test_gamma_bracket_coverage_property(log_shape, log_tail):
+    assert_bracket_covers(math.exp(log_shape), math.exp(log_tail))
