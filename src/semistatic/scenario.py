@@ -145,10 +145,12 @@ def _mixture_nodes(params: VGParams, dt: float, n_nodes: int) -> tuple[np.ndarra
     s = 0.5 * (b - a) * x + 0.5 * (a + b)
     g = np.exp(s)
     # the gamma density times the Jacobian g, (g / scale)^shape e^(-g / scale),
-    # up to a constant that the normalisation to unit sum removes; written
-    # around the mean, the exponent lies in [log(tail), 0] at every shape
-    m = g / (shape * scale) - 1.0
-    log_weight = shape * (np.log1p(m) - m)
+    # up to a constant that the normalisation to unit sum removes; in y =
+    # log(g / mean) it is exp(-shape (e^y - 1 - y)), the bracket's function,
+    # whose exponent lies in [log(tail), 0] at every shape.  y is taken from
+    # s, not from g / mean - 1, which loses its digits near the lower end.
+    y = s - math.log(shape * scale)
+    log_weight = shape * (y - np.expm1(y))
     weights = w * np.exp(log_weight - log_weight.max())
     weights /= weights.sum()
     return g, weights

@@ -12,6 +12,7 @@ from semistatic.pricing import Market
 from semistatic.scenario import (
     VGParams,
     _gamma_bracket,
+    _mixture_nodes,
     build_grid,
     simulate_paths,
     vg_log_increment_density_vec,
@@ -80,6 +81,18 @@ class TestIncrementDensity:
             for u, f in zip(us, fast):
                 ref = vg_log_increment_density(SKEWED, dt, float(u))
                 assert f == pytest.approx(ref, abs=1e-8, rel=1e-8)
+
+    @pytest.mark.parametrize("nu", [0.12, 0.16])
+    def test_fast_path_near_the_nu_limit(self, nu):
+        # a one-month gamma shape of 0.69 and 0.52, just above the 1/2 that
+        # check_nu rejects: the bracket's lower end lies at 3e-24 and 7e-32
+        # times the mean, and the weights there must keep their digits.  At
+        # u = 0 the density is all but unbounded; the fixed nodes cannot follow.
+        params = VGParams(theta=-0.15, sigma=0.1206, nu=nu, spot=2360.0, horizons=(1 / 12,))
+        us = np.array([1e-3, -1e-3, 0.01, -0.02, 0.05, -0.1, 0.2])
+        fast = vg_log_increment_density_vec(params, 1 / 12, us)
+        ref = [vg_log_increment_density(params, 1 / 12, float(u)) for u in us]
+        np.testing.assert_allclose(fast, ref, rtol=1e-12)
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
@@ -265,6 +278,41 @@ def assert_bracket_covers(shape: float, tail: float):
 def test_gamma_bracket_leaves_at_most_tail_each_side(tail):
     for shape in np.geomspace(0.5, 1e9, 200):
         assert_bracket_covers(float(shape), tail)
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_gamma_bracket_solves_the_chernoff_equation(side):
+    # each end is the mean times e^y for a root y of e^y - 1 - y = log(1 / tail)
+    # / shape; the residual is held to the rounding of y, taken back from the end
+    def h(y):
+        if abs(y) >= 0.5:
+            return math.expm1(y) - y
+        term, total = y, 0.0
+        for n in range(2, 40):
+            term *= y / n
+            total += term
+        return total
+
+    for tail in (1e-16, 1e-6):
+        for shape in np.geomspace(0.5, 1e9, 200):
+            lo, hi = _gamma_bracket(float(shape), 1.0, tail)
+            y = math.log((lo if side == "lower" else hi) / shape)
+            c = -math.log(tail) / shape
+            slack = 4.0 * np.finfo(float).eps * (1.0 + abs(y)) * abs(math.expm1(y))
+            assert abs(h(y) - c) <= 1e-13 * c + slack, (shape, tail, y)
+
+
+@pytest.mark.parametrize("nu", [0.0031, 0.05, 0.16])
+def test_mixture_weights_are_the_normalised_gamma_density(nu):
+    # the weights are the Gauss-Legendre weights in s = log g times the gamma
+    # density and the Jacobian g, normalised to unit sum: scipy's log density
+    # is exact to about 1e-15 at these shapes (26.9, 1.67, 0.52)
+    dt = 1 / 12
+    params = VGParams(theta=0.0, sigma=0.1206, nu=nu, spot=2360.0, horizons=(dt,))
+    g, weights = _mixture_nodes(params, dt, 400)
+    _, gl = np.polynomial.legendre.leggauss(400)
+    ref = gl * g * np.exp(stats.gamma.logpdf(g, dt / nu, scale=nu))
+    np.testing.assert_allclose(weights, ref / ref.sum(), rtol=1e-13)
 
 
 @settings(max_examples=200, deadline=None)
