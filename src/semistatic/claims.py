@@ -43,6 +43,8 @@ class Claim:
     table: dict | None = field(default=None, hash=False)
 
     def __post_init__(self):
+        if not (np.isfinite(self.contract_size) and self.contract_size > 0):
+            raise ValueError("contract size must be positive and finite")
         if self.kind is not ClaimKind.CUSTOM and self.strike <= 0:
             raise ValueError("strike must be positive")
         if self.kind is ClaimKind.KNOCKOUT_CALL and (self.barrier is None or self.barrier <= 0):
@@ -138,6 +140,12 @@ def lookback_digital(strike: float, payout_level: float = 10.0, contract_size: f
 
 
 def custom_claim(table: dict, contract_size: float = 100.0) -> Claim:
+    """A claim that pays ``table[path]`` per option on each tabulated path;
+    a non-finite level or payout raises ValueError naming its path."""
+    for path, v in table.items():
+        if not np.isfinite([*map(float, path), float(v)]).all():
+            raise ValueError(f"custom claim table: path {tuple(path)} has a non-finite "
+                             f"level or payout {v!r}")
     keyed = {_table_key(path): float(v) for path, v in table.items()}
     return Claim(ClaimKind.CUSTOM, contract_size=contract_size, table=keyed)
 

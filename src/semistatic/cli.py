@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from .claims import Claim, ClaimKind, configured_claim
-from .galerkin import claim_liability, strategy_columns
+from .galerkin import claim_liability, strategy_factors
 from .instruments import OptionKind, Quote
 from .pricing import (
     AgentSpec,
@@ -116,7 +116,7 @@ CONFIG_SCHEMA = {
                 "strike": {"type": "number", "default": 2350.0},
                 "barrier": {"type": "number", "default": 2400.0},
                 "payout_level": {"type": "number", "default": 10.0},
-                "contract_size": {"type": "number", "default": 100.0},
+                "contract_size": {"type": "number", "exclusiveMinimum": 0, "default": 100.0},
                 "units": {"type": "number", "default": 1.0},
                 "table_path": {"type": ["string", "null"], "default": None},
             },
@@ -562,9 +562,10 @@ def _cmd_simulate(config, market, outdir, args) -> int:
     paths = simulate_paths(config.model, args.paths, args.seed)
     # out-of-sample wealth: the budget less the strategy's loss rows on the
     # paths, so cash is the budget less the acquisition cost as in every portfolio file
-    names, columns, _ = strategy_columns(market.quotes, paths, market.model.spot, config.delta_pct)
+    levels = [paths[:, [t]] for t in range(paths.shape[1])]
+    names, factors, _ = strategy_factors(market.quotes, levels, market.model.spot, config.delta_pct)
     held = dict(zip(program.layout.names, solution.x))
-    wealth = program.budget - columns @ np.array([held.get(name, 0.0) for name in names])
+    wealth = program.budget - factors.product(np.array([held.get(name, 0.0) for name in names]))
     _write_surface(os.path.join(outdir, "simulate_wealth.csv"), paths, {"terminal_wealth": wealth})
     return 0
 

@@ -170,6 +170,9 @@ class RowFactors:
     A^T W B (Van Loan 2000); the cell columns meet A and B through per-cell
     sums of the slots' weighted rows, and each other through one bincount
     over cell pairs, after the slots of a row that share a cell are summed.
+    A stack of legs (B, M) runs one bincount per leg on the same keys as a
+    single leg, so each leg's entries are summed in its own row order, as
+    they would be alone.
     """
 
     lead: np.ndarray     # (M', nA)
@@ -256,10 +259,10 @@ class RowFactors:
     def rmatvec(self, v):
         """R_net^T v, on the net coordinates, for v (M,) or (B, M)."""
         V = v.reshape((-1,) + self.grid_shape)
-        legs = V.shape[0]
-        rest = np.bincount(self._keys("rows", legs),
-                           (self.values * V[:, None]).sum(axis=3).ravel(),
-                           minlength=legs * self.cell_count).reshape(legs, -1)
+        # each slot's weighted rows into its cell column, one bincount per leg
+        sums = (self.values * V[:, None]).sum(axis=3).reshape(len(V), -1)
+        rest = np.array([np.bincount(self.cells.ravel(), leg, minlength=self.cell_count)
+                         for leg in sums])
         out = np.concatenate([np.matmul(self.lead.T, V.sum(axis=2)[:, :, None])[:, :, 0],
                               np.matmul(self.last.T, V.sum(axis=1)[:, :, None])[:, :, 0], rest],
                              axis=1)
@@ -282,48 +285,22 @@ class RowFactors:
         return values
 
     @functools.cached_property
-    def _pairs(self) -> tuple[np.ndarray, list]:
-        """The Gram's cell pairs in bincount order: for each pair of slots
-        j <= l, the index j K + l of its weighted row sum and the key of its
-        cell pair in the (k, N) cell rows, and again with the two cells the
-        other way round when j < l."""
-        K, p = self.cells.shape[0], self.lead.shape[1] + self.last.shape[1]
-        n = p + self.cell_count
-        order, keys = [], []
+    def _cell_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Gram's cell rows in bincount order: for each pair of slots
+        j <= l, the index j K + l of its weighted row sum, listed again with
+        the two cells the other way round when j < l; and the key in the
+        (k, N) cell rows of each sum ``gram`` lists: every slot's row against
+        the A columns, then against the B columns, then the cell pairs."""
+        K, na, nb = self.cells.shape[0], self.lead.shape[1], self.last.shape[1]
+        n = na + nb + self.cell_count
+        row = self.cells[:, :, None] * n   # (K, M', 1): where each slot's cell row starts
+        order, keys = [], [(row + np.arange(na)).ravel(), (row + na + np.arange(nb)).ravel()]
         for j in range(K):
             for l in range(j, K):
                 for a, b in [(j, l), (l, j)][:1 + (l > j)]:
                     order.append(j * K + l)
-                    keys.append(self.cells[a] * n + p + self.cells[b])
-        return np.array(order, dtype=np.intp), keys
-
-    @functools.cached_property
-    def _leg_keys(self) -> dict:
-        """The bincount keys of one leg and their bin count, by use: ``rows``
-        sums each slot into its cell column (``rmatvec``); ``cells`` fills
-        the Gram's cell rows, each slot's row against the A columns, then
-        against the B columns, then the cell pairs (``_pairs``).  Stacks of
-        legs add their own entries (``_keys``)."""
-        na, nb = self.lead.shape[1], self.last.shape[1]
-        n = na + nb + self.cell_count
-        row = self.cells[:, :, None] * n   # (K, M', 1): where each slot's cell row starts
-        return {
-            ("rows", 1): (self.cells.ravel(), self.cell_count),
-            ("cells", 1): (np.concatenate([(row + np.arange(na)).ravel(),
-                                           (row + na + np.arange(nb)).ravel()]
-                                          + self._pairs[1]).astype(np.intp), self.cell_count * n),
-        }
-
-    def _keys(self, use, legs):
-        """The keys of ``use`` for a stack of ``legs`` legs, each leg's keys
-        moved past the bins of the legs before it, so that one bincount sums
-        every leg apart and in its own row order; built once per height."""
-        stacked = self._leg_keys.get((use, legs))
-        if stacked is None:
-            keys, bins = self._leg_keys[(use, 1)]
-            stacked = ((np.arange(legs) * bins)[:, None] + keys).ravel(), bins
-            self._leg_keys[(use, legs)] = stacked
-        return stacked[0]
+                    keys.append(self.cells[a] * n + na + nb + self.cells[b])
+        return np.array(order, dtype=np.intp), np.concatenate(keys).astype(np.intp)
 
     def gram(self, w, shift=None):
         """R_net^T diag(w) R_net for nonnegative weights w, on the net
@@ -355,8 +332,10 @@ class RowFactors:
         out[:, sa, sb] = np.matmul(At, np.matmul(W, B))
         out[:, sb, sa] = out[:, sa, sb].transpose(0, 2, 1)
         # the cell columns against A and B, per-cell sums of the slots' rows,
-        # and each pair of slots j <= l: one bincount fills the cell rows
+        # and each pair of slots j <= l: one bincount per leg fills its cell
+        # rows, in the same order alone or in a stack
         values = self._merged_values
+        order, keys = self._cell_keys
         weighted = values * W[:, None]   # (B, K, M', N_T)
         lead = A[:, None] if A.ndim == 3 else A
         last = B[:, None] if B.ndim == 3 else B
@@ -365,9 +344,9 @@ class RowFactors:
         sums = np.concatenate([
             (weighted.sum(axis=3)[..., None] * lead).reshape(legs, -1),
             np.matmul(weighted, last).reshape(legs, -1),
-            pairs.take(self._pairs[0], axis=1).reshape(legs, -1)], axis=1)
-        out[:, sc, :] = np.bincount(self._keys("cells", legs), sums.ravel(),
-                                    minlength=legs * k * n).reshape(legs, k, n)
+            pairs.take(order, axis=1).reshape(legs, -1)], axis=1)
+        out[:, sc, :] = np.array([np.bincount(keys, leg, minlength=k * n)
+                                  for leg in sums]).reshape(legs, k, n)
         out[:, :p, sc] = out[:, sc, :p].transpose(0, 2, 1)
         return out.reshape(w.shape[:-1] + (n, n))
 
@@ -684,14 +663,6 @@ def strategy_factors(quotes, levels, spot: float, delta_pct: float | None = None
         bid=bid,
     )
     return tuple(names), factors, cells
-
-
-def strategy_columns(quotes, points: np.ndarray, spot: float, delta_pct: float | None = None):
-    """Names, loss-row columns (M, n) and rebalance cells per period of every
-    strategy variable on the paths ``points`` (M, T), in layout order."""
-    levels = [points[:, s:s + 1] for s in range(points.shape[1])]
-    names, factors, cells = strategy_factors(quotes, levels, spot, delta_pct)
-    return names, factors.dense(), cells
 
 
 def _assemble(quotes, grid, lot_size, delta_pct):

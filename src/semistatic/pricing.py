@@ -94,6 +94,16 @@ class Market:
     grid_strikes: tuple[tuple[float, ...], ...] | None = None
     density_nodes: int = 400
 
+    def __post_init__(self):
+        T = self.model.periods
+        if self.truncation is not None and len(self.truncation) != T:
+            raise ValueError(f"need one truncation pair per period, got "
+                             f"{len(self.truncation)} for T={T}")
+        for q in self.quotes:
+            if q.maturity > T:
+                raise ValueError(f"quote {q.id!r} matures in period {q.maturity}, "
+                                 f"past the model's {T} periods")
+
     def _truncation(self) -> tuple[tuple[float, float], ...]:
         if self.truncation is not None:
             return tuple(tuple(t) for t in self.truncation)

@@ -176,7 +176,7 @@ def vg_log_increment_density_vec(
 
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
-    """Cartesian strike-level grid with hypercube weights and path densities.
+    """Cartesian strike-level grid with hypercube weights and path masses.
 
     ``masses`` is the probability vector w_i * phi_i normalized to sum exactly
     one; ``raw_mass`` records the pre-normalization total for truncation audit.
@@ -185,9 +185,7 @@ class QuadratureGrid:
     spot: float
     node_sets: tuple[np.ndarray, ...]
     points: np.ndarray        # (M, T) index levels
-    point_index: np.ndarray   # (M, T) node index per period
     weights: np.ndarray       # (M,) hypercube volumes
-    density: np.ndarray       # (M,) joint path density at the points
     masses: np.ndarray        # (M,) normalized probability vector
     raw_mass: float
     truncation: tuple[tuple[float, float], ...]
@@ -265,6 +263,8 @@ def build_grid(
     if truncation is None:
         truncation = (DEFAULT_TRUNCATION,) * T
     truncation = tuple((float(a), float(b)) for a, b in truncation)
+    if len(truncation) != T:
+        raise ValueError(f"need one truncation pair per period, got {len(truncation)} for T={T}")
     if any(b <= a for a, b in truncation):
         raise ValueError("degenerate truncation box")
     breakpoints = breakpoints or [[] for _ in range(T)]
@@ -294,17 +294,10 @@ def build_grid(
         weight = weight[..., :, None] * width_sets[t]
         joint = joint.reshape(-1, node_sets[t].shape[0])
         weight = weight.reshape(-1, node_sets[t].shape[0])
-    density = joint.ravel()
     weights = weight.ravel()
+    points = np.stack([g.ravel() for g in np.meshgrid(*node_sets, indexing="ij")], axis=1)
 
-    shapes = [n.shape[0] for n in node_sets]
-    index_grids = np.meshgrid(*[np.arange(s) for s in shapes], indexing="ij")
-    point_index = np.stack([g.ravel() for g in index_grids], axis=1)
-    points = np.stack(
-        [node_sets[t][point_index[:, t]] for t in range(T)], axis=1
-    )
-
-    wd = weights * density
+    wd = weights * joint.ravel()
     raw_mass = float(wd.sum())
     if raw_mass <= 0:
         raise ValueError("grid carries no probability mass; widen the truncation box")
@@ -313,9 +306,7 @@ def build_grid(
         spot=params.spot,
         node_sets=tuple(node_sets),
         points=points,
-        point_index=point_index,
         weights=weights,
-        density=density,
         masses=masses,
         raw_mass=raw_mass,
         truncation=truncation,

@@ -33,23 +33,35 @@ s, z and f carry a leading leg axis, each leg with its own offsets, point
 bounds, cost and start.  Every elementwise step, reduction and row product
 works on the whole stack at once, and only the Cholesky factorization and
 its solves loop over the legs, one system per leg.  Each leg keeps its own
-step lengths, merit backtracking, centred fallback, stall rule and status,
-and leaves the stack when it stops; the others go on unchanged.  A stacked
+step lengths, merit backtracking, centred fallback, stall rule and status.
+A leg leaves the stack at one of two exits, as its ``Solution`` at its
+current point; the others go on unchanged.  The stopping exit follows each
+Newton system's solve, and the step exit follows each step.  A stacked
 step costs far less than one step per leg, as most of a step's time is the
 per-call cost of small numpy operations.
 
-Stopping rule.  The loop stops when the duality gap s^T z and the Newton
-decrement r^T H^-1 r of the dual residual r = grad f + G^T z are both at most
-``gap_tol`` times the objective's scale (see ``SolveSettings``); the larger
-of the two over that scale is the reported ``kkt_residual``.  At the stop the
-duals take the dual part of one more Newton step, which cancels the dual
-residual of a linear program.  A target below the rounding floor cannot be
-met: the loop also stops, ``optimal``, once the residual is at most
-``grad_tol`` and its least value over the last five systems is not below
-half the least before them.  Statuses: ``optimal``; ``max_iter`` when the
-iterations run out, or no step is possible, with the residual above
-``grad_tol``; ``unbounded`` below ``objective_floor``; ``numerical_error``
-as soon as f, y, s, z or a direction is not finite, never ``optimal``.
+Stopping rule.  At the stopping exit one test checks that f, y, s, z, the
+dual residual r = grad f + G^T z and the Newton solution are all finite.
+A leg that passes has the duality gap s^T z and the Newton decrement
+r^T H^-1 r; the larger of the two over the objective's scale (see
+``SolveSettings``) is its ``kkt_residual``.  A leg that fails keeps the
+residual of its last finite system.  Each leg then takes the first status
+that holds, in this order:
+
+- ``numerical_error``: the test failed;
+- ``unbounded``: f lies below ``objective_floor``;
+- ``optimal``: the residual is at most the target (``gap_tol`` unless
+  ``solve_legs`` is given another), or it is at most
+  ``grad_tol`` and its least value over the last five systems is not below
+  half the least before them (a target below the rounding floor cannot be
+  met).  Before it leaves, the duals take the dual part of one more Newton
+  step, which cancels the dual residual of a linear program;
+- ``max_iter``: this was the last iteration.
+
+At the step exit a leg leaves when it could not step: ``numerical_error``
+when its direction is not finite, ``max_iter`` when every step length
+failed.  A ``max_iter`` leg whose residual is at most ``grad_tol`` is
+reported ``optimal``.  A ``numerical_error`` leg is never ``optimal``.
 
 Every product with the loss rows goes through the program's row factors
 (``galerkin.RowFactors``), which hold R = R_net P: A on the leading periods'
@@ -94,8 +106,8 @@ with the leg axis first, so each leg's reductions and products run over its
 own contiguous rows as they would alone (a fancy column gather a[:, idx]
 returns a transposed layout, over which a product rounds differently, so
 column gathers use ``take``); every BLAS product runs once per leg (a
-stacked matmul, never one product across legs), and each leg's bincount
-entries fill bins of its own.  Alone or beside other legs, a program gives
+stacked matmul, never one product across legs), and each leg's bincounts
+run on their own.  Alone or beside other legs, a program gives
 the same point, value, duals and Newton count
 (``test_stacked_legs_equal_their_solves_alone``).  The BLAS calls inside a
 solve (the block products and the Cholesky factorization) would round
@@ -167,9 +179,12 @@ class Solution:
     """A solve's point and value.  ``outer_iterations`` counts
     predictor-corrector steps, ``newton_iterations`` the Newton systems
     factored (one per step and one at the final point), ``trace`` holds one
-    row per system with the objective, gap and decrement there.
-    ``wall_time`` runs from the start of the solve until the leg left its
-    stack, so the legs of one stack share its start."""
+    row per system with the objective, gap and decrement there.  A leg whose
+    objective is not finite, or lies below the floor, leaves after the
+    system at that point is factored too, which counts in
+    ``newton_iterations``; an ``unbounded`` leg's ``kkt_residual`` is that
+    system's.  ``wall_time`` runs from the start of the solve until the leg
+    left its stack, so the legs of one stack share its start."""
 
     x: np.ndarray
     objective: float
@@ -296,11 +311,12 @@ def _interior_point(objective, rows, h, lower, upper, y0, settings, tol, scale):
 
     The legs share the row operator R, which the exponential objective reads
     too, and the boxes; ``h`` (B, M) bounds each leg's rows, or is None when
-    they are no faces.  A leg stops when its gap and decrement are at most
-    ``tol * scale(f)``, or by any other rule of the module docstring, and
-    leaves the stack then.  Returns one result per leg, in stack order, with
-    the ``perf_counter`` time at which the leg left.
+    they are no faces.  A leg leaves the stack at its stopping test or at its
+    step, by the rules of the module docstring.  Returns one Solution per leg,
+    in stack order, with the point and its box duals in the loop's variable
+    order and the objective's own value (the log value of an exponential sum).
     """
+    started = time.perf_counter()
     y = np.array(y0, dtype=float)
     n = y.shape[1]
     lo = np.flatnonzero(np.isfinite(lower))
@@ -363,34 +379,30 @@ def _interior_point(objective, rows, h, lower, upper, y0, settings, tol, scale):
     histories = [[] for _ in legs]
     results = [None] * len(y)
 
-    def leave(done, status, *extra):
-        """Record the running legs where ``done`` holds as stopped with
-        ``status`` (one, or one per running leg), take them out of the stack,
-        and return the rest of each array of ``extra``."""
-        nonlocal y, r, s, z, h, kkt, legs, objective
-        status = np.broadcast_to(np.asarray(status, dtype=object), done.shape)
-        values = objective.take(done).value(y[done], r[done])
+    def leave(status, *extra):
+        """Take the running legs with a ``status`` out of the stack, each as
+        its Solution at the current point, and return the rest of each array
+        of ``extra``."""
+        nonlocal y, r, s, z, h, f, kkt, legs, objective
+        done = status != ""
+        if not done.any():
+            return extra
         ended = time.perf_counter()
-        for i, value in zip(np.flatnonzero(done), values):
-            lower_z = np.full(n, np.nan)
-            upper_z = np.full(n, np.nan)
+        for i in np.flatnonzero(done):
+            leg = legs[i]
+            lower_z, upper_z = np.full(n, np.nan), np.full(n, np.nan)
             lower_z[lo] = z[i, k:k + lo.size]
             upper_z[up] = z[i, k + lo.size:]
-            results[legs[i]] = {
-                "status": ("optimal" if status[i] == "max_iter" and kkt[i] <= settings.grad_tol
-                           else status[i]),
-                "y": y[i].copy(),
-                "objective": float(value),
-                "steps": steps,
-                "systems": len(traces[legs[i]]),
-                "trace": traces[legs[i]],
-                "kkt": float(kkt[i]),
-                "duals": {"point": None if h is None else z[i, :k].copy(),
-                          "lower": lower_z, "upper": upper_z},
-                "ended": ended,
-            }
+            results[leg] = Solution(
+                x=y[i].copy(), objective=float(f[i]), log_objective=None,
+                status=("optimal" if status[i] == "max_iter" and kkt[i] <= settings.grad_tol
+                        else str(status[i])),
+                duals={"point": None if h is None else z[i, :k].copy(),
+                       "lower": lower_z, "upper": upper_z},
+                outer_iterations=steps, newton_iterations=len(traces[leg]),
+                wall_time=ended - started, kkt_residual=float(kkt[i]), trace=traces[leg])
         keep = ~done
-        y, r, s, z, kkt, legs = y[keep], r[keep], s[keep], z[keep], kkt[keep], legs[keep]
+        y, r, s, z, f, kkt, legs = y[keep], r[keep], s[keep], z[keep], f[keep], kkt[keep], legs[keep]
         h = None if h is None else h[keep]
         objective = objective.take(keep)
         return [a[keep] for a in extra]
@@ -398,15 +410,6 @@ def _interior_point(objective, rows, h, lower, upper, y0, settings, tol, scale):
     for steps in range(settings.max_iter + 1):
         f, g, hess_f = objective.derivatives(y, r)
         residual = g + faces_t(z)
-        broken = ~(np.isfinite(f) & np.isfinite(y).all(axis=1) & np.isfinite(z).all(axis=1)
-                   & np.isfinite(s).all(axis=1) & np.isfinite(residual).all(axis=1))
-        below = ~broken & (f < settings.objective_floor)
-        if (broken | below).any():
-            leave(broken | below, np.where(broken, "numerical_error", "unbounded"))
-            if not legs.size:
-                break
-            f, g, hess_f = objective.derivatives(y, r)
-            residual = g + faces_t(z)
         solve = newton_solver(z / s, hess_f)
         stack = len(y)
         at = np.arange(stack)  # each running leg's place in ``solve``
@@ -416,38 +419,39 @@ def _interior_point(objective, rows, h, lower, upper, y0, settings, tol, scale):
         for leg, value, leg_gap, leg_decrement in zip(legs, f.tolist(), gap.tolist(),
                                                         decrement.tolist()):
             traces[leg].append({"objective": value, "gap": leg_gap, "decrement": leg_decrement})
-        broken = ~np.isfinite(solved).all(axis=(1, 2))
-        if broken.any():
-            f, g, solved, gap, decrement, at = leave(
-                broken, "numerical_error", f, g, solved, gap, decrement, at)
-            if not legs.size:
-                break
-        kkt = np.maximum(gap, np.abs(decrement)) / scale(f)
+        # the stopping exit: one finiteness test of the point, its residual
+        # and its Newton solution; a broken leg keeps its last finite kkt
+        finite = np.isfinite(np.concatenate(
+            [f[:, None], y, s, z, residual, solved.reshape(stack, -1)], axis=1)).all(axis=1)
+        np.divide(np.maximum(gap, np.abs(decrement)), scale(f), out=kkt, where=finite)
         # below grad_tol, a residual that has not halved over the last
         # _STALL_WINDOW systems sits at the rounding floor
-        stalled = np.zeros(len(legs), dtype=bool)
+        stalled = np.zeros(stack, dtype=bool)
         for i, leg in enumerate(legs):
             history = histories[leg]
             history.append(kkt[i])
             stalled[i] = (kkt[i] <= settings.grad_tol and len(history) > _STALL_WINDOW
                           and min(history[-_STALL_WINDOW:]) > 0.5 * min(history[:-_STALL_WINDOW]))
-        done = (kkt <= tol) | stalled
-        # one row product serves the stopping legs' last dual step u and the
-        # others' predictor direction dy = -H^-1 g
+        # each leg's status is the first that holds of numerical_error,
+        # unbounded, optimal and max_iter: set here in reverse order
+        status = np.full(stack, "max_iter" if steps == settings.max_iter else "", dtype=object)
+        status[(kkt <= tol) | stalled] = "optimal"
+        status[f < settings.objective_floor] = "unbounded"
+        status[~finite] = "numerical_error"
+        optimal = status == "optimal"
+        # one row product serves the optimal legs' last dual step u and the
+        # others' predictor direction dy = -H^-1 g; a broken leg's is zero
         direction = -solved[:, :, 1]
-        direction[done] = solved[done, :, 0]
-        rd = rows.matvec(rows.net(direction)) if k else np.zeros((len(legs), 0))
-        if done.any():
+        direction[optimal] = solved[optimal, :, 0]
+        direction[~finite] = 0.0
+        rd = rows.matvec(rows.net(direction)) if k else np.zeros((stack, 0))
+        if optimal.any():
             # the dual part of one more Newton step at fixed slacks: for a
             # linear objective G^T dz cancels the dual residual
-            dual = z[done] - z[done] / s[done] * faces(direction[done], rd[done])
-            z[done] = np.maximum(dual, 0.0)
-            f, g, solved, gap, at, direction, rd = leave(
-                done, "optimal", f, g, solved, gap, at, direction, rd)
-            if not legs.size:
-                break
-        if steps == settings.max_iter:
-            leave(np.ones(len(legs), dtype=bool), "max_iter")
+            dual = z[optimal] - z[optimal] / s[optimal] * faces(direction[optimal], rd[optimal])
+            z[optimal] = np.maximum(dual, 0.0)
+        g, gap, at, direction, rd = leave(status, g, gap, at, direction, rd)
+        if not legs.size:
             break
 
         # predictor: the affine direction, then the centering weight
@@ -483,11 +487,6 @@ def _interior_point(objective, rows, h, lower, upper, y0, settings, tol, scale):
             slope[uphill] = (_dot(g[uphill], dy[uphill])
                              - weight[uphill] * (ds[uphill] / s[uphill]).sum(axis=1))
         broken = ~(np.isfinite(dy).all(axis=1) & np.isfinite(dz).all(axis=1))
-        if broken.any():
-            f, weight, slope, dy, ds, dz, rdy = leave(
-                broken, "numerical_error", f, weight, slope, dy, ds, dz, rdy)
-            if not legs.size:
-                break
 
         alpha = np.fmin(1.0, _FRACTION_TO_BOUNDARY * _step_to_boundary(s, ds))
         accepts = None
@@ -510,7 +509,7 @@ def _interior_point(objective, rows, h, lower, upper, y0, settings, tol, scale):
 
         # a step is taken only where the slacks recomputed at the new point
         # stay positive: h - G y can cancel to zero where s + a ds does not
-        pending = alpha >= _STEP_SHRINK_MIN
+        pending = (alpha >= _STEP_SHRINK_MIN) & ~broken
         stepped = np.zeros(len(legs), dtype=bool)
         while pending.any():
             run = _legs(pending)
@@ -533,11 +532,13 @@ def _interior_point(objective, rows, h, lower, upper, y0, settings, tol, scale):
                 pending[run] = False
             alpha[pending] *= 0.5
             pending &= alpha >= _STEP_SHRINK_MIN
-        if not stepped.all():
-            (dz,) = leave(~stepped, "max_iter", dz)
-            if not legs.size:
-                break
-        z = z + np.fmin(1.0, _FRACTION_TO_BOUNDARY * _step_to_boundary(z, dz))[:, None] * dz
+        run = _legs(stepped)
+        z[run] = z[run] + np.fmin(1.0, _FRACTION_TO_BOUNDARY
+                                  * _step_to_boundary(z[run], dz[run]))[:, None] * dz[run]
+        # the step exit: the legs that could not step
+        leave(np.where(stepped, "", np.where(broken, "numerical_error", "max_iter")))
+        if not legs.size:
+            break
     return results
 
 
@@ -691,7 +692,6 @@ def solve_legs(programs, settings: SolveSettings | None = None, tol=None, scale=
             raise ValueError("stacked legs must share their objective, row factors and boxes")
         if exponential and program.kappa is None:
             raise ValueError("an exponential-sum leg needs a risk scale")
-    started = time.perf_counter()
     # the loop runs in the rows' variable order [plain | buys | sells]
     order = rows.net_layout.variables
     if exponential:
@@ -700,7 +700,7 @@ def solve_legs(programs, settings: SolveSettings | None = None, tol=None, scale=
                                      np.array([[p.kappa] for p in programs], dtype=float))
     else:
         objective = _LinearObjective(np.stack([p.cost[order] for p in programs]))
-    cores = _interior_point(
+    solutions = _interior_point(
         objective,
         rows,
         None if first.point_upper is None
@@ -712,25 +712,14 @@ def solve_legs(programs, settings: SolveSettings | None = None, tol=None, scale=
         settings.gap_tol if tol is None else tol,
         scale or ((lambda f: 1.0) if exponential else (lambda f: 1.0 + abs(f))),
     )
-    solutions = []
-    for core in cores:
-        x, lower_z, upper_z = (np.empty(order.size) for _ in range(3))
-        x[order] = core["y"]
-        lower_z[order] = core["duals"]["lower"]
-        upper_z[order] = core["duals"]["upper"]
-        value = core["objective"]
-        solutions.append(Solution(
-            x=x,
-            objective=float(np.exp(value)) if exponential else value,
-            log_objective=value if exponential else None,
-            status=core["status"],
-            duals={"point": core["duals"]["point"], "lower": lower_z, "upper": upper_z},
-            outer_iterations=core["steps"],
-            newton_iterations=core["systems"],
-            wall_time=core["ended"] - started,
-            kkt_residual=core["kkt"],
-            trace=core["trace"],
-        ))
+    back = np.argsort(order)  # each program column's place in the loop's order
+    for solution in solutions:
+        solution.x = solution.x[back]
+        for side in ("lower", "upper"):
+            solution.duals[side] = solution.duals[side][back]
+        if exponential:
+            solution.log_objective = solution.objective
+            solution.objective = float(np.exp(solution.objective))
     return solutions
 
 

@@ -115,3 +115,28 @@ def test_claim_validation():
         knockout_call(2350.0, -1.0)
     with pytest.raises(ValueError):
         lookback_digital(2350.0, payout_level=0.0)
+
+
+@pytest.mark.parametrize("size", [0.0, -100.0, float("nan"), float("inf")])
+def test_contract_size_must_be_positive_and_finite(size):
+    # at -100 every price flipped sign instead of failing
+    with pytest.raises(ValueError, match="contract size"):
+        knockout_call(2350.0, 2400.0, contract_size=size)
+    with pytest.raises(ValueError, match="contract size"):
+        custom_claim({(2300.0, 2400.0): 12.5}, contract_size=size)
+
+
+@pytest.mark.parametrize("path, payout", [
+    ((2300.0, 2400.0), float("nan")),
+    ((2300.0, float("inf")), 1.0),
+], ids=["nan-payout", "inf-level"])
+def test_custom_claim_rejects_non_finite_entries(tmp_path, path, payout):
+    # a nan payout used to load, and pricing then failed with a misleading
+    # "interior-point start is not strictly feasible"
+    with pytest.raises(ValueError, match="non-finite") as caught:
+        custom_claim({(2300.0, 2500.0): 0.0, path: payout})
+    assert str(path) in str(caught.value)
+    table = tmp_path / "claim.csv"
+    table.write_text(f"x1,x2,payout\n2300,2500,0\n{path[0]},{path[1]},{payout}\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        load_claim_table(table)

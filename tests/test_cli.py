@@ -305,6 +305,39 @@ def test_nu_the_grid_cannot_represent_exits_1(tmp_path, capsys):
     assert not (tmp_path / "price_report.json").exists()
 
 
+@pytest.mark.parametrize("data, third, needle", [
+    ({"market": {"truncation": [[1000.0, 3000.0]]}}, False, "truncation pair per period"),
+    ({"model": {"horizons": [0.0833, 0.1667, 0.25]}}, False, "truncation pair per period"),
+    ({"market": {"maturities": ["4/21/2017", "5/19/2017", "6/16/2017"]}}, True,
+     "past the model's 2 periods"),
+], ids=["one-truncation-pair", "three-horizons", "third-maturity-quote"])
+def test_horizon_mismatch_exits_1_with_json_error(tmp_path, capsys, data, third, needle):
+    # each of these ended in an IndexError traceback, with no JSON error
+    config = tmp_path / "horizons.json"
+    config.write_text(json.dumps(data))
+    args = ["price", "--config", str(config), "--json-errors", "--out", str(tmp_path)]
+    if third:
+        chain = tmp_path / "chain.csv"
+        chain.write_text(pathlib.Path(cli.packaged_chain_path()).read_text()
+                         + "SPX US 6/16/2017 C2350 Index,call,5.0,50.0,51.0,5.0\n")
+        args += ["--quotes", str(chain)]
+    assert cli.main(args) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "ValueError"
+    assert needle in error["message"]
+    assert not (tmp_path / "price_report.json").exists()
+
+
+def test_non_positive_contract_size_exits_1(tmp_path, capsys):
+    config = tmp_path / "size.json"
+    config.write_text(json.dumps({"claim": {"contract_size": -100.0}}))
+    code = cli.main(["price", "--config", str(config), "--json-errors", "--out", str(tmp_path)])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "ValidationError"
+    assert "config.claim.contract_size" in error["message"]
+
+
 def test_nu_just_below_the_bound_loads(tmp_path):
     bound = 2.0 / 12.0  # twice the default one-month period
     config = tmp_path / "nu.json"

@@ -9,7 +9,7 @@ from semistatic.galerkin import (
     assemble_frictionless,
     assemble_transaction_cost,
     cell_index,
-    strategy_columns,
+    strategy_factors,
     trading_cells,
 )
 from semistatic.instruments import OptionKind, Quote, option_payoff
@@ -20,6 +20,11 @@ from semistatic.solver import SolveSettings, minimize
 from oracles import claim_payout, index_trade_cost, objective_and_gradient, quoted_payoff
 
 AGENT = AgentSpec(initial_wealth=100000.0, risk_aversion=2.0)
+
+
+def path_levels(grid):
+    """The grid's points as simulated paths: every period's levels (M, 1)."""
+    return [grid.points[:, [t]] for t in range(grid.periods)]
 
 
 def agent_leg(space, claim_terms=()):
@@ -297,7 +302,8 @@ def test_column_kernel_equals_assembled_rows(market, claim_terms, delta_pct):
     # built the program's rows: on the grid it gives them bit for bit
     grid = market.grid_for(claim_terms)
     program = _assemble(market, grid, delta_pct)
-    names, columns, cells = strategy_columns(market.quotes, grid.points, grid.spot, delta_pct)
+    names, factors, cells = strategy_factors(market.quotes, path_levels(grid), grid.spot, delta_pct)
+    columns = factors.dense()
     assert set(names) == set(program.layout.names) | set(program.layout.dropped)
     assert cells == program.layout.cells
     kept = [names.index(name) for name in program.layout.names]
@@ -312,7 +318,8 @@ def test_dense_rows_spell_each_quote_bit_for_bit(market, delta_pct):
     grid = market.grid_for(())
     program = _assemble(market, grid, delta_pct)
     quotes = {q.id: q for q in market.quotes}
-    names, columns, _ = strategy_columns(market.quotes, grid.points, grid.spot, delta_pct)
+    names, factors, _ = strategy_factors(market.quotes, path_levels(grid), grid.spot, delta_pct)
+    columns = factors.dense()
 
     def kernel_rows(program):
         out = []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from semistatic.fixtures import small_market
-from semistatic.galerkin import RowFactors, strategy_columns
+from semistatic.galerkin import RowFactors, strategy_factors
 from semistatic.pricing import Market, _assemble
 from semistatic.scenario import VGParams
 
@@ -100,8 +100,9 @@ def kernel_rows(market, program, delta_pct):
     """The program's rows from the column kernel on the grid points as paths,
     which puts every column in A: dense, and built without the factoring."""
     grid = program.grid
-    names, columns, _ = strategy_columns(market.quotes, grid.points, grid.spot, delta_pct)
-    return columns[:, [names.index(name) for name in program.layout.names]]
+    levels = [grid.points[:, [t]] for t in range(grid.periods)]
+    names, factors, _ = strategy_factors(market.quotes, levels, grid.spot, delta_pct)
+    return factors.dense()[:, [names.index(name) for name in program.layout.names]]
 
 
 @pytest.mark.parametrize("delta_pct", [None, 0.1])

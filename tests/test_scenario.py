@@ -187,6 +187,11 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(BASE, [(2300.0,), (2300.0,)], truncation=[(2000.0, 2000.0)] * 2)
 
+    @pytest.mark.parametrize("pairs", [1, 3])
+    def test_truncation_of_the_wrong_length_rejected(self, pairs):
+        with pytest.raises(ValueError, match="one truncation pair per period"):
+            build_grid(BASE, [(2300.0,), (2300.0,)], truncation=[(1000.0, 3000.0)] * pairs)
+
     def test_nu_the_grid_cannot_represent_rejected(self):
         # at nu = 0.2 the one-month period's gamma shape is 0.42: the density
         # is unbounded where the index stays put

@@ -483,7 +483,7 @@ class TestNumericalError:
         def poisoned(self, y, r):
             value, grad, hess = derivatives(self, y, r)
             calls.append(value)
-            return (np.nan if len(calls) > after else value), grad, hess
+            return (np.full_like(value, np.nan) if len(calls) > after else value), grad, hess
 
         monkeypatch.setattr(solver._ExpSumObjective, "derivatives", poisoned)
         sol = minimize(random_exp_instance(np.random.default_rng(21), 2, 5), TIGHT)
@@ -508,6 +508,65 @@ class TestNumericalError:
         sol = solve_lp(program, TIGHT)
         assert sol.status == "numerical_error"
         assert sol.outer_iterations == after
+
+
+def assert_same_solution(stacked, alone):
+    """Bit for bit the same point, value, duals, counts and residual."""
+    assert stacked.status == alone.status == "optimal"
+    assert stacked.objective == alone.objective
+    assert stacked.log_objective == alone.log_objective
+    assert stacked.outer_iterations == alone.outer_iterations
+    assert stacked.newton_iterations == alone.newton_iterations
+    assert stacked.kkt_residual == alone.kkt_residual
+    np.testing.assert_array_equal(stacked.x, alone.x)
+    for key in ("point", "lower", "upper"):
+        if alone.duals[key] is None:
+            assert stacked.duals[key] is None
+        else:
+            np.testing.assert_array_equal(stacked.duals[key], alone.duals[key])
+
+
+class TestStackExits:
+    # a leg that fails leaves its stack; the legs beside it go on as alone
+
+    @pytest.mark.parametrize("after", [0, 3])
+    def test_broken_leg_leaves_the_others_as_alone(self, monkeypatch, after):
+        derivatives = solver._ExpSumObjective.derivatives
+        calls = []
+
+        def poisoned(self, y, r):
+            # the leg at risk scale 2 turns non-finite after ``after`` systems
+            value, grad, hess = derivatives(self, y, r)
+            calls.append(value)
+            if len(calls) > after:
+                value = np.where(self.kappa[:, 0] == 2.0, np.nan, value)
+            return value, grad, hess
+
+        monkeypatch.setattr(solver._ExpSumObjective, "derivatives", poisoned)
+        program = random_exp_instance(np.random.default_rng(21), 2, 5)
+        (alone,) = solver.solve_legs([program], TIGHT)
+        del calls[:]
+        normal, broken = solver.solve_legs([program, replace(program, kappa=2.0)], TIGHT)
+        assert broken.status == "numerical_error"
+        assert broken.outer_iterations == after
+        # the system at the broken point is factored before the leg leaves
+        assert broken.newton_iterations == after + 1
+        assert normal.outer_iterations > after
+        assert_same_solution(normal, alone)
+
+    def test_unbounded_leg_leaves_the_others_as_alone(self):
+        # min -y0 + y1/2 runs off along y0; min y0 - y1/2 stops at (0, 1)
+        rows, rhs, lower, upper = [[0.0, 1.0]], [1.0], [0.0, 0.0], [np.inf, np.inf]
+        bounded = make_lp_program([1.0, -0.5], rows, rhs, lower, upper, start=[0.5, 0.5])
+        runaway = replace(bounded, cost=np.array([-1.0, 0.5]))
+        settings = SolveSettings(gap_tol=1e-12, objective_floor=-1e6)
+        (alone,) = solver.solve_legs([bounded], settings)
+        normal, unbounded = solver.solve_legs([bounded, runaway], settings)
+        assert unbounded.status == "unbounded"
+        assert unbounded.objective < -1e6
+        assert normal.outer_iterations > unbounded.outer_iterations
+        assert normal.objective == pytest.approx(-0.5, abs=1e-9)
+        assert_same_solution(normal, alone)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +655,7 @@ class TestHedgingLPs:
         def solve(*args):
             stacks.append([0])
             results = interior_point(*args)
-            calls.append((stacks.pop()[0], max(result["systems"] for result in results),
+            calls.append((stacks.pop()[0], max(result.newton_iterations for result in results),
                           len(results)))
             return results
 
