@@ -12,7 +12,7 @@ from .claims import (
     lookback_digital,
     vanilla_call,
 )
-from .instruments import OptionKind, PositionBox, Quote, position_bounds
+from .instruments import OptionKind, Quote, position_bounds
 from .pricing import (
     AgentSpec,
     Market,
@@ -35,7 +35,6 @@ __all__ = [
     "Claim",
     "Market",
     "OptionKind",
-    "PositionBox",
     "PriceReport",
     "QuadratureGrid",
     "Quote",

@@ -21,17 +21,18 @@ from .galerkin import claim_liability, strategy_factors
 from .instruments import OptionKind, Quote
 from .pricing import (
     AgentSpec,
-    HedgePortfolio,
     Market,
     SolverFailure,
     _assemble,
     _hedging_market,
+    _optima,
     _optimum,
     _portfolio,
     find_arbitrage,
     price_report,
     subhedge_cost,
     superhedge_cost,
+    write_json,
 )
 from .scenario import VGParams, check_nu, simulate_paths
 from .solver import SolveSettings
@@ -436,13 +437,8 @@ def _agent_leg(market: Market, grid, config: RunConfig, terms):
     return _assemble(market, grid, config.delta_pct).leg(terms, agent.initial_wealth, agent.kappa)
 
 
-def _portfolio_rows(portfolio: HedgePortfolio):
-    """(instrument, position) rows: cash, every quote in chain order, dynamic legs."""
-    return [("cash", portfolio.cash), *portfolio.positions.items(), *portfolio.dynamic.items()]
-
-
-def _write_portfolio(path, portfolio: HedgePortfolio) -> None:
-    _write_csv(path, ["instrument", "position"], _portfolio_rows(portfolio))
+def _write_portfolio(path, rows) -> None:
+    _write_csv(path, ["instrument", "position"], rows)
 
 
 def _cmd_optimize(config, market, outdir, args) -> int:
@@ -469,7 +465,7 @@ def _cmd_optimize(config, market, outdir, args) -> int:
         "quotes": len(market.quotes),
         "grid_points": grid.size,
     }
-    _dump_json(os.path.join(outdir, "optimize_summary.json"), summary)
+    write_json(os.path.join(outdir, "optimize_summary.json"), summary)
     return 0
 
 
@@ -493,14 +489,11 @@ def _cmd_hedge(config, market, outdir, args) -> int:
     grid = hedging.grid_for(terms)
     base_prog = _agent_leg(hedging, grid, config, [])
     with_prog = base_prog.leg(terms, base_prog.budget)
-    base = _optimum(base_prog, config.solver)
-    loaded = _optimum(with_prog, config.solver)
-
-    base_held = dict(_portfolio_rows(_portfolio(base_prog, base.x, base_prog.budget)))
-    rows = []
-    for name, held in _portfolio_rows(_portfolio(with_prog, loaded.x, with_prog.budget)):
-        b = base_held.get(name, 0.0)
-        rows.append((name, b, held, held - b))
+    # two legs of one space, so one layout: their rows pair up in order
+    base, loaded = _optima([base_prog, with_prog], config.solver)
+    rows = [(name, b, held, held - b) for (name, b), (_, held) in
+            zip(_portfolio(base_prog, base.x, base_prog.budget),
+                _portfolio(with_prog, loaded.x, with_prog.budget))]
     _write_csv(os.path.join(outdir, "hedge_portfolio.csv"),
                ["instrument", "base", "with_claim", "hedge"], rows)
 
@@ -517,9 +510,9 @@ def _cmd_hedge(config, market, outdir, args) -> int:
 
 def _cmd_superhedge(config, market, outdir, args, side="superhedge") -> int:
     fn = superhedge_cost if side == "superhedge" else subhedge_cost
-    cost, portfolio, solution = fn(
-        market, config.claim, config.claim_units, config.delta_pct, settings=config.solver
-    )
+    hedging = _hedging_market(market, config.claim, config.exclude_claim_strike)
+    cost, rows, solution = fn(hedging, config.claim, config.claim_units, config.delta_pct,
+                              settings=config.solver)
     summary = {
         "side": side,
         "cost": cost,
@@ -528,8 +521,8 @@ def _cmd_superhedge(config, market, outdir, args, side="superhedge") -> int:
         "units": config.claim_units,
         "truncation": [list(t) for t in market.truncation or ()],
     }
-    _dump_json(os.path.join(outdir, f"{side}_summary.json"), summary)
-    _write_portfolio(os.path.join(outdir, f"{side}_portfolio.csv"), portfolio)
+    write_json(os.path.join(outdir, f"{side}_summary.json"), summary)
+    _write_portfolio(os.path.join(outdir, f"{side}_portfolio.csv"), rows)
     return 0
 
 
@@ -544,8 +537,8 @@ def _cmd_arbitrage(config, market, outdir, args) -> int:
         "payout_floor": report.payout_floor if report.found else None,
         "delta_pct": config.delta_pct,
     }
-    _dump_json(os.path.join(outdir, "arbitrage_summary.json"), summary)
-    if report.found and report.strategy is not None:
+    write_json(os.path.join(outdir, "arbitrage_summary.json"), summary)
+    if report.strategy is not None:
         _write_portfolio(os.path.join(outdir, "arbitrage_strategy.csv"), report.strategy)
     expect = args.expect
     if expect == "any":
@@ -568,11 +561,6 @@ def _cmd_simulate(config, market, outdir, args) -> int:
     wealth = program.budget - factors.product(np.array([held.get(name, 0.0) for name in names]))
     _write_surface(os.path.join(outdir, "simulate_wealth.csv"), paths, {"terminal_wealth": wealth})
     return 0
-
-
-def _dump_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

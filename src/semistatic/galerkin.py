@@ -96,30 +96,21 @@ class DecisionLayout:
     dropped: tuple[str, ...] = ()
 
     @property
-    def size(self) -> int:
-        return len(self.names)
-
-    @property
     def options(self) -> int:
         """The number of option variables, the ``buy:`` and ``sell:`` names,
         which come before the dynamic block."""
         return sum(n.startswith(("buy:", "sell:")) for n in self.names)
 
-    def net_positions(self, y: np.ndarray) -> dict[str, float]:
-        """Net option count per quote id (buys minus sells), zeros included."""
-        out = dict.fromkeys(self.quote_ids, 0.0)
-        for name, value in zip(self.names, y):
-            tag, _, qid = name.partition(":")
-            if tag == "buy":
-                out[qid] += float(value)
-            elif tag == "sell":
-                out[qid] -= float(value)
-        return out
-
-    def dynamic_coefficients(self, y: np.ndarray) -> dict:
-        """Dynamic-leg variables by name (z0/z-cells or dz legs)."""
+    def holdings(self, y: np.ndarray) -> list[tuple[str, float]]:
+        """(name, value) pairs of ``y``: each quote's net option count, buys
+        less sells, in chain order with zeros included, then each dynamic
+        variable (z0/z-cells or dz legs) by name."""
         first = self.options
-        return {name: float(value) for name, value in zip(self.names[first:], y[first:])}
+        net = dict.fromkeys(self.quote_ids, 0.0)
+        for name, value in zip(self.names[:first], y[:first].tolist()):
+            tag, _, qid = name.partition(":")
+            net[qid] += value if tag == "buy" else -value
+        return [*net.items(), *zip(self.names[first:], y[first:].tolist())]
 
 
 class NetLayout(NamedTuple):
@@ -670,8 +661,8 @@ def _assemble(quotes, grid, lot_size, delta_pct):
     names, factors, cells = strategy_factors(quotes, _grid_levels(grid), grid.spot, delta_pct)
     frictionless = delta_pct is None
     J, dynamic = len(quotes), len(names) - 2 * len(quotes)
-    boxes = [position_bounds(q, lot_size) for q in quotes]
-    upper = np.array([b.upper for b in boxes] + [-b.lower for b in boxes] + [np.inf] * dynamic)
+    bounds = [position_bounds(q, lot_size) for q in quotes]
+    upper = np.array([hi for _, hi in bounds] + [-lo for lo, _ in bounds] + [np.inf] * dynamic)
     lower = np.concatenate([np.zeros(2 * J), np.full(dynamic, -np.inf if frictionless else 0.0)])
     start = np.concatenate(
         [0.5 * np.minimum(upper[: 2 * J], 1.0), np.full(dynamic, 0.0 if frictionless else 1e-2)]

@@ -1,4 +1,4 @@
-"""Quoted derivatives: two-sided quotes, position boxes and payoffs.
+"""Quoted derivatives: two-sided quotes, their position bounds and payoffs.
 
 Quantities on a :class:`Quote` are stored as quoted (contracts at the best bid
 and ask); ``position_bounds`` converts them to option counts via the market lot
@@ -55,23 +55,11 @@ class Quote:
         return self.bid_price > self.ask_price
 
 
-@dataclass(frozen=True)
-class PositionBox:
-    """Admissible interval for one quote's position, in options."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not (self.lower <= 0.0 <= self.upper):
-            raise ValueError(f"position box [{self.lower}, {self.upper}] must contain 0")
-
-
-def position_bounds(quote: Quote, lot_size: float) -> PositionBox:
-    """Option-count position interval [-bid_qty*lot, ask_qty*lot] for one quote."""
+def position_bounds(quote: Quote, lot_size: float) -> tuple[float, float]:
+    """Option-count position interval (lower, upper) = (-bid_qty*lot, ask_qty*lot) of a quote."""
     if lot_size <= 0:
         raise ValueError(f"lot size must be positive, got {lot_size}")
-    return PositionBox(-quote.bid_qty * lot_size, quote.ask_qty * lot_size)
+    return -quote.bid_qty * lot_size, quote.ask_qty * lot_size
 
 
 def option_payoff(kind: OptionKind, strike: float, levels: np.ndarray) -> np.ndarray:

@@ -248,26 +248,11 @@ def indifference_buy(
     return -indifference_sell(market, agent, claim, -units, delta_pct, grid, settings)
 
 
-@dataclass(frozen=True)
-class HedgePortfolio:
-    """Positions bought with a budget ``cost``: net options per quote, the
-    cash left over, and the dynamic-leg coefficients by variable name."""
-
-    positions: dict
-    cash: float
-    dynamic: dict
-    cost: float
-
-
-def _portfolio(program: AssembledProgram, y: np.ndarray, budget: float) -> HedgePortfolio:
-    """The positions ``y`` of ``program`` bought with ``budget``; the rest is cash."""
-    layout = program.layout
-    return HedgePortfolio(
-        positions=layout.net_positions(y),
-        cash=budget - float(program.cost @ y),
-        dynamic=layout.dynamic_coefficients(y),
-        cost=budget,
-    )
+def _portfolio(program: AssembledProgram, y: np.ndarray, budget: float) -> list[tuple[str, float]]:
+    """The positions ``y`` of ``program`` bought with ``budget`` as
+    (instrument, position) rows: the cash left over, then each quote's net
+    position and each dynamic variable (``DecisionLayout.holdings``)."""
+    return [("cash", budget - float(program.cost @ y)), *program.layout.holdings(y)]
 
 
 def _hedging_lp(program: AssembledProgram, claim_terms) -> AssembledProgram:
@@ -281,8 +266,8 @@ def _hedging_lp(program: AssembledProgram, claim_terms) -> AssembledProgram:
 
 
 def _least_dominating_wealth(program: AssembledProgram, claim_terms, settings):
-    """The least dominating wealth of ``_hedging_lp``: (w, HedgePortfolio,
-    Solution)."""
+    """The least dominating wealth of ``_hedging_lp``: (w, its portfolio rows
+    (``_portfolio``), Solution)."""
     solution = solve_lp(_hedging_lp(program, claim_terms), settings)
     y = solution.x[: program.variable_count]
     return solution.objective, _portfolio(program, y, solution.objective), solution
@@ -298,8 +283,8 @@ def superhedge_cost(
     allow_dynamic: bool = True,
 ):
     """Least cost of a portfolio whose payout dominates the claim at every grid
-    point.  Returns (cost, HedgePortfolio, Solution); an unbounded solve has a
-    cost below the solver's objective floor."""
+    point.  Returns (cost, portfolio rows, Solution), the rows as ``_portfolio``
+    gives them; an unbounded solve has a cost below the solver's objective floor."""
     terms = [(claim, units)]
     if grid is None:
         grid = market.grid_for(terms)
@@ -318,10 +303,9 @@ def subhedge_cost(
 ):
     """Greatest revenue from a portfolio dominated by the claim at every grid
     point: the superhedging cost of ``-units``, sign flipped."""
-    cost, portfolio, solution = superhedge_cost(
-        market, claim, -units, delta_pct, grid, settings, allow_dynamic
-    )
-    return -cost, portfolio, solution
+    cost, rows, solution = superhedge_cost(market, claim, -units, delta_pct, grid, settings,
+                                           allow_dynamic)
+    return -cost, rows, solution
 
 
 @dataclass(frozen=True)
@@ -329,9 +313,8 @@ class ArbitrageReport:
     found: bool
     expected_excess: float
     min_uniform_slack: float
-    strategy: HedgePortfolio | None = None
+    strategy: list | None = None  # a find's portfolio rows (``_portfolio``)
     payout_floor: float = float("nan")
-    solution: Solution | None = None
 
 
 def find_arbitrage(
@@ -377,7 +360,6 @@ def find_arbitrage(
         min_uniform_slack=s_star,
         strategy=_portfolio(program, solution.x, budget),
         payout_floor=float(payout.min()),
-        solution=solution,
     )
 
 
@@ -413,8 +395,13 @@ class PriceReport:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
+        write_json(path, self.to_dict())
+
+
+def write_json(path, payload) -> None:
+    """Every JSON report's bytes: sorted keys, one space of indent."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
 
 
 def _leg_diag(solution: Solution) -> dict:

@@ -473,20 +473,26 @@ def _interior_point(objective, rows, h, lower, upper, y0, settings, tol, scale):
             dy = -solve(g + faces_t(centering / s), within)
         else:
             centering, weight = np.zeros((len(legs), 0)), np.zeros(len(legs))
+        # a non-finite direction is zeroed, as at the stopping exit, before
+        # any product is taken with it, and its leg leaves at the step exit
+        broken = ~np.isfinite(dy).all(axis=1)
+        dy[broken] = 0.0
         rdy, ds, dz = moves(dy, centering, s, z)
         # the slope of the barrier merit f - sigma mu sum log s along dy
         slope = _dot(g, dy) - weight * (ds / s).sum(axis=1)
-        uphill = slope >= 0.0
+        uphill = (slope >= 0.0) & ~broken
         if hess_f is not None and m and uphill.any():
             # the second-order term turned the corrector uphill: the centred
             # direction, sigma mu alone, is H^-1 times minus the merit gradient
             centering[uphill] = weight[uphill, None]
             dy[uphill] = -solve(g[uphill] + faces_t(centering[uphill] / s[uphill]), at[uphill])
+            broken |= ~np.isfinite(dy).all(axis=1)
+            dy[broken] = 0.0
             rdy[uphill], ds[uphill], dz[uphill] = moves(dy[uphill], centering[uphill], s[uphill],
                                                         z[uphill])
             slope[uphill] = (_dot(g[uphill], dy[uphill])
                              - weight[uphill] * (ds[uphill] / s[uphill]).sum(axis=1))
-        broken = ~(np.isfinite(dy).all(axis=1) & np.isfinite(dz).all(axis=1))
+        broken |= ~np.isfinite(dz).all(axis=1)
 
         alpha = np.fmin(1.0, _FRACTION_TO_BOUNDARY * _step_to_boundary(s, ds))
         accepts = None

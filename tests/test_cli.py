@@ -129,9 +129,11 @@ def test_hedge_writes_positions_and_errors(run, quotes):
         assert error == pytest.approx(hedge - owed, rel=1e-12, abs=1e-9)
 
 
+@pytest.mark.parametrize("flags", [(), ("--exclude-strike",)], ids=["chain", "exclude-strike"])
 @pytest.mark.parametrize("side", ["superhedge", "subhedge"])
-def test_hedging_bounds_match_price_report(run, side):
-    code, out = run(side)
+def test_hedging_bounds_match_price_report(run, side, flags):
+    # each command prices on the hedging set that ``price`` uses
+    code, out = run(side, *flags)
     assert code == 0
     summary = read_json(out / f"{side}_summary.json")
     assert summary["side"] == side
@@ -139,7 +141,7 @@ def test_hedging_bounds_match_price_report(run, side):
     rows = read_csv(out / f"{side}_portfolio.csv")
     assert rows[0] == PORTFOLIO_HEADER
     assert rows[1][0] == "cash"
-    _, price_out = run("price")
+    _, price_out = run("price", *flags)
     band = read_json(price_out / "price_report.json")["prices"][side]
     assert summary["cost"] == pytest.approx(band, rel=1e-9)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semistatic.instruments import OptionKind, PositionBox, Quote, position_bounds
+from semistatic.instruments import OptionKind, Quote, position_bounds
 
 from oracles import acquisition_cost, quoted_payoff
 
@@ -55,26 +55,19 @@ class TestAcquisitionCost:
 
 class TestPositionBounds:
     def test_contract_conversion(self):
-        box = position_bounds(make_quote(), 100.0)
-        assert (box.lower, box.upper) == (-4800.0, 5100.0)
+        assert position_bounds(make_quote(), 100.0) == (-4800.0, 5100.0)
 
     def test_degenerate(self):
-        box = position_bounds(make_quote(bid_qty=0, ask_qty=0), 100.0)
-        assert (box.lower, box.upper) == (0.0, 0.0)
+        assert position_bounds(make_quote(bid_qty=0, ask_qty=0), 100.0) == (0.0, 0.0)
 
     def test_put_row(self):
         q = make_quote(id="P2370", kind=OptionKind.PUT, strike=2370.0, maturity=1,
                        bid_price=28.6, ask_price=30.5, bid_qty=275, ask_qty=322)
-        box = position_bounds(q, 100.0)
-        assert (box.lower, box.upper) == (-27500.0, 32200.0)
+        assert position_bounds(q, 100.0) == (-27500.0, 32200.0)
 
     def test_rejects_bad_lot(self):
         with pytest.raises(ValueError):
             position_bounds(make_quote(), 0.0)
-
-    def test_box_must_contain_zero(self):
-        with pytest.raises(ValueError):
-            PositionBox(1.0, 2.0)
 
 
 class TestQuotedPayoff:

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from semistatic.claims import knockout_call, lookback_call, lookback_digital, vanilla_call
 from semistatic.fixtures import (
@@ -101,6 +101,32 @@ class TestIndifferencePrices:
         # increasing difference quotients along the ray
         assert (p[2.0] - p[1.0]) / 1.0 >= (p[1.0] - p[0.5]) / 0.5 - 1e-9
 
+    def test_report_seller_carries_the_baseline(self, market_small, agent):
+        claim = knockout_call(2250.0, 2300.0)
+        carrying = replace(agent, baseline_claim=claim, baseline_units=1.0)
+        report = price_report(market_small, carrying, claim, 2.0)
+        assert report.seller_price == indifference_sell(market_small, carrying, claim, 2.0)
+
+
+UNITS = st.floats(-3.0, 3.0).map(lambda u: round(u, 3))
+
+
+@settings(max_examples=15, deadline=None)
+@given(u=UNITS, v=UNITS)
+@example(u=1.0, v=1.0)
+@example(u=0.5, v=2.0)
+@example(u=2.0, v=-1.0)
+def test_seller_price_telescopes_through_the_baseline(market_small, agent, u, v):
+    # selling u + v units at once costs the same as selling u, then v on top
+    # of a baseline of u: the log values telescope, up to the solver's error
+    claim = knockout_call(2250.0, 2300.0)
+    grid = market_small.grid_for([(claim, 1.0)])
+    carrying = replace(agent, baseline_claim=claim, baseline_units=u)
+    whole = indifference_sell(market_small, agent, claim, u + v, grid=grid)
+    parts = (indifference_sell(market_small, agent, claim, u, grid=grid)
+             + indifference_sell(market_small, carrying, claim, v, grid=grid))
+    assert whole == pytest.approx(parts, abs=1e-6)
+
 
 class TestReplication:
     def test_all_four_prices_equal_the_quote(self, market_replication, agent):
@@ -132,7 +158,7 @@ class TestHedgingBounds:
         cost, portfolio, solution = superhedge_cost(empty, claim, allow_dynamic=False)
         assert solution.status == "optimal"
         assert cost == pytest.approx(10.0, abs=1e-6)
-        assert portfolio.cash == pytest.approx(10.0, abs=1e-6)
+        assert dict(portfolio)["cash"] == pytest.approx(10.0, abs=1e-6)
 
     def test_zero_claim_bounds_are_zero(self, market_small, knockout):
         sup, _, _ = superhedge_cost(market_small, knockout, units=0.0)
@@ -174,7 +200,7 @@ class TestArbitrage:
         # it buys the cheap quote to its cap and sells only as much of the
         # rich one as the floor needs, but no strategy clears the floor
         # without selling some
-        positions = report.strategy.positions
+        positions = dict(report.strategy)
         assert positions["XA"] == pytest.approx(qty, rel=1e-6)
         assert positions["XB"] < -1e-3 * qty
 

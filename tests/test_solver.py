@@ -509,6 +509,35 @@ class TestNumericalError:
         assert sol.status == "numerical_error"
         assert sol.outer_iterations == after
 
+    @pytest.mark.parametrize("kind", ["lp", "exp"])
+    def test_non_finite_corrector(self, monkeypatch, kind):
+        # the predictor's two-column solve stays finite, so the stopping exit
+        # passes; the corrector's one-column solve of the fourth system does
+        # not, and the leg leaves at the step exit before any product is
+        # taken with it (a RuntimeWarning is an error under the suite)
+        newton_solver = solver._newton_solver
+        factors = []
+
+        def poisoned(hess):
+            solve = newton_solver(hess)
+            factors.append(hess)
+            if len(factors) <= 3:
+                return solve
+            return lambda rhs: np.full_like(rhs, np.inf) if rhs.shape[-1] == 1 else solve(rhs)
+
+        monkeypatch.setattr(solver, "_newton_solver", poisoned)
+        if kind == "lp":
+            rng = np.random.default_rng(300)
+            G = rng.uniform(-1.0, 1.0, size=(5, 3))
+            sol = solve_lp(make_lp_program(rng.uniform(-1.0, 1.0, size=3), G,
+                                           rng.uniform(0.5, 1.5, size=5), np.zeros(3),
+                                           np.full(3, 2.0), start=np.full(3, 0.25)), TIGHT)
+        else:
+            sol = minimize(random_exp_instance(np.random.default_rng(21), 2, 5), TIGHT)
+        assert sol.status == "numerical_error"
+        assert sol.outer_iterations == 3
+        assert sol.newton_iterations == 4
+
 
 def assert_same_solution(stacked, alone):
     """Bit for bit the same point, value, duals, counts and residual."""
