@@ -443,8 +443,9 @@ def _write_portfolio(path, rows) -> None:
 
 def _cmd_optimize(config, market, outdir, args) -> int:
     terms = [(config.claim, config.claim_units)] if args.with_claim else []
-    grid = market.grid_for(terms)
-    program = _agent_leg(market, grid, config, terms)
+    hedging = _hedging_market(market, config.claim, config.exclude_claim_strike)
+    grid = hedging.grid_for(terms)
+    program = _agent_leg(hedging, grid, config, terms)
     solution = _optimum(program, config.solver)
     _write_portfolio(
         os.path.join(outdir, "optimize_portfolio.csv"),
@@ -462,7 +463,7 @@ def _cmd_optimize(config, market, outdir, args) -> int:
         "outer_iterations": solution.outer_iterations,
         "newton_iterations": solution.newton_iterations,
         "delta_pct": config.delta_pct,
-        "quotes": len(market.quotes),
+        "quotes": len(hedging.quotes),
         "grid_points": grid.size,
     }
     write_json(os.path.join(outdir, "optimize_summary.json"), summary)
@@ -550,13 +551,15 @@ def _cmd_arbitrage(config, market, outdir, args) -> int:
 
 def _cmd_simulate(config, market, outdir, args) -> int:
     terms = [(config.claim, config.claim_units)] if args.with_claim else []
-    program = _agent_leg(market, market.grid_for(terms), config, terms)
+    hedging = _hedging_market(market, config.claim, config.exclude_claim_strike)
+    program = _agent_leg(hedging, hedging.grid_for(terms), config, terms)
     solution = _optimum(program, config.solver)
     paths = simulate_paths(config.model, args.paths, args.seed)
     # out-of-sample wealth: the budget less the strategy's loss rows on the
     # paths, so cash is the budget less the acquisition cost as in every portfolio file
     levels = [paths[:, [t]] for t in range(paths.shape[1])]
-    names, factors, _ = strategy_factors(market.quotes, levels, market.model.spot, config.delta_pct)
+    names, factors, _ = strategy_factors(hedging.quotes, levels, hedging.model.spot,
+                                         config.delta_pct)
     held = dict(zip(program.layout.names, solution.x))
     wealth = program.budget - factors.product(np.array([held.get(name, 0.0) for name in names]))
     _write_surface(os.path.join(outdir, "simulate_wealth.csv"), paths, {"terminal_wealth": wealth})

@@ -516,11 +516,14 @@ class AssembledProgram:
     def epigraph(self, point_upper, level_lower: float) -> AssembledProgram:
         """The linear program: minimize a level t over (y, t) subject to
         a_i(y) - t <= point_upper_i on this program's loss rows, t >= level_lower,
-        started at (start, t0) with t0 = max_i(a_i(start) - point_upper_i) + 1
-        + max|point_upper|, strictly inside every row.  The level is the last
-        column; the layout names only y."""
-        scale = 1.0 + float(np.abs(point_upper).max())
-        violation = float((self.loss_arguments(self.start) - point_upper).max())
+        started at (start, t0).  With g_i = a_i(start) - point_upper_i,
+        t0 = max_i g_i + margin and margin = max(1 + max|point_upper|,
+        max_i |g_i|), so every row starts with a slack t0 - g_i between margin
+        and 3 margin: the starting duals mu/slack of the rows lie within a
+        factor three of one another.  The level is the last column; the
+        layout names only y."""
+        gap = self.loss_arguments(self.start) - point_upper
+        margin = max(1.0 + float(np.abs(point_upper).max()), float(np.abs(gap).max()))
         return replace(
             self,
             objective="linear",
@@ -529,7 +532,7 @@ class AssembledProgram:
             point_upper=point_upper,
             lower=np.append(self.lower, level_lower),
             upper=np.append(self.upper, np.inf),
-            start=np.append(self.start, violation + scale),
+            start=np.append(self.start, float(gap.max()) + margin),
         )
 
 
@@ -657,6 +660,11 @@ def strategy_factors(quotes, levels, spot: float, delta_pct: float | None = None
 
 
 def _assemble(quotes, grid, lot_size, delta_pct):
+    """The strategy space of ``quotes`` on ``grid``: the frictionless one
+    without ``delta_pct``, the transaction-cost one with it.  Every variable
+    with a finite lower bound starts at lower + min(upper - lower, 1) / 2,
+    halfway into its box or one half above its lower bound, and every free
+    variable at 0."""
     quotes = list(quotes)
     names, factors, cells = strategy_factors(quotes, _grid_levels(grid), grid.spot, delta_pct)
     frictionless = delta_pct is None
@@ -664,9 +672,7 @@ def _assemble(quotes, grid, lot_size, delta_pct):
     bounds = [position_bounds(q, lot_size) for q in quotes]
     upper = np.array([hi for _, hi in bounds] + [-lo for lo, _ in bounds] + [np.inf] * dynamic)
     lower = np.concatenate([np.zeros(2 * J), np.full(dynamic, -np.inf if frictionless else 0.0)])
-    start = np.concatenate(
-        [0.5 * np.minimum(upper[: 2 * J], 1.0), np.full(dynamic, 0.0 if frictionless else 1e-2)]
-    )
+    start = np.where(np.isfinite(lower), lower + 0.5 * np.minimum(upper - lower, 1.0), 0.0)
     space = AssembledProgram(
         objective="exp_sum",
         layout=DecisionLayout(

@@ -23,6 +23,7 @@ from semistatic.claims import (
     lookback_digital,
     vanilla_call,
 )
+from semistatic.instruments import OptionKind
 from semistatic.solver import PHASE1_GAP, SolveSettings
 
 from oracles import CONFIG_VALIDATOR, acquisition_cost, claim_payout
@@ -174,6 +175,23 @@ def test_arbitrage_strategy_on_crossed_chain(run, crossed_chain):
     assert rows[0] == PORTFOLIO_HEADER
     assert rows[1][0] == "cash"
     assert as_dict(rows)["SPX US 5/19/2017 C2350 Index#2"] < 0
+
+
+def test_exclude_strike_drops_the_claim_quote_with_claim(run, quotes):
+    # optimize and simulate hedge the claim on the hedging set that ``price`` uses
+    config = cli.load_config()
+    claim_quotes = [qid for qid, q in quotes.items() if q.kind is OptionKind.CALL
+                    and q.strike == config.claim.strike and q.maturity == config.model.periods]
+    assert claim_quotes
+    kept = {flags: [r[0] for r in read_csv(run("optimize", "--with-claim", *flags)[1]
+                                          / "optimize_portfolio.csv")]
+            for flags in ((), ("--exclude-strike",))}
+    assert set(claim_quotes) <= set(kept[()])
+    assert set(kept[("--exclude-strike",)]) == set(kept[()]) - set(claim_quotes)
+    wealth = {flags: (run("simulate", "--with-claim", "--paths", "200", *flags)[1]
+                      / "simulate_wealth.csv").read_bytes()
+              for flags in ((), ("--exclude-strike",))}
+    assert wealth[()] != wealth[("--exclude-strike",)]
 
 
 def test_simulate_writes_one_row_per_path(run):

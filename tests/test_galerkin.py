@@ -359,8 +359,9 @@ def test_dense_rows_spell_each_quote_bit_for_bit(market, delta_pct):
 @pytest.mark.parametrize("delta_pct", [None, 0.1])
 @pytest.mark.parametrize("bound", ["zero", "floor", "varying"])
 def test_epigraph_starts_inside_its_rows(market, claim_terms, bound, delta_pct):
-    # the level starts max_i(a_i(start) - point_upper_i) + 1 + max|point_upper|,
-    # which leaves every row that much slack at the least
+    # the level starts max_i g_i + margin, g_i = a_i(start) - point_upper_i and
+    # margin = max(1 + max|point_upper|, max|g|), which leaves every row a
+    # slack between margin and 3 margin
     grid = market.grid_for(claim_terms)
     leg = _assemble(market, grid, delta_pct).leg(claim_terms, 0.0)
     point_upper = {
@@ -370,8 +371,33 @@ def test_epigraph_starts_inside_its_rows(market, claim_terms, bound, delta_pct):
     }[bound]
     lifted = leg.epigraph(point_upper, -np.inf)
     slack = point_upper - lifted.loss_arguments(lifted.start)
-    assert slack.min() == pytest.approx(1.0 + np.abs(point_upper).max(), rel=1e-9)
+    gap = leg.loss_arguments(leg.start) - point_upper
+    margin = max(1.0 + np.abs(point_upper).max(), np.abs(gap).max())
+    assert slack.min() == pytest.approx(margin, rel=1e-9)
+    assert slack.max() <= 3.0 * slack.min()
     np.testing.assert_array_equal(lifted.start[:-1], leg.start)
+
+
+@pytest.mark.parametrize("delta_pct", [None, 0.1])
+def test_start_is_centred_in_each_box(market, claim_terms, delta_pct):
+    # a variable with a finite lower bound starts min(width, 1) / 2 above it,
+    # a free one at 0; the frictionless start is the quote sides' half-way
+    # point, capped at 1/2, and 0 for every index position
+    space = _assemble(market, market.grid_for(claim_terms), delta_pct)
+    lower, upper, start = space.lower, space.upper, space.start
+    bounded = np.isfinite(lower)
+    np.testing.assert_array_equal(start[bounded],
+                                  lower[bounded] + 0.5 * np.minimum(upper - lower, 1.0)[bounded])
+    np.testing.assert_array_equal(start[~bounded], 0.0)
+    options = space.layout.options
+    if delta_pct is None:
+        assert not bounded[options:].any()
+        np.testing.assert_array_equal(
+            start, np.concatenate([0.5 * np.minimum(upper[:options], 1.0),
+                                   np.zeros(space.variable_count - options)]))
+    else:
+        assert bounded.all()
+        np.testing.assert_array_equal(start[options:], 0.5)
 
 
 def test_keep_gives_the_static_only_space(market):

@@ -335,6 +335,16 @@ class TestPriceReport:
             for key in ("lower", "upper"):
                 np.testing.assert_array_equal(stacked.duals[key], single.duals[key])
 
+    def test_centred_starts_bound_the_newton_systems(self, market_chain, agent, knockout):
+        # the transaction-cost legs start halfway into their boxes and the LP
+        # level a margin above its rows; the counts repeat at any BLAS thread
+        # count (each solve runs on one)
+        report = price_report(market_chain, agent, knockout, delta_pct=0.1)
+        systems = {side: leg["newton_iterations"] for side, leg in report.legs.items()}
+        assert all(leg["status"] == "optimal" for leg in report.legs.values())
+        assert max(systems[side] for side in ("baseline", "seller", "buyer")) <= 20
+        assert max(systems[side] for side in ("superhedge", "subhedge")) <= 30
+
     def test_report_json(self, tmp_path, market_small, agent, knockout):
         import json
 

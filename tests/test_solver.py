@@ -453,25 +453,27 @@ def test_start_outside_the_rows_raises(solve, program):
                    "short of the optimum; see ROADMAP item 2")
 def test_near_face_start_reaches_the_optimum():
     # find_arbitrage's expected-loss program on the crossed chain at a 0.1%
-    # cost, started from phase-1's point and from the point of the zero
-    # claim's hedging LP, which sits 1.7e-13 below the cheap quote's cap and
-    # within 1e-10 of every dz leg's zero bound.  A start does not change the
-    # optimum of a convex program, but the second ends `optimal` (kkt 7e-12)
-    # at log value -2.0343510 where the first reaches -2.0344582.
+    # cost, started from phase-1's point and from that point moved 1.7e-13
+    # below the cheap quote's cap and to 1e-10 above every dz leg's zero
+    # bound.  A start does not change the optimum of a convex program, but
+    # the second ends `optimal` (kkt 8e-12) at log value -2.0343510 where the
+    # first reaches -2.0344582.
     market, budget = crossed_quote_market(), 1e5
     grid = market.grid_for(())
     space = pricing._assemble(market, grid, 0.1)
     leg = space.leg((), budget, pricing.ARBITRAGE_RISK_AVERSION / budget)
     program = replace(leg, point_upper=np.full(grid.size, -budget))
     _, phase1_point = feasibility_start(program)
-    _, _, lp = pricing._least_dominating_wealth(space, (), None)
-    near_face = lp.x[: space.variable_count]
+    names = space.layout.names
+    near_face = phase1_point.copy()
+    near_face[names.index("buy:XA")] = space.upper[names.index("buy:XA")] - 1.7e-13
+    near_face[[name.startswith("dz") for name in names]] = 1e-10
     settings = SolveSettings()
-    from_phase1, from_lp = (
+    from_phase1, from_near_face = (
         minimize(replace(program, start=start), settings) for start in (phase1_point, near_face)
     )
-    assert from_phase1.status == from_lp.status == "optimal"
-    assert abs(from_lp.log_objective - from_phase1.log_objective) <= 2 * settings.gap_tol
+    assert from_phase1.status == from_near_face.status == "optimal"
+    assert abs(from_near_face.log_objective - from_phase1.log_objective) <= 2 * settings.gap_tol
 
 
 class TestNumericalError:
