@@ -4,8 +4,7 @@ code on one BLAS thread.
 
 Every BLAS call inside the scope rounds as it would on one thread whatever
 thread count the process uses, so its results do not depend on that count:
-the solver's Newton systems and the Gauss-Legendre rule of the scenario grid
-run inside it.  Only OpenBLAS copies found in ``/proc/self/maps`` are
+the solver's Newton systems run inside it.  Only OpenBLAS copies found in ``/proc/self/maps`` are
 pinned; a BLAS that is not OpenBLAS (MKL, Accelerate) or a system without
 ``/proc`` is not.
 """

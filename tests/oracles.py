@@ -5,15 +5,18 @@ that the tests hold the package's fast paths to.
 - Quotes: the acquisition cost and the per-path payoff of one quote.
 - Index trading: the cash flow of one index trade under proportional costs.
 - Model: the VG log-increment density by adaptive quadrature, its CDF and
-  moments, and the joint path density.
+  moments, the joint path density, the mixture density with each normal
+  taken in log space, and a Gauss-Legendre rule in high precision.
 - Programs: the expected-loss value and gradient from the dense rows, an
   exact LP solve on HiGHS and the weak-duality bound of returned duals.
 - Prices: the indifference price by a budget line search.
 - Config: a JSON Schema 2020-12 validator of the CLI's configuration schema.
 """
+import functools
 import warnings
 
 import jsonschema
+import mpmath
 import numpy as np
 import scipy.optimize
 from scipy import integrate, special, stats
@@ -109,6 +112,60 @@ def vg_log_increment_density(params, dt: float, u: float) -> float:
             f"VG density quadrature failed for dt={dt}, u={u}: got {value}"
         )
     return value
+
+
+def vg_log_increment_density_logspace(params, dt: float, u, n_nodes: int = 400) -> np.ndarray:
+    """The package's gamma-mixture density on the same nodes and weights, with
+    each normal evaluated whole in log space, exp(-log(2 pi var) / 2 - (u -
+    theta g)^2 / (2 var)), rather than with its constant on the weights."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    g, weights = _mixture_nodes(params, dt, n_nodes)
+    var = params.sigma**2 * g
+    log_norm = -0.5 * np.log(2.0 * np.pi * var) - (u[:, None] - params.theta * g) ** 2 / (2.0 * var)
+    return np.einsum("j,ij->i", weights, np.exp(log_norm))
+
+
+def _legendre_mp(n: int, x):
+    """(P_n(x), P_n'(x)) in mpmath by the three-term recurrence."""
+    p_prev, p = mpmath.mpf(1), x
+    for j in range(2, n + 1):
+        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+    return p, n * (p_prev - x * p) / (1 - x * x)
+
+
+@functools.cache
+def gauss_legendre_rule(n: int, dps: int = 30) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule of ``n`` nodes (ascending) and weights, rounded to
+    doubles from ``dps`` digits.
+
+    Each positive node starts at cos(pi (4k - 1) / (4n + 2)) and takes Newton
+    steps on P_n in mpmath until a step is below 10^(4 - dps); its weight is
+    2 / ((1 - x^2) P_n'(x)^2), with P_n' from that last step.  The nodes
+    found are checked to be distinct, so they are the n roots of P_n.
+    """
+    if n < 1:
+        raise ValueError("a Gauss-Legendre rule needs at least one node")
+    nodes, weights = [], []
+    with mpmath.workdps(dps):
+        tol = mpmath.mpf(10) ** (4 - dps)
+        for k in range(1, (n + 1) // 2 + 1):
+            x = mpmath.mpf(0) if 2 * k == n + 1 else mpmath.cos(mpmath.pi * (4 * k - 1) / (4 * n + 2))
+            for _ in range(50):
+                p, dp = _legendre_mp(n, x)
+                step = p / dp
+                x -= step
+                if abs(step) < tol:
+                    break
+            else:
+                raise ArithmeticError(f"Newton missed node {k} of {n}")
+            nodes.append(float(x))
+            weights.append(float(2 / ((1 - x * x) * dp * dp)))
+    if any(a <= b for a, b in zip(nodes, nodes[1:])):
+        raise ArithmeticError(f"Newton found a node twice in the rule of {n}")
+    half = n // 2
+    x = np.array([-v for v in nodes[:half]] + nodes[::-1])
+    w = np.array(weights[:half] + weights[::-1])
+    return x, w
 
 
 def vg_log_increment_cdf_vec(params, dt: float, u, n_nodes: int = 400) -> np.ndarray:

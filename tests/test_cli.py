@@ -385,7 +385,7 @@ def test_flag_outside_the_schema_exits_1(tmp_path, capsys, value):
     ("grid", "density_nodes", 400.0),
 ])
 def test_integral_float_for_an_integer_exits_1(tmp_path, capsys, section, key, value):
-    # JSON Schema takes 200.0 for an integer; range() and leggauss do not
+    # JSON Schema takes 200.0 for an integer; range() does not
     data = {section: {key: value}}
     assert CONFIG_VALIDATOR.is_valid(data)
     config = tmp_path / "count.json"

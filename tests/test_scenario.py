@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from semistatic.pricing import Market
 from semistatic.scenario import (
     VGParams,
     _gamma_bracket,
+    _gl_rule,
     _mixture_nodes,
     build_grid,
     simulate_paths,
@@ -20,10 +22,12 @@ from semistatic.scenario import (
 
 from conftest import package_env
 from oracles import (
+    gauss_legendre_rule,
     path_density,
     vg_increment_moments,
     vg_log_increment_cdf_vec,
     vg_log_increment_density,
+    vg_log_increment_density_logspace,
 )
 
 BASE = VGParams(theta=0.0, sigma=0.1206, nu=0.0031, spot=2360.0, horizons=(1 / 12, 2 / 12))
@@ -249,14 +253,68 @@ def test_params_validation():
 
 def test_package_import_leaves_reference_quadrature_unloaded():
     # scipy.stats and scipy.integrate serve only the reference quadrature and
-    # cost about a second of import
+    # cost about a second of import; the Gauss-Legendre rule is the package's
+    # own, so numpy.polynomial stays unloaded too
     code = (
-        "import sys, semistatic.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+        "import sys, semistatic.cli; print(sorted(m for m in "
+        "('scipy.stats', 'scipy.integrate', 'numpy.polynomial') if m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=package_env(),
                          capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# the Gauss-Legendre rule and the density kernel
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [16, 17, 100, 400])
+def test_gauss_legendre_rule_matches_high_precision(n):
+    # nodes to their rounding; weights within 7e-15 relative at n = 400
+    nodes, weights = _gl_rule(n)
+    ref_nodes, ref_weights = gauss_legendre_rule(n)
+    np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=4 * np.finfo(float).eps)
+    np.testing.assert_allclose(weights, ref_weights, rtol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 17, 100, 400])
+def test_gauss_legendre_rule_is_symmetric(n):
+    nodes, weights = _gl_rule(n)
+    assert nodes.shape == weights.shape == (n,)
+    assert np.all(np.diff(nodes) > 0)
+    np.testing.assert_array_equal(nodes, -nodes[::-1])
+    np.testing.assert_array_equal(weights, weights[::-1])
+    assert abs(weights.sum() - 2.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_gauss_legendre_rule_needs_a_node(n):
+    with pytest.raises(ValueError):
+        _gl_rule(n)
+
+
+def test_density_kernel_holds_one_buffer():
+    # one chunk of 2,000 rows: the (rows x nodes) buffer and little else
+    rows, n_nodes = 2000, 400
+    u = np.linspace(-0.3, 0.3, rows)
+    vg_log_increment_density_vec(SKEWED, 1 / 12, u[:1], n_nodes)  # cache the rule
+    tracemalloc.start()
+    try:
+        vg_log_increment_density_vec(SKEWED, 1 / 12, u, n_nodes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * rows * n_nodes * 8
+
+
+@pytest.mark.parametrize("nu", [0.0031, 0.16])
+@pytest.mark.parametrize("theta", [0.0, -0.15])
+def test_density_kernel_matches_the_log_space_form(nu, theta):
+    params = VGParams(theta=theta, sigma=0.1206, nu=nu, spot=2360.0, horizons=(1 / 12,))
+    u = np.linspace(-0.3, 0.3, 1201)
+    np.testing.assert_allclose(vg_log_increment_density_vec(params, 1 / 12, u),
+                               vg_log_increment_density_logspace(params, 1 / 12, u), rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +373,7 @@ def test_mixture_weights_are_the_normalised_gamma_density(nu):
     dt = 1 / 12
     params = VGParams(theta=0.0, sigma=0.1206, nu=nu, spot=2360.0, horizons=(dt,))
     g, weights = _mixture_nodes(params, dt, 400)
-    _, gl = np.polynomial.legendre.leggauss(400)
+    _, gl = gauss_legendre_rule(400)
     ref = gl * g * np.exp(stats.gamma.logpdf(g, dt / nu, scale=nu))
     np.testing.assert_allclose(weights, ref / ref.sum(), rtol=1e-13)
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semistatic import cli, pricing, scenario, solver
+from semistatic import cli, pricing, solver
 from semistatic.claims import knockout_call
 from semistatic.fixtures import BASE_MODEL, crossed_quote_market, small_market
 from semistatic.galerkin import RowFactors, assemble_frictionless
@@ -880,33 +880,3 @@ class TestBlasThreads:
             )
             reports.append((out / "price_report.json").read_bytes())
         assert reports[0] == reports[1]
-
-    def test_gauss_legendre_rule_runs_on_one_thread(self, monkeypatch):
-        # numpy's leggauss is a dense eigenvalue problem: one BLAS thread
-        # gives the same nodes as two, without their slow outliers on a
-        # busy machine
-        controls = openblas_controls()
-
-        def counts():
-            return tuple(getter() for getter, _ in controls)
-
-        seen = []
-        leggauss = scenario.leggauss
-
-        def spy(n):
-            seen.append(counts())
-            return leggauss(n)
-
-        monkeypatch.setattr(scenario, "leggauss", spy)
-        saved = counts()
-        try:
-            for _, setter in controls:
-                setter(2)
-            nodes, weights = scenario._gl_rule.__wrapped__(24)
-            after = counts()
-        finally:
-            for (_, setter), count in zip(controls, saved):
-                setter(count)
-        assert seen == [(1,) * len(controls)]
-        assert after == (2,) * len(controls)
-        np.testing.assert_array_equal(nodes, leggauss(24)[0])
