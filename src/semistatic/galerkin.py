@@ -53,8 +53,8 @@ its decision lives: ``leg`` sets the claim offsets claim_i - w, the budget
 and kappa; ``keep`` takes a column subset and records the rest in
 ``layout.dropped`` (the assembler's drop rule, the static-only strategies);
 ``epigraph`` lifts the rows to [rows | -1] for the least level t with
-a_i(y) - t <= point_upper_i (the hedging LPs, the phase-1 slack) and starts
-t inside every row, the one LP start.  The one
+a_i(y) <= t (the hedging LPs, the zero claim's among them, which tests for
+arbitrage) and starts t inside every row, the one LP start.  The one
 column kernel, ``strategy_factors``, evaluates every variable on the levels
 of any period axes: the grid's factor axes or simulated paths.
 """
@@ -513,24 +513,25 @@ class AssembledProgram:
             start=self.start[mask],
         )
 
-    def epigraph(self, point_upper, level_lower: float) -> AssembledProgram:
-        """The linear program: minimize a level t over (y, t) subject to
-        a_i(y) - t <= point_upper_i on this program's loss rows, t >= level_lower,
-        started at (start, t0).  With g_i = a_i(start) - point_upper_i,
-        t0 = max_i g_i + margin and margin = max(1 + max|point_upper|,
-        max_i |g_i|), so every row starts with a slack t0 - g_i between margin
-        and 3 margin: the starting duals mu/slack of the rows lie within a
-        factor three of one another.  The level is the last column; the
-        layout names only y."""
-        gap = self.loss_arguments(self.start) - point_upper
-        margin = max(1.0 + float(np.abs(point_upper).max()), float(np.abs(gap).max()))
+    def epigraph(self) -> AssembledProgram:
+        """The linear program of the least uniform level: minimize t over
+        (y, t) subject to a_i(y) <= t on this program's loss rows, started at
+        (start, t0).  With g_i = a_i(start), t0 = max_i g_i + margin and
+        margin = max(1, max_i |g_i|), so every row starts with a slack
+        t0 - g_i between margin and 3 margin: the starting duals mu/slack of
+        the rows lie within a factor three of one another.  The level is the
+        last column; the layout names only y."""
+        if self.point_upper is not None:
+            raise ValueError("an epigraph lifts a program without pointwise rows")
+        gap = self.loss_arguments(self.start)
+        margin = max(1.0, float(np.abs(gap).max()))
         return replace(
             self,
             objective="linear",
             factors=self.factors.levelled,
             cost=np.append(np.zeros(self.variable_count), 1.0),
-            point_upper=point_upper,
-            lower=np.append(self.lower, level_lower),
+            point_upper=np.zeros_like(gap),
+            lower=np.append(self.lower, -np.inf),
             upper=np.append(self.upper, np.inf),
             start=np.append(self.start, float(gap.max()) + margin),
         )

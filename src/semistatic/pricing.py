@@ -33,13 +33,10 @@ from .galerkin import (
 )
 from .instruments import OptionKind, Quote
 from .scenario import DEFAULT_TRUNCATION, QuadratureGrid, VGParams, build_grid
-from .solver import SolveSettings, Solution, feasibility_start, minimize, solve_legs, solve_lp
+from .solver import SolveSettings, Solution, feasibility_start, solve_legs
 
-# risk aversion, per unit of the budget, of the expected-loss program that
-# ``find_arbitrage`` solves under its payout floor
-ARBITRAGE_RISK_AVERSION = 2.0
-# an arbitrage's excess must beat this share of the budget: the expected
-# excess in ``find_arbitrage``, the uniform one in a price report's flag
+# an arbitrage's uniform excess, -w0 of the zero claim's hedging LP, must
+# beat this share of the budget (``_arbitrage``)
 ARBITRAGE_EXCESS_TOL = 1e-6
 # Each period's node range must sit strictly inside the next period's, so
 # every trading cell sees the index move both ways on the grid; otherwise the
@@ -261,16 +258,23 @@ def _hedging_lp(program: AssembledProgram, claim_terms) -> AssembledProgram:
     subject to a_i(y) - w <= 0 on the leg's loss rows a_i at budget 0.  It is
     the leg's epigraph, with w free, so always feasible, and started where
     ``epigraph`` starts it."""
-    leg = program.leg(claim_terms, 0.0)
-    return leg.epigraph(np.zeros(leg.grid.size), -np.inf)
+    return program.leg(claim_terms, 0.0).epigraph()
 
 
 def _least_dominating_wealth(program: AssembledProgram, claim_terms, settings):
-    """The least dominating wealth of ``_hedging_lp``: (w, its portfolio rows
-    (``_portfolio``), Solution)."""
-    solution = solve_lp(_hedging_lp(program, claim_terms), settings)
-    y = solution.x[: program.variable_count]
-    return solution.objective, _portfolio(program, y, solution.objective), solution
+    """The least dominating wealth of ``_hedging_lp``, solved alone
+    (``feasibility_start``): (w, its portfolio rows (``_portfolio``),
+    Solution)."""
+    w, y, solution = feasibility_start(program.leg(claim_terms, 0.0), settings)
+    return w, _portfolio(program, y, w), solution
+
+
+def _arbitrage(solution: Solution, budget: float) -> bool:
+    """Whether the zero claim's hedging LP ``solution`` shows an arbitrage
+    at ``budget``: it is unbounded, or its least wealth w0 lies below
+    -ARBITRAGE_EXCESS_TOL * budget, so that a strategy's payout beats the
+    budget by more than that in every grid scenario."""
+    return solution.status == "unbounded" or -solution.objective > ARBITRAGE_EXCESS_TOL * budget
 
 
 def superhedge_cost(
@@ -310,10 +314,17 @@ def subhedge_cost(
 
 @dataclass(frozen=True)
 class ArbitrageReport:
+    """``find_arbitrage``'s answer.  ``min_uniform_slack`` is the zero claim's
+    least wealth w0, the least over strategies of the largest shortfall of
+    the payout below the budget, whose minus is the greatest uniform excess.
+    A find also reports its strategy as portfolio rows (``_portfolio``) at the
+    budget, that strategy's expected payout less the budget and its least
+    payout over the grid; no find reports an expected excess of 0."""
+
     found: bool
     expected_excess: float
     min_uniform_slack: float
-    strategy: list | None = None  # a find's portfolio rows (``_portfolio``)
+    strategy: list | None = None
     payout_floor: float = float("nan")
 
 
@@ -323,42 +334,29 @@ def find_arbitrage(
     delta_pct: float | None = None,
     settings: SolveSettings | None = None,
 ) -> ArbitrageReport:
-    """Search for a strategy whose payout is at least ``budget`` in every grid
-    scenario with expected payout strictly above it, on the market's own grid
-    (quoted strikes and guard nodes, no claim breakpoints).
+    """Search for a strategy whose payout beats ``budget`` by the same
+    positive amount in every grid scenario, on the market's own grid (quoted
+    strikes and guard nodes, no claim breakpoints): the hedging LP of the
+    zero claim (``_hedging_lp``), solved alone.  Its least wealth w0 decides
+    the find by the rule of a price report's flag (``_arbitrage``).
 
-    Phase-1 slack minimization decides whether any strategy clears the floor;
-    when one does, the expected-loss program constrained to the floor is
-    solved from the phase-1 point and its expected excess reported.  The
-    excess must beat ``ARBITRAGE_EXCESS_TOL * budget`` for a find.
-
-    The reported ``strategy`` is the expected-loss optimum under the floor, not
-    the strategy that maximizes the uniform excess.  Its positions need not be
-    the riskless combination that phase-1 found: with crossed quotes it may
-    trade only as much of the rich quote as the floor requires.
-
-    ``min_uniform_slack`` lies above the true minimum uniform slack by at most
-    ``2.5e-10 * (1 + |budget|)`` in absolute terms, however large the excess.
+    The reported ``strategy`` is the LP's optimum, which maximizes the
+    uniform excess -w0; it is the solver's point on the optimal face, not
+    the best strategy by any second criterion.  ``min_uniform_slack`` is w0,
+    whose solve stops by the LP gap rule ``gap_tol * (1 + |w0|)``.
     """
     if budget <= 0:
         raise ValueError("the arbitrage budget must be positive")
-    grid = market.grid_for(())
-    leg = _assemble(market, grid, delta_pct).leg((), budget, ARBITRAGE_RISK_AVERSION / budget)
-    program = replace(leg, point_upper=np.full(grid.size, -budget))
-
-    s_star, feasible = feasibility_start(program, settings)
-    solution = None if feasible is None else minimize(replace(program, start=feasible), settings)
-    if solution is None or solution.status == "unbounded":
-        return ArbitrageReport(found=False, expected_excess=0.0, min_uniform_slack=s_star)
-    payout = program.portfolio_payout(solution.x)
-    excess = float(program.masses @ payout) - budget
-    if excess <= ARBITRAGE_EXCESS_TOL * abs(budget):
-        return ArbitrageReport(found=False, expected_excess=excess, min_uniform_slack=s_star)
+    space = _assemble(market, market.grid_for(()), delta_pct)
+    w0, y, solution = feasibility_start(space.leg((), 0.0), settings)
+    if not _arbitrage(solution, budget):
+        return ArbitrageReport(found=False, expected_excess=0.0, min_uniform_slack=w0)
+    payout = budget - space.factors.product(y)
     return ArbitrageReport(
         found=True,
-        expected_excess=excess,
-        min_uniform_slack=s_star,
-        strategy=_portfolio(program, solution.x, budget),
+        expected_excess=float(space.masses @ payout) - budget,
+        min_uniform_slack=w0,
+        strategy=_portfolio(space, y, budget),
         payout_floor=float(payout.min()),
     )
 
@@ -439,8 +437,8 @@ def price_report(
     ``exclude_claim_quote`` removes the quoted instrument matching a vanilla
     claim (same kind, strike and horizon) from the hedging set.
 
-    ``arbitrage_detected`` holds when the least wealth w0 covering the zero
-    claim in the same space is unbounded or below -ARBITRAGE_EXCESS_TOL * w.
+    ``arbitrage_detected`` holds when the least wealth covering the zero
+    claim in the same space shows an arbitrage at w (``_arbitrage``).
     """
     hedging = _hedging_market(market, claim, exclude_claim_quote)
     terms = _claim_terms(agent, claim, units)
@@ -459,14 +457,14 @@ def price_report(
 
     sol_sup, sol_sub, sol_zero = solve_legs(
         [_hedging_lp(space, t) for t in ([(claim, units)], [(claim, -units)], ())], settings)
-    sup, sub, w0 = sol_sup.objective, -sol_sub.objective, sol_zero.objective
+    sup, sub = sol_sup.objective, -sol_sub.objective
 
     tol = 1e-6 * w
     ordering_ok = (sub <= buyer + tol) and (buyer <= seller + tol) and (seller <= sup + tol)
 
     flags = {
         "bounds_active": _bounds_active(space, (sol_base, sol_sell, sol_buy)),
-        "arbitrage_detected": sol_zero.status == "unbounded" or -w0 > ARBITRAGE_EXCESS_TOL * w,
+        "arbitrage_detected": _arbitrage(sol_zero, w),
         "ordering_ok": bool(ordering_ok),
         "superhedge_infeasible": not np.isfinite(sup),
         "subhedge_infeasible": not np.isfinite(sub),

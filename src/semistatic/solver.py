@@ -1,12 +1,11 @@
 """Self-contained solvers for the assembled programs: one primal-dual
 interior-point method (Mehrotra 1992; Wright 1997, ch. 10-11) for the
-exponential-sum programs, the hedging linear programs and the phase-1 slack
-program.  Every solve starts at its program's own ``start``, which must lie
-strictly inside the rows and boxes; phase-1 (``feasibility_start``) serves
-only ``find_arbitrage``'s search for a point inside its payout floor.
-Programs that share their rows and boxes, the legs of one strategy space,
-are solved together as one stack (``solve_legs``); ``minimize`` and
-``solve_lp`` solve a stack of one.
+exponential-sum programs and the hedging linear programs.  Every solve
+starts at its program's own ``start``, which must lie strictly inside the
+rows and boxes.  Programs that share their rows and boxes, the legs of one
+strategy space, are solved together as one stack (``solve_legs``);
+``minimize``, ``solve_lp`` and ``feasibility_start``, the least uniform
+level of a program's rows (its epigraph LP), solve a stack of one.
 
 The exponential-sum objective is minimized through its logarithm (log-sum-exp
 of affine rows), which is also convex, immune to overflow, and naturally
@@ -50,8 +49,7 @@ that holds, in this order:
 
 - ``numerical_error``: the test failed;
 - ``unbounded``: f lies below ``objective_floor``;
-- ``optimal``: the residual is at most the target (``gap_tol`` unless
-  ``solve_legs`` is given another), or it is at most
+- ``optimal``: the residual is at most ``gap_tol``, or it is at most
   ``grad_tol`` and its least value over the last five systems is not below
   half the least before them (a target below the rounding floor cannot be
   met).  Before it leaves, the duals take the dual part of one more Newton
@@ -138,11 +136,6 @@ _STALL_WINDOW = 5
 # share of the step to the nearest face that an iterate may take
 _FRACTION_TO_BOUNDARY = 0.99
 _TINY = np.finfo(float).tiny
-# phase-1 strictness margin per unit of pointwise scale: a point is strictly
-# feasible only when its slack lies below -PHASE1_MARGIN * scale
-PHASE1_MARGIN = 1e-9
-# phase-1 gap target per unit of pointwise scale: a quarter of the margin
-PHASE1_GAP = PHASE1_MARGIN / 4
 
 
 @dataclass
@@ -249,6 +242,10 @@ class _ExpSumObjective:
     def value(self, y, r):
         return _logsumexp(self._exponents(r))
 
+    def scale(self, f):
+        """The scale of the log values ``f`` (see ``SolveSettings``)."""
+        return 1.0
+
     def derivatives(self, y, r):
         """The values, the gradients in the variables, and the Hessians K on
         the rows' net coordinates (P^T K P in the variables) as a function
@@ -292,6 +289,10 @@ class _LinearObjective:
     def value(self, y, r):
         return _dot(self.cost, y)
 
+    def scale(self, f):
+        """The scale of the linear values ``f`` (see ``SolveSettings``)."""
+        return 1.0 + abs(f)
+
     def derivatives(self, y, r):
         return self.value(y, r), self.cost, None
 
@@ -304,7 +305,7 @@ def _step_to_boundary(v, dv):
 
 
 @one_blas_thread
-def _interior_point(objective, rows, h, lower, upper, y0, settings, tol, scale):
+def _interior_point(objective, rows, h, lower, upper, y0, settings):
     """Mehrotra predictor-corrector for a stack of legs, min f_b(y) s.t.
     R y <= h_b and the boxes, each from its strictly feasible row of ``y0``
     (B, n) (see the module docstring).
@@ -423,7 +424,8 @@ def _interior_point(objective, rows, h, lower, upper, y0, settings, tol, scale):
         # and its Newton solution; a broken leg keeps its last finite kkt
         finite = np.isfinite(np.concatenate(
             [f[:, None], y, s, z, residual, solved.reshape(stack, -1)], axis=1)).all(axis=1)
-        np.divide(np.maximum(gap, np.abs(decrement)), scale(f), out=kkt, where=finite)
+        np.divide(np.maximum(gap, np.abs(decrement)), objective.scale(f), out=kkt,
+                  where=finite)
         # below grad_tol, a residual that has not halved over the last
         # _STALL_WINDOW systems sits at the rounding floor
         stalled = np.zeros(stack, dtype=bool)
@@ -435,7 +437,7 @@ def _interior_point(objective, rows, h, lower, upper, y0, settings, tol, scale):
         # each leg's status is the first that holds of numerical_error,
         # unbounded, optimal and max_iter: set here in reverse order
         status = np.full(stack, "max_iter" if steps == settings.max_iter else "", dtype=object)
-        status[(kkt <= tol) | stalled] = "optimal"
+        status[(kkt <= settings.gap_tol) | stalled] = "optimal"
         status[f < settings.objective_floor] = "unbounded"
         status[~finite] = "numerical_error"
         optimal = status == "optimal"
@@ -647,45 +649,17 @@ def _condensed_solver(net_hess, box, rows):
     return solve
 
 
-def feasibility_start(program: AssembledProgram, settings: SolveSettings | None = None):
-    """Phase-1 slack minimization for pointwise-constrained programs.
-
-    Minimizes the uniform relaxation ``s`` of the pointwise rows over the
-    boxes: the program's epigraph, with ``s`` at least -10 * scale, from the
-    start ``epigraph`` sets.  Returns (minimum slack, point or None): the
-    point is strictly feasible for the original rows, and given only when the
-    slack lies below ``-PHASE1_MARGIN * scale``, so a None point is how
-    phase-1 reports rows without an interior.
-
-    The returned slack is that of the returned point, so it never lies below
-    the true minimum, and it exceeds it by at most ``2.5e-10 * scale`` with
-    ``scale = 1 + max|point_upper|``.  This absolute accuracy holds however
-    far the minimum lies from zero; the caller's ``gap_tol`` does not change it.
-    """
-    if program.point_upper is None:
-        raise ValueError("phase-1 needs pointwise constraint rows")
-    scale = 1.0 + float(np.abs(program.point_upper).max())
-    lifted = program.epigraph(program.point_upper, -10.0 * scale)
-    # The target is absolute, a quarter of the margin: a target relative to
-    # |s| would let the error grow with the slack.
-    (solution,) = solve_legs([lifted], settings, PHASE1_GAP, lambda f: scale)
-    s_star = solution.objective
-    strict = s_star < -PHASE1_MARGIN * scale
-    return s_star, (solution.x[: program.variable_count] if strict else None)
-
-
-def solve_legs(programs, settings: SolveSettings | None = None, tol=None, scale=None):
+def solve_legs(programs, settings: SolveSettings | None = None):
     """Minimize each of ``programs`` from its own start, all as one stack of
     legs; returns one Solution per program, in order, each bit for bit the
     one that program gets alone.
 
     The programs share one objective type, their row factors (the same
     object: the legs of one strategy space) and their boxes, and differ in
-    their claim offsets, point bounds, costs and starts.  Each leg stops when
-    its gap and decrement are at most ``tol`` (``settings.gap_tol``) times
-    ``scale(f)`` (1 for a log value, 1 + |f| for a linear objective), and its
-    ``wall_time`` runs until it left the stack.  A start not strictly inside
-    its rows and boxes raises ValueError."""
+    their claim offsets, point bounds, costs and starts.  Each leg stops by
+    the rules of the module docstring, and its ``wall_time`` runs until it
+    left the stack.  A start not strictly inside its rows and boxes raises
+    ValueError."""
     settings = settings or SolveSettings()
     first = programs[0]
     rows = first.factors
@@ -715,8 +689,6 @@ def solve_legs(programs, settings: SolveSettings | None = None, tol=None, scale=
         first.upper[order],
         np.stack([p.start[order] for p in programs]),
         settings,
-        settings.gap_tol if tol is None else tol,
-        scale or ((lambda f: 1.0) if exponential else (lambda f: 1.0 + abs(f))),
     )
     back = np.argsort(order)  # each program column's place in the loop's order
     for solution in solutions:
@@ -752,3 +724,15 @@ def solve_lp(program: AssembledProgram, settings: SolveSettings | None = None) -
         raise ValueError("solve_lp expects a linear-objective program")
     (solution,) = solve_legs([program], settings)
     return solution
+
+
+def feasibility_start(program: AssembledProgram, settings: SolveSettings | None = None):
+    """The least uniform level t* = min over y of max_i a_i(y) of the
+    program's loss rows over its boxes: its epigraph LP
+    (``AssembledProgram.epigraph``), solved alone from the start that sets.
+    Returns (t*, the point y, Solution).  The solve stops by the LP gap rule,
+    ``gap_tol * (1 + |t*|)`` (``SolveSettings``).  Every a_i(y) lies strictly
+    below t*, so where t* <= 0 the point lies strictly inside the rows
+    a_i(y) <= 0.  A program with pointwise rows raises ValueError."""
+    (solution,) = solve_legs([program.epigraph()], settings)
+    return solution.objective, solution.x[: program.variable_count], solution

@@ -24,7 +24,7 @@ from semistatic.claims import (
     vanilla_call,
 )
 from semistatic.instruments import OptionKind
-from semistatic.solver import PHASE1_GAP, SolveSettings
+from semistatic.solver import SolveSettings
 
 from oracles import CONFIG_VALIDATOR, acquisition_cost, claim_payout
 
@@ -572,10 +572,10 @@ def test_summary_matches_golden(run, argv, name):
         got.pop(counts, None)
         want.pop(counts, None)
     assert got.keys() == want.keys()
-    # the phase-1 slack of an arbitrage-free chain is 0 up to its documented
-    # absolute accuracy, which no relative tolerance expresses
-    wealth = cli.load_config().agent.initial_wealth
-    slack_tol = {"min_uniform_slack": PHASE1_GAP * (1.0 + wealth)}
+    # the least wealth of an arbitrage-free chain's zero claim is 0 up to the
+    # LP gap rule, gap_tol * (1 + |w0|), which no relative tolerance expresses
+    w0 = want.get("min_uniform_slack", 0.0)
+    slack_tol = {"min_uniform_slack": cli.load_config().solver.gap_tol * (1.0 + abs(w0))}
     for key, value in want.items():
         assert_close(got[key], value, abs_tol=slack_tol.get(key, 0.0))
 

@@ -337,7 +337,7 @@ def test_dense_rows_spell_each_quote_bit_for_bit(market, delta_pct):
     np.testing.assert_array_equal(program.rows, rows)
     np.testing.assert_array_equal(columns[:, [names.index(n) for n in program.layout.names]], rows)
     # the hedging LPs' epigraph adds a column of -1
-    lifted = program.epigraph(np.zeros(grid.size), -1.0)
+    lifted = program.epigraph()
     np.testing.assert_array_equal(lifted.rows, np.column_stack([rows, -np.ones(grid.size)]))
     # one quote loses its sell side, another its buy side: each keeps the
     # other side as a full column, and the cash column stays for the rest
@@ -345,7 +345,7 @@ def test_dense_rows_spell_each_quote_bit_for_bit(market, delta_pct):
     mask = np.array([n not in (f"sell:{first}", f"buy:{second}") for n in program.layout.names])
     kept = program.keep(mask)
     np.testing.assert_array_equal(kept.rows, kernel_rows(kept))
-    np.testing.assert_array_equal(kept.epigraph(np.zeros(grid.size), -1.0).rows,
+    np.testing.assert_array_equal(kept.epigraph().rows,
                                   np.column_stack([kernel_rows(kept), -np.ones(grid.size)]))
     assert kept.factors.net_layout.quotes == program.factors.net_layout.quotes - 2
     assert kept.factors.width == program.factors.width
@@ -357,22 +357,19 @@ def test_dense_rows_spell_each_quote_bit_for_bit(market, delta_pct):
 
 
 @pytest.mark.parametrize("delta_pct", [None, 0.1])
-@pytest.mark.parametrize("bound", ["zero", "floor", "varying"])
-def test_epigraph_starts_inside_its_rows(market, claim_terms, bound, delta_pct):
-    # the level starts max_i g_i + margin, g_i = a_i(start) - point_upper_i and
-    # margin = max(1 + max|point_upper|, max|g|), which leaves every row a
-    # slack between margin and 3 margin
+@pytest.mark.parametrize("claim", ["zero", "sold", "bought"])
+def test_epigraph_starts_inside_its_rows(market, claim_terms, claim, delta_pct):
+    # the level starts max_i g_i + margin, g_i = a_i(start) and
+    # margin = max(1, max|g|), which leaves every row a slack between margin
+    # and 3 margin; the claims are those of a report's three hedging LPs
     grid = market.grid_for(claim_terms)
-    leg = _assemble(market, grid, delta_pct).leg(claim_terms, 0.0)
-    point_upper = {
-        "zero": np.zeros(grid.size),
-        "floor": np.full(grid.size, -1e5),
-        "varying": np.random.default_rng(5).uniform(-50.0, 50.0, grid.size),
-    }[bound]
-    lifted = leg.epigraph(point_upper, -np.inf)
-    slack = point_upper - lifted.loss_arguments(lifted.start)
-    gap = leg.loss_arguments(leg.start) - point_upper
-    margin = max(1.0 + np.abs(point_upper).max(), np.abs(gap).max())
+    units = {"zero": 0.0, "sold": 1.0, "bought": -1.0}[claim]
+    terms = [(c, units * u) for c, u in claim_terms]
+    leg = _assemble(market, grid, delta_pct).leg(terms, 0.0)
+    lifted = leg.epigraph()
+    slack = -lifted.loss_arguments(lifted.start)
+    gap = leg.loss_arguments(leg.start)
+    margin = max(1.0, np.abs(gap).max())
     assert slack.min() == pytest.approx(margin, rel=1e-9)
     assert slack.max() <= 3.0 * slack.min()
     np.testing.assert_array_equal(lifted.start[:-1], leg.start)

@@ -13,7 +13,7 @@ from semistatic.fixtures import (
     small_market,
     synthetic_market,
 )
-from semistatic import pricing, solver
+from semistatic import cli, pricing, solver
 from semistatic.instruments import OptionKind, Quote
 from semistatic.pricing import (
     AgentSpec,
@@ -27,9 +27,9 @@ from semistatic.pricing import (
     subhedge_cost,
     superhedge_cost,
 )
-from semistatic.solver import PHASE1_GAP, SolveSettings
+from semistatic.solver import SolveSettings
 
-from oracles import indifference_bisection
+from oracles import highs_value, indifference_bisection
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +180,11 @@ class TestHedgingBounds:
         assert revenue == pytest.approx(0.0, abs=1e-6)
 
 
+def lp_gap(w0):
+    """The LP gap rule at the default settings: gap_tol * (1 + |w0|)."""
+    return SolveSettings().gap_tol * (1.0 + abs(w0))
+
+
 class TestArbitrage:
     def test_crossed_quotes_found(self):
         market = crossed_quote_market()
@@ -196,13 +201,13 @@ class TestArbitrage:
         assert report.min_uniform_slack == pytest.approx(-gap * qty, rel=1e-6)
         assert report.expected_excess >= gap * qty - 1.0
         assert report.payout_floor >= w - 1e-4
-        # the reported strategy is the expected-loss optimum under the floor:
-        # it buys the cheap quote to its cap and sells only as much of the
-        # rich one as the floor needs, but no strategy clears the floor
-        # without selling some
+        # the reported strategy maximizes the uniform excess: it buys the
+        # cheap quote to its cap and sells as many of the rich one, short of
+        # that quote's larger cap, as each further sale would be a naked call
         positions = dict(report.strategy)
         assert positions["XA"] == pytest.approx(qty, rel=1e-6)
-        assert positions["XB"] < -1e-3 * qty
+        assert positions["XB"] == pytest.approx(-qty, rel=1e-6)
+        assert rich.bid_qty * market.lot_size > qty
 
     def test_single_fair_quote_none(self):
         ladder = tuple(float(k) for k in range(2000, 2701, 50))
@@ -223,12 +228,39 @@ class TestArbitrage:
         free = find_arbitrage(market, budget)
         assert free.found
         assert free.min_uniform_slack == pytest.approx(
-            -edge * contracts * market.lot_size, abs=PHASE1_GAP * (1.0 + budget)
+            -edge * contracts * market.lot_size, abs=lp_gap(free.min_uniform_slack)
         )
         # with costs the best uniform excess is that of holding cash: zero
         costly = find_arbitrage(market, budget, delta_pct=0.1)
         assert not costly.found
-        assert 0.0 <= costly.min_uniform_slack <= PHASE1_GAP * (1.0 + budget)
+        assert 0.0 <= costly.min_uniform_slack <= lp_gap(costly.min_uniform_slack)
+        # arbitrage vanishes under costs: the least wealth does not fall as
+        # they rise from none.  A zero cost is left out: there the cost model
+        # keeps its position in the cells it drops for their negligible mass,
+        # where the frictionless model closes it, and it finds no arbitrage
+        slacks = [find_arbitrage(market, budget, delta_pct=d).min_uniform_slack
+                  for d in (None, 0.01, 0.1)]
+        assert all(b >= a - lp_gap(a) for a, b in zip(slacks, slacks[1:]))
+
+    @pytest.mark.parametrize("delta_pct", [None, 0.1])
+    def test_packaged_chain_is_one_lp_solve(self, monkeypatch, delta_pct):
+        # the search is one interior-point solve, the zero claim's hedging LP,
+        # and its least wealth is HiGHS's
+        market = cli._market(cli.load_config())
+        solves = []
+        interior_point = solver._interior_point
+
+        def counted(*args):
+            solves.append(type(args[0]).__name__)
+            return interior_point(*args)
+
+        monkeypatch.setattr(solver, "_interior_point", counted)
+        report = find_arbitrage(market, 1e5, delta_pct)
+        assert solves == ["_LinearObjective"]
+        assert not report.found and report.strategy is None
+        exact = highs_value(pricing._hedging_lp(_assemble(market, market.grid_for(()), delta_pct),
+                                                ()))
+        assert report.min_uniform_slack == pytest.approx(exact, abs=lp_gap(exact))
 
     @pytest.mark.parametrize("make_market, delta_pct, expected", [
         (planted_arbitrage_market, None, True),
@@ -246,7 +278,12 @@ class TestArbitrage:
         report = price_report(market, agent, knockout, delta_pct=delta_pct)
         assert all(leg["status"] == "optimal" for leg in report.legs.values())
         assert report.flags["arbitrage_detected"] == expected
-        assert find_arbitrage(market, agent.initial_wealth, delta_pct).found == expected
+        found = find_arbitrage(market, agent.initial_wealth, delta_pct)
+        assert found.found == expected
+        # the least wealth is the zero claim's hedging LP on the market's grid
+        exact = highs_value(pricing._hedging_lp(_assemble(market, market.grid_for(()), delta_pct),
+                                                ()))
+        assert found.min_uniform_slack == pytest.approx(exact, abs=lp_gap(exact))
 
 
 class TestPriceReport:

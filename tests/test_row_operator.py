@@ -111,7 +111,7 @@ def test_stacked_products_equal_each_leg_alone(periods, delta_pct):
     # the solver runs legs as a stack; every product gives each leg the bits
     # it gets alone, and a stack of one the bits of an unstacked product
     _, program = grid_program(periods, delta_pct)
-    lifted = program.epigraph(np.zeros(program.grid.size), -np.inf)
+    lifted = program.epigraph()
     for factors in (program.factors, lifted.factors):
         (M, n), N = factors.shape, factors.width
         rng = np.random.default_rng(periods)
@@ -181,7 +181,7 @@ def test_wealth_column_lands_in_the_leading_group():
     for delta_pct in (None, 0.1):
         market, program = grid_program(2, delta_pct)
         M, n = program.factors.shape
-        lifted = program.epigraph(np.zeros(M), -np.inf)
+        lifted = program.epigraph()
         rows = np.hstack([kernel_rows(market, program, delta_pct), -np.ones((M, 1))])
         check_dense_products(lifted.factors, rows, program.masses)
         assert n in lifted.factors.order[:lifted.factors.lead.shape[1]]

@@ -26,6 +26,7 @@ from conftest import make_exp_program, make_lp_program, package_env
 from oracles import dual_bound, highs_value, objective_and_gradient
 
 TIGHT = SolveSettings(gap_tol=1e-12)
+GAP_TOL = SolveSettings().gap_tol
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +373,21 @@ class TestCondensedNewtonSystem:
 # linear programs
 # ---------------------------------------------------------------------------
 
+def level_program(rows, rhs, lower, upper, start):
+    """The rows a_i(y) = rows_i @ y - rhs_i over the boxes, as a program
+    without pointwise rows: ``feasibility_start`` finds min_y max_i a_i(y)."""
+    m = len(rhs)
+    return make_exp_program(rows, -np.asarray(rhs, dtype=float), np.full(m, 1.0 / m), 1.0,
+                            lower, upper, start)
+
+
+def assert_least_level(program, s_star, want, gap_tol=GAP_TOL):
+    """``s_star`` is ``want`` and HiGHS's least level, within the LP gap rule."""
+    tol = gap_tol * (1.0 + abs(s_star))
+    assert s_star == pytest.approx(want, abs=tol)
+    assert s_star == pytest.approx(highs_value(program.epigraph()), abs=tol)
+
+
 class TestSolveLP:
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_vertex_enumeration(self, seed):
@@ -405,35 +421,35 @@ class TestSolveLP:
         assert sol.status == "unbounded"
 
     def test_phase1_reports_rows_without_interior(self):
-        # y <= -1 conflicts with y in [0, 1]: the least slack is 1, at y = 0
-        program = make_lp_program([1.0], [[1.0]], [-1.0], [0.0], [1.0], start=[0.5])
-        s_star, point = feasibility_start(program)
-        assert s_star == pytest.approx(1.0, abs=2.5e-10 * 2.0)
-        assert point is None
+        # y <= -1 conflicts with y in [0, 1]: the least level of y + 1 is 1, at y = 0
+        program = level_program([[1.0]], [-1.0], [0.0], [1.0], start=[0.5])
+        s_star, point, solution = feasibility_start(program)
+        assert solution.status == "optimal"
+        assert_least_level(program, s_star, 1.0)
+        assert point == pytest.approx([0.0], abs=2 * GAP_TOL)
 
     def test_phase1_finds_interior(self):
-        program = make_lp_program(
-            [0.0, 1.0], [[-1.0, 0.0], [0.0, -1.0]], [-0.5, -0.25],
-            [0.0, 0.0], [4.0, 4.0], start=[0.1, 0.1],
+        # the levels 0.5 - y1 and 0.25 - y2 over [0, 4]^2: the least is -3.5
+        program = level_program(
+            [[-1.0, 0.0], [0.0, -1.0]], [-0.5, -0.25], [0.0, 0.0], [4.0, 4.0], start=[0.1, 0.1],
         )
-        s_star, point = feasibility_start(program)
-        assert s_star < 0
-        assert np.all(program.rows @ point <= program.point_upper)
+        s_star, point, _ = feasibility_start(program)
+        assert_least_level(program, s_star, -3.5)
+        assert np.all(program.loss_arguments(point) < 0.0)
 
-    @pytest.mark.parametrize("gap_tol", [1e-9, 1e-3])
-    def test_phase1_slack_exact_far_from_zero(self, gap_tol):
+    def test_phase1_slack_exact_far_from_zero(self):
         # s >= x - 5 y - 1e5 and s >= -x - 5 y + 1e5 with y <= 300: the
-        # minimum slack -1500 sits at x = 1e5, y = 300, far below zero, while
-        # the pointwise scale is 1 + 1e5.  Phase-1 must return it to the
-        # absolute accuracy 2.5e-10 * scale, whatever the caller's gap_tol.
-        program = make_lp_program(
-            [0.0, 0.0], [[1.0, -5.0], [-1.0, -5.0]], [1e5, -1e5],
-            [0.0, 0.0], [2e5, 300.0], start=[5e4, 1.0],
+        # least level -1500 sits at x = 1e5, y = 300, far below zero, where
+        # the rows' terms are 1e5; the LP gap rule still holds it to
+        # 1e-9 * (1 + 1500), not to a share of the terms
+        program = level_program(
+            [[1.0, -5.0], [-1.0, -5.0]], [1e5, -1e5], [0.0, 0.0], [2e5, 300.0], start=[5e4, 1.0],
         )
-        scale = 1.0 + 1e5
-        s_star, point = feasibility_start(program, SolveSettings(gap_tol=gap_tol))
-        assert -1500.0 <= s_star <= -1500.0 + 2.5e-10 * scale
-        assert np.all(program.rows @ point < program.point_upper)
+        settings = SolveSettings(gap_tol=1e-9)
+        s_star, point, _ = feasibility_start(program, settings)
+        assert s_star >= -1500.0  # the level of a feasible point
+        assert_least_level(program, s_star, -1500.0, settings.gap_tol)
+        assert np.all(program.loss_arguments(point) < 0.0)
 
 
 @pytest.mark.parametrize("solve, program", [
@@ -444,36 +460,40 @@ class TestSolveLP:
     (solve_lp, make_lp_program([1.0], [[1.0]], [-1.0], [0.0], [1.0], start=[0.5])),
 ], ids=["minimize", "solve_lp"])
 def test_start_outside_the_rows_raises(solve, program):
-    # a solve starts at its program's start; phase-1 is find_arbitrage's alone
+    # a solve starts at its program's start and never searches for one; only
+    # an epigraph (the hedging LPs, feasibility_start) sets a start inside its rows
     with pytest.raises(ValueError, match="not strictly feasible"):
         solve(program)
 
 
-@pytest.mark.xfail(strict=True, reason="a start a hair inside the box faces ends `optimal` "
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a start a hair inside the box faces ends `optimal` "
                    "short of the optimum; see ROADMAP item 2")
 def test_near_face_start_reaches_the_optimum():
-    # find_arbitrage's expected-loss program on the crossed chain at a 0.1%
-    # cost, started from phase-1's point and from that point moved 1.7e-13
-    # below the cheap quote's cap and to 1e-10 above every dz leg's zero
-    # bound.  A start does not change the optimum of a convex program, but
-    # the second ends `optimal` (kkt 8e-12) at log value -2.0343510 where the
-    # first reaches -2.0344582.
+    # an expected-loss program under a payout floor, built by hand: the
+    # crossed chain at a 0.1% cost, kappa = 2 / budget, and every grid payout
+    # at least the budget.  It starts strictly inside the floor and the boxes,
+    # 0.99 of the way from the space's start to the zero claim's LP point, and
+    # from that point moved 1.7e-13 below the cheap quote's cap and to 1e-10
+    # above every dz leg's zero bound.  A start does not change the optimum
+    # of a convex program, but the second ends `optimal` (kkt 4e-12) at log
+    # value -2.0343510 where the first reaches -2.0344582.
     market, budget = crossed_quote_market(), 1e5
-    grid = market.grid_for(())
-    space = pricing._assemble(market, grid, 0.1)
-    leg = space.leg((), budget, pricing.ARBITRAGE_RISK_AVERSION / budget)
-    program = replace(leg, point_upper=np.full(grid.size, -budget))
-    _, phase1_point = feasibility_start(program)
+    space = pricing._assemble(market, market.grid_for(()), 0.1)
+    _, lp_point, _ = feasibility_start(space.leg((), 0.0))
+    program = replace(space.leg((), budget, 2.0 / budget),
+                      point_upper=np.full(space.grid.size, -budget))
+    inside = 0.99 * lp_point + 0.01 * space.start
     names = space.layout.names
-    near_face = phase1_point.copy()
+    near_face = inside.copy()
     near_face[names.index("buy:XA")] = space.upper[names.index("buy:XA")] - 1.7e-13
     near_face[[name.startswith("dz") for name in names]] = 1e-10
     settings = SolveSettings()
-    from_phase1, from_near_face = (
-        minimize(replace(program, start=start), settings) for start in (phase1_point, near_face)
+    from_inside, from_near_face = (
+        minimize(replace(program, start=start), settings) for start in (inside, near_face)
     )
-    assert from_phase1.status == from_near_face.status == "optimal"
-    assert abs(from_near_face.log_objective - from_phase1.log_objective) <= 2 * settings.gap_tol
+    assert from_inside.status == from_near_face.status == "optimal"
+    assert abs(from_near_face.log_objective - from_inside.log_objective) <= 2 * settings.gap_tol
 
 
 class TestNumericalError:
@@ -613,13 +633,14 @@ def packaged():
 def hedging_lp(monkeypatch, cost_fn, market, claim, units, settings=None):
     """(LP program, Solution) of one superhedge or subhedge cost."""
     seen = []
-    solve = pricing.solve_lp
+    solve = pricing.feasibility_start
 
     def spy(program, settings=None):
-        seen.append((program, solve(program, settings)))
-        return seen[-1][1]
+        result = solve(program, settings)
+        seen.append((program.epigraph(), result[2]))
+        return result
 
-    monkeypatch.setattr(pricing, "solve_lp", spy)
+    monkeypatch.setattr(pricing, "feasibility_start", spy)
     cost_fn(market, claim, units, settings=settings)
     (program, sol), = seen
     return program, sol
