@@ -571,7 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help=f"JSON config path (or ${CONFIG_ENV_VAR})")
     common.add_argument("--quotes", help="quote chain CSV (defaults to the packaged chain)")
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--seed", type=int, default=1, help="simulation seed")
     common.add_argument("--delta-pct", type=float, default=None,
                         help="proportional index transaction cost, percent")
     common.add_argument("--frictionless", action="store_true",
@@ -593,6 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="include the configured claim as a sold liability")
         if name == "simulate":
             p.add_argument("--paths", type=int, default=10000)
+            p.add_argument("--seed", type=int, default=1, help="simulation seed")
     sub.add_parser("price", parents=[common])
     sub.add_parser("hedge", parents=[common])
     sub.add_parser("superhedge", parents=[common])

@@ -6,9 +6,10 @@ The decision vector is laid out as
 
     [x+ per quote | x- per quote | dynamic trading variables]
 
-where the dynamic block is either a time-0 position plus piecewise-constant
-rebalance coefficients per period (frictionless), or nonnegative per-cell
-purchase/sale legs per trading period (transaction costs).  Cash is not a
+where the dynamic block holds, for each trading period s = 0..T-1, the index
+position on each trading cell of period s's strikes (one cell at s = 0): one
+free variable per cell when the index trades without cost, or nonnegative
+purchase and sale legs per cell under transaction costs.  Cash is not a
 variable: the agent spends the budget w on quotes at the ask (buys) or the bid
 (sells) and holds the rest, cash = w - cost @ y, which costs and pays 1.  Every
 grid point therefore contributes one affine loss-argument row
@@ -89,7 +90,6 @@ def cell_index(strikes, x) -> np.ndarray:
 class DecisionLayout:
     """Names and cell geometry of the decision vector."""
 
-    mode: str  # "frictionless" | "transaction_cost"
     quote_ids: tuple[str, ...]
     names: tuple[str, ...]
     cells: dict = field(hash=False, default_factory=dict)  # period -> ((lo, hi), ...)
@@ -243,7 +243,7 @@ class RowFactors:
         out = (np.matmul(self.lead, W[:, :na, None])
                + np.matmul(self.last, W[:, na:na + nb, None]).transpose(0, 2, 1))
         rest = W[:, na + nb:]
-        for cells, values in zip(self.cells, self.values):
+        for cells, values in zip(self.cells, self._merged_values):
             out += values * rest.take(cells, axis=1)[:, :, None]
         return out.reshape(w.shape[:-1] + (-1,))
 
@@ -251,7 +251,7 @@ class RowFactors:
         """R_net^T v, on the net coordinates, for v (M,) or (B, M)."""
         V = v.reshape((-1,) + self.grid_shape)
         # each slot's weighted rows into its cell column, one bincount per leg
-        sums = (self.values * V[:, None]).sum(axis=3).reshape(len(V), -1)
+        sums = (self._merged_values * V[:, None]).sum(axis=3).reshape(len(V), -1)
         rest = np.array([np.bincount(self.cells.ravel(), leg, minlength=self.cell_count)
                          for leg in sums])
         out = np.concatenate([np.matmul(self.lead.T, V.sum(axis=2)[:, :, None])[:, :, 0],
@@ -266,7 +266,8 @@ class RowFactors:
     @functools.cached_property
     def _merged_values(self):
         """The slot values with the slots of one row that share a cell summed
-        into the first of them, so that the Gram sees each cell of a row once."""
+        into the first of them, so that the products see each cell of a row
+        once, as the rows do."""
         values = self.values.copy()
         for j in range(1, len(values)):
             for l in range(j):
@@ -471,12 +472,6 @@ class AssembledProgram:
     def variable_count(self) -> int:
         return self.factors.shape[1]
 
-    @property
-    def constraint_count(self) -> int:
-        """Scalar inequality faces: pointwise rows and finite box edges."""
-        n = 0 if self.point_upper is None else self.point_upper.shape[0]
-        return n + int(np.isfinite(self.lower).sum()) + int(np.isfinite(self.upper).sum())
-
     def loss_arguments(self, y: np.ndarray) -> np.ndarray:
         return self.offsets + self.factors.product(y)
 
@@ -562,59 +557,33 @@ def _grid_levels(grid: QuadratureGrid) -> list[np.ndarray]:
 
 
 def strategy_factors(quotes, levels, spot: float, delta_pct: float | None = None):
-    """Names, row factors and rebalance cells per period of every strategy
+    """Names, row factors and trading cells per period of every strategy
     variable, in layout order, on the period levels ``levels``: T arrays that
     broadcast to (M', N_T), the leading points along the first axis and the
     last period's levels along the second (``_grid_levels``; simulated paths
     are (M, 1) each, which puts every column in A).
 
-    The trading cells of period s are those of the strikes quoted for
-    maturity s.  Without ``delta_pct`` the index trades without cost; with
-    it, index trades at t = 0..T-1 cost ``delta_pct`` percent and the
-    horizon liquidation is costless.
+    Each trading period s = 0..T-1 holds one index position per trading cell
+    of the strikes quoted for maturity s (one cell at s = 0, where the level
+    is the spot).  Without ``delta_pct`` the index trades without cost: the
+    position z_s is one free variable per cell.  With it, index trades at
+    t = 0..T-1 cost ``delta_pct`` percent and the horizon liquidation is
+    costless: the position changes by nonnegative purchase and sale legs per
+    cell.
     """
     quotes = list(quotes)
     T = len(levels)
+    if delta_pct is not None and delta_pct < 0:
+        raise ValueError("transaction cost percentage must be nonnegative")
     lead, last = np.broadcast_shapes(*(np.shape(x) for x in levels))
     basis_strikes = _strikes_by_period(quotes, T)
-    payoff = [option_payoff(q.kind, q.strike, levels[q.maturity - 1]) for q in quotes]
     names = [f"buy:{q.id}" for q in quotes] + [f"sell:{q.id}" for q in quotes]
-    # (program column, column): a quote's net column, its negated payoff, at
-    # its buy variable, and one cash column of ones, at -1, for all of them
-    columns = [(j, -p) for j, p in enumerate(payoff)] + [(-1, np.ones((1, 1)))] * bool(quotes)
-    cells = {s: trading_cells(basis_strikes[s - 1]) for s in range(1, T)}
-    trading = []  # (cell count, cell of each leading point, leg values) per period
-
-    if delta_pct is None:
-        # frictionless: the row carries -sum_(t=0..T-1) z_t(X_t) (X_(t+1) - X_t)
-        # with z_0 a single scalar (X_0 is known)
-        names.append("z0")
-        columns.append((len(names) - 1, -(levels[0] - spot)))
-        for s in range(1, T):
-            names += [f"z{s}[{lo:g},{hi:g})" for lo, hi in cells[s]]
-            idx = cell_index(basis_strikes[s - 1], levels[s - 1])
-            trading.append((len(cells[s]), idx, [-(levels[s] - levels[s - 1])]))
-    else:
-        if delta_pct < 0:
-            raise ValueError("transaction cost percentage must be nonnegative")
-        d = delta_pct / 100.0
-        # nonnegative purchase/sale legs per trading period and cell; the row
-        # carries +sum_t S_t(dz_t) where the horizon liquidation -X_T z_(T-1)
-        # is costless and folded into every leg's column
-        x_T = levels[T - 1]
-        cells = {0: ((0.0, np.inf),), **cells}
-        for s in range(0, T):
-            level = spot if s == 0 else levels[s - 1]
-            idx = np.zeros((1, 1), dtype=int) if s == 0 else cell_index(basis_strikes[s - 1], level)
-            for lo, hi in cells[s]:
-                names += [f"dzbuy{s}[{lo:g},{hi:g})", f"dzsell{s}[{lo:g},{hi:g})"]
-            legs = [(1.0 + d) * level - x_T, -(1.0 - d) * level + x_T]
-            trading.append((len(cells[s]), idx, legs))
 
     # every column lands in A (constant along the last period) or in B
     # (constant along the leading ones), except the cell columns of a
     # trading period whose legs vary along both: those are one slot per leg
     lead_at, lead_columns, last_at, last_columns = [], [], [], []
+    slot_at, slot_cells, slot_values = [], [], []
 
     def place(j, column):
         if np.shape(column)[1] == 1:
@@ -624,14 +593,33 @@ def strategy_factors(quotes, levels, spot: float, delta_pct: float | None = None
             last_at.append(j)
             last_columns.append(np.broadcast_to(column, (1, last))[0])
 
-    for at, column in columns:
-        place(at, column)
-    j = 2 * len(quotes) + (delta_pct is None)  # the trading variables follow the options and z0
-    slot_at, slot_cells, slot_values = [], [], []
-    for count, idx, legs in trading:
+    # a quote's net column, its negated payoff, at its buy variable, and one
+    # cash column of ones, at -1, for all of them
+    for j, q in enumerate(quotes):
+        place(j, -option_payoff(q.kind, q.strike, levels[q.maturity - 1]))
+    if quotes:
+        place(-1, np.ones((1, 1)))
+    cells = {}
+    for s in range(T):
+        strikes = basis_strikes[s - 1] if s else ()
+        level = levels[s - 1] if s else spot
+        cells[s] = trading_cells(strikes)
+        idx = cell_index(strikes, level)
+        j = len(names)  # this period's first variable
+        if delta_pct is None:
+            # the row carries -z_s(X_s) (X_(s+1) - X_s)
+            legs = [-(levels[s] - level)]
+            names += [f"z{s}[{lo:g},{hi:g})" for lo, hi in cells[s]] if s else ["z0"]
+        else:
+            # the row carries the cost of the purchase and the sale, less
+            # their costless liquidation at X_T
+            d = delta_pct / 100.0
+            legs = [(1.0 + d) * level - levels[-1], -(1.0 - d) * level + levels[-1]]
+            names += [f"dz{side}{s}[{lo:g},{hi:g})"
+                      for lo, hi in cells[s] for side in ("buy", "sell")]
         shape = np.broadcast_shapes(idx.shape, *(np.shape(v) for v in legs))
         if shape[0] == 1 or shape[1] == 1:
-            for n in range(count):
+            for n in range(len(cells[s])):
                 for v in legs:
                     place(j, np.where(idx == n, v, 0.0))
                     j += 1
@@ -639,8 +627,7 @@ def strategy_factors(quotes, levels, spot: float, delta_pct: float | None = None
         for leg, v in enumerate(legs):
             slot_cells.append(len(slot_at) + idx.ravel() * len(legs) + leg)
             slot_values.append(np.broadcast_to(v, (lead, last)))
-        slot_at += range(j, j + count * len(legs))
-        j += count * len(legs)
+        slot_at += range(j, len(names))
     order = np.array(lead_at + last_at + slot_at, dtype=np.intp)
     net = (order >= 0) & (order < len(quotes))
     ask, bid = np.zeros(order.shape), np.zeros(order.shape)
@@ -677,7 +664,6 @@ def _assemble(quotes, grid, lot_size, delta_pct):
     space = AssembledProgram(
         objective="exp_sum",
         layout=DecisionLayout(
-            mode="frictionless" if frictionless else "transaction_cost",
             quote_ids=tuple(q.id for q in quotes),
             names=names,
             cells=cells,

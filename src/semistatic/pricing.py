@@ -226,9 +226,8 @@ def indifference_sell(
         grid = market.grid_for(terms)
     w = agent.initial_wealth
     program = _assemble(market, grid, delta_pct).leg(agent.baseline_terms(), w, agent.kappa)
-    log_with = _optimum(program.leg(terms, w), settings).log_objective
-    log_base = _optimum(program, settings).log_objective
-    return w / agent.risk_aversion * (log_with - log_base)
+    base, sold = _optima([program, program.leg(terms, w)], settings)
+    return w / agent.risk_aversion * (sold.log_objective - base.log_objective)
 
 
 def indifference_buy(

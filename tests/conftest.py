@@ -42,7 +42,6 @@ def market_replication():
 
 def stub_layout(n: int) -> DecisionLayout:
     return DecisionLayout(
-        mode="frictionless",
         quote_ids=(),
         names=tuple(f"y{i}" for i in range(n)),
         cells={},

@@ -7,8 +7,9 @@ that the tests hold the package's fast paths to.
 - Model: the VG log-increment density by adaptive quadrature, its CDF and
   moments, the joint path density, the mixture density with each normal
   taken in log space, and a Gauss-Legendre rule in high precision.
-- Programs: the expected-loss value and gradient from the dense rows, an
-  exact LP solve on HiGHS and the weak-duality bound of returned duals.
+- Programs: the expected-loss value and gradient from the dense rows, the
+  least log expected loss of a program without faces by BFGS, an exact LP
+  solve on HiGHS and the weak-duality bound of returned duals.
 - Prices: the indifference price by a budget line search.
 - Config: a JSON Schema 2020-12 validator of the CLI's configuration schema.
 """
@@ -237,6 +238,29 @@ def objective_and_gradient(program, point):
         value = float(np.exp(log_value))
     grad = program.kappa * value * np.einsum("i,ij->j", p / total, program.rows)
     return value, grad
+
+
+def exp_sum_minimum(program, gtol=1e-10) -> float:
+    """Least log of sum_i m_i exp(kappa a_i(y)) over a program without faces
+    (no finite box edge, no pointwise row), by scipy's BFGS on the log-sum-exp
+    of log(masses) + kappa (offsets + rows @ y) from the dense rows."""
+    if (program.point_upper is not None or np.isfinite(program.lower).any()
+            or np.isfinite(program.upper).any()):
+        raise ValueError("the BFGS oracle minimizes programs without faces")
+    rows = program.rows
+    log_masses = np.log(program.masses)
+
+    def log_value(y):
+        e = log_masses + program.kappa * (program.offsets + rows @ y)
+        c = e.max()
+        p = np.exp(e - c)
+        return c + np.log(p.sum()), program.kappa * (p / p.sum()) @ rows
+
+    result = scipy.optimize.minimize(log_value, np.zeros(rows.shape[1]), jac=True,
+                                     method="BFGS", options={"gtol": gtol})
+    if not result.success:
+        raise RuntimeError(f"BFGS ended with: {result.message}")
+    return float(result.fun)
 
 
 def indifference_bisection(market, agent, claim, units=1.0, side="sell", delta_pct=None,

@@ -298,6 +298,21 @@ def test_schema_violation_exits_1_with_json_error(tmp_path, capsys):
     assert not (tmp_path / "price_report.json").exists()
 
 
+@pytest.mark.parametrize("flags, stderr", [
+    (("--json-errors",),
+     '{"error": "ValidationError", "message": "config.model.sigma: -1 is not greater than 0"}\n'),
+    ((), "error (ValidationError): config.model.sigma: -1 is not greater than 0\n"),
+], ids=["json", "text"])
+def test_error_line_on_stderr(tmp_path, capsys, flags, stderr):
+    # --json-errors turns the one stderr line into a JSON object; the exit
+    # code does not change
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"model": {"sigma": -1}}))
+    code = cli.main(["price", "--config", str(config), *flags, "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == stderr
+
+
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_config_number_exits_1(tmp_path, capsys, constant):
     # json parses these constants and the schema's "number" passes them

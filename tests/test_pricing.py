@@ -342,7 +342,8 @@ class TestPriceReport:
     def test_stacked_legs_equal_their_solves_alone(self, monkeypatch, market_chain, agent,
                                                    knockout, delta_pct):
         # a report solves its legs as two stacks; each leg's solve is bit for
-        # bit the one it gets alone, through the single-price functions
+        # bit the one it gets in the single-price functions, which stack the
+        # baseline with one claim leg, and alone, through optimal_value
         stacks = []
         solve_legs = solver.solve_legs
 
@@ -362,8 +363,12 @@ class TestPriceReport:
         assert indifference_buy(*args) == report.buyer_price
         assert superhedge_cost(market_chain, knockout, 1.0, delta_pct, grid)[0] == report.superhedge
         assert subhedge_cost(market_chain, knockout, 1.0, delta_pct, grid)[0] == report.subhedge
-        alone = [solution for (solution,) in stacks]  # one leg per solve
-        for stacked, single in zip((sell, base, buy, base, sup, sub), alone):
+        assert optimal_value(market_chain, agent, delta_pct=delta_pct, grid=grid) == base.objective
+        assert optimal_value(market_chain, agent, knockout, 1.0, delta_pct=delta_pct,
+                             grid=grid) == sell.objective
+        assert [len(stack) for stack in stacks] == [2, 2, 1, 1, 1, 1]
+        legs = [solution for stack in stacks for solution in stack]
+        for stacked, single in zip((base, sell, base, buy, sup, sub, base, sell), legs):
             assert stacked.status == single.status == "optimal"
             assert stacked.newton_iterations == single.newton_iterations
             assert stacked.objective == single.objective

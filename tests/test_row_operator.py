@@ -202,6 +202,9 @@ def test_program_without_a_grid_is_dense():
 # three slots of the one row share its cell: their values sum before the
 # Gram's products, which would otherwise cancel far below REL
 @example(grid=(1, 1), widths=(0, 0, 3, 1), seed=3)
+# and so do R_net w and R_net^T v: two shared slots cancel to 1.4e-4 from
+# terms of about 1.2
+@example(grid=(1, 1), widths=(0, 0, 2, 1), seed=408658)
 # R_net w cancels to 1.42e-5 from terms of about 0.1: a bound relative to
 # the product itself fails there, one on its terms does not
 @example(grid=(1, 1), widths=(1, 4, 0, 5), seed=0)

@@ -23,7 +23,7 @@ from semistatic.solver import (
 from semistatic.blas import _openblas_thread_controls, _scipy_cholesky
 
 from conftest import make_exp_program, make_lp_program, package_env
-from oracles import dual_bound, highs_value, objective_and_gradient
+from oracles import dual_bound, exp_sum_minimum, highs_value, objective_and_gradient
 
 TIGHT = SolveSettings(gap_tol=1e-12)
 GAP_TOL = SolveSettings().gap_tol
@@ -185,16 +185,18 @@ class TestMinimize:
         # three masses (about 1e-40 to 1e-107), far-tail densities that the
         # gamma bracket truncates: against a full-range quadrature the
         # package's density is 39% low at u = -0.78 and more than 99% low at
-        # u = -1.03 and +1.01.  So this value is the grid's, not the model's.
+        # u = -1.03 and +1.01.  So the optimum is the grid's, not the model's,
+        # and it is held to an independent minimizer of the same program.
         agent = AgentSpec(100000.0, 2.0)
         empty = Market(quotes=(), model=BASE_MODEL)
         program = assemble_frictionless((), empty.grid_for(())).leg(
             (), agent.initial_wealth, agent.kappa
         )
-        assert program.variable_count == 2 and program.constraint_count == 0
+        assert program.variable_count == 2 and program.point_upper is None
+        assert not np.isfinite(np.concatenate([program.lower, program.upper])).any()
         sol = minimize(program)
         assert sol.status == "optimal"
-        assert sol.log_objective == pytest.approx(-30.18222780394389, rel=1e-8)
+        assert sol.log_objective == pytest.approx(exp_sum_minimum(program), rel=1e-8)
 
     def test_bare_strategy_space_is_rejected(self):
         # an assembled space carries no risk scale until a leg sets one
