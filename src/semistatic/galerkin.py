@@ -49,20 +49,21 @@ and reference oracles.
 
 The assemblers read only what the columns depend on (quotes, grid, lot size,
 index cost) and return the bare strategy space: budget 0, no claim, no risk
-scale.  Everything else derives from it by three methods, each the one place
+scale.  The one column kernel, ``strategy_factors``, evaluates every
+variable on the levels of any period axes, the grid's factor axes or
+simulated paths, and holds the drop rule: on the grid it places only the
+columns a space keeps and names the rest, which ``layout.dropped`` lists.
+The static-only space is the same pass without the index positions.
+Everything else derives from the space by two methods, each the one place
 its decision lives: ``leg`` sets the claim offsets claim_i - w, the budget
-and kappa; ``keep`` takes a column subset and records the rest in
-``layout.dropped`` (the assembler's drop rule, the static-only strategies);
-``epigraph`` lifts the rows to [rows | -1] for the least level t with
-a_i(y) <= t (the hedging LPs, the zero claim's among them, which tests for
-arbitrage) and starts t inside every row, the one LP start.  The one
-column kernel, ``strategy_factors``, evaluates every variable on the levels
-of any period axes: the grid's factor axes or simulated paths.
+and kappa; ``epigraph`` lifts the rows to [rows | -1] for the least level t
+with a_i(y) <= t (the hedging LPs, the zero claim's among them, which tests
+for arbitrage) and starts t inside every row, the one LP start.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -88,11 +89,11 @@ def cell_index(strikes, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecisionLayout:
-    """Names and cell geometry of the decision vector."""
+    """Names of the decision vector: every quote, the variables in layout
+    order, and the variables the column kernel left out."""
 
     quote_ids: tuple[str, ...]
     names: tuple[str, ...]
-    cells: dict = field(hash=False, default_factory=dict)  # period -> ((lo, hi), ...)
     dropped: tuple[str, ...] = ()
 
     @property
@@ -136,10 +137,10 @@ class RowFactors:
     net column, its negated payoff, one cash column of ones for all of them,
     and the other variables' columns as they are.  P maps the n program
     variables to the N = J + 1 + r net coordinates (u, t, the rest) of J such
-    quotes and r other variables.  A quote that has lost a side (``keep``) is
-    a plain column, ask - payoff or payoff - bid; without quotes of both
-    sides there is no cash column and P is a permutation.  Only ``dense``
-    spells the buy and sell columns out.
+    quotes and r other variables.  A quote with one side (the kernel left
+    the other out) is a plain column, ask - payoff or payoff - bid; without
+    quotes of both sides there is no cash column and P is a permutation.
+    Only ``dense`` spells the buy and sell columns out.
 
     Rows are C-ordered over (leading point i, last-period level t), so R_net
     viewed as (M', N_T, N) has, per factor column:
@@ -355,20 +356,6 @@ class RowFactors:
             [block[:, plain], self.ask[at][net] - payoff, payoff - self.bid[at][net]], axis=1)
         return columns, np.concatenate([order[plain], order[net], sell[net]])
 
-    def support_mass(self, weights):
-        """weights @ (R != 0): the weight of the rows each column is nonzero
-        on, per program column."""
-        W = weights.reshape(self.grid_shape)
-        na, nb = self.lead.shape[1], self.last.shape[1]
-        out = np.empty(self.shape[1])
-        for block, first, mass in ((self.lead, 0, W.sum(axis=1)), (self.last, na, W.sum(axis=0))):
-            columns, at = self._spelled(block, first)
-            out[at] = (columns != 0).T @ mass
-        out[self.order[na + nb:]] = np.bincount(
-            self.cells.ravel(), ((self.values != 0) * W).sum(axis=2).ravel(),
-            minlength=self.cell_count)
-        return out
-
     def dense(self) -> np.ndarray:
         """R as a dense (M, n) array in program column order."""
         (lead, last), (M, n) = self.grid_shape, self.shape
@@ -382,45 +369,6 @@ class RowFactors:
         for cells, values in zip(self.cells, self.values):
             out[at + (self.order[na + nb:][cells][:, None],)] += values
         return out.reshape(M, n)
-
-    def keep(self, mask) -> RowFactors:
-        """The program columns where ``mask`` is true, renumbered in order.  A
-        quote that keeps one side keeps that side's full column; the cash
-        column stays while a quote keeps both."""
-        mask = np.asarray(mask, dtype=bool)
-        na, nb = self.lead.shape[1], self.last.shape[1]
-        renumber = np.cumsum(mask) - 1
-        cash, net = self.order < 0, self.sell >= 0
-        buys = ~cash & mask[self.order]
-        sells = net & mask[self.sell]
-        both = buys & sells
-        kept = np.where(cash, both.any(), buys | sells)
-        only_sell = sells & ~buys
-
-        def spell(block, first):
-            # the net column of a quote that keeps one side becomes that side's column
-            at = slice(first, first + block.shape[1])
-            block = block.copy()
-            buy, sell = (buys & net & ~sells)[at], only_sell[at]
-            block[:, buy] = self.ask[at][buy] + block[:, buy]
-            block[:, sell] = -block[:, sell] - self.bid[at][sell]
-            return block[:, kept[at]]
-
-        cells, values = self.cells[:0], self.values[:0]
-        live_cells = kept[na + nb:]
-        if live_cells.any():
-            # a row whose cell column goes keeps a zero in the first cell column
-            live = live_cells[self.cells]
-            slots = live.any(axis=1)
-            cells = np.where(live, (np.cumsum(live_cells) - 1)[self.cells], 0)[slots]
-            values = np.where(live[:, :, None], self.values, 0.0)[slots]
-        return RowFactors(
-            spell(self.lead, 0), spell(self.last, na), cells, values, int(live_cells.sum()),
-            np.where(cash, -1, renumber[np.where(only_sell, self.sell, self.order)])[kept],
-            np.where(both, renumber[self.sell], -1)[kept],
-            np.where(both, self.ask, 0.0)[kept],
-            np.where(both, self.bid, 0.0)[kept],
-        )
 
     @functools.cached_property
     def levelled(self) -> RowFactors:
@@ -489,25 +437,6 @@ class AssembledProgram:
             kappa=self.kappa if kappa is None else kappa,
         )
 
-    def keep(self, mask) -> AssembledProgram:
-        """The columns where ``mask`` is true; the others join ``layout.dropped``."""
-        mask = np.asarray(mask, dtype=bool)
-        names = self.layout.names
-        layout = replace(
-            self.layout,
-            names=tuple(n for n, k in zip(names, mask) if k),
-            dropped=self.layout.dropped + tuple(n for n, k in zip(names, mask) if not k),
-        )
-        return replace(
-            self,
-            layout=layout,
-            factors=self.factors.keep(mask),
-            cost=self.cost[mask],
-            lower=self.lower[mask],
-            upper=self.upper[mask],
-            start=self.start[mask],
-        )
-
     def epigraph(self) -> AssembledProgram:
         """The linear program of the least uniform level: minimize t over
         (y, t) subject to a_i(y) <= t on this program's loss rows, started at
@@ -556,12 +485,13 @@ def _grid_levels(grid: QuadratureGrid) -> list[np.ndarray]:
     return [x.reshape(-1, 1) for x in np.meshgrid(*leading, indexing="ij")] + [last[None, :]]
 
 
-def strategy_factors(quotes, levels, spot: float, delta_pct: float | None = None):
-    """Names, row factors and trading cells per period of every strategy
-    variable, in layout order, on the period levels ``levels``: T arrays that
-    broadcast to (M', N_T), the leading points along the first axis and the
-    last period's levels along the second (``_grid_levels``; simulated paths
-    are (M, 1) each, which puts every column in A).
+def strategy_factors(quotes, levels, spot: float, delta_pct: float | None = None,
+                     masses=None, dynamic: bool = True):
+    """Names, row factors and dropped names of the strategy variables, in
+    layout order, on the period levels ``levels``: T arrays that broadcast to
+    (M', N_T), the leading points along the first axis and the last period's
+    levels along the second (``_grid_levels``; simulated paths are (M, 1)
+    each, which puts every column in A).
 
     Each trading period s = 0..T-1 holds one index position per trading cell
     of the strikes quoted for maturity s (one cell at s = 0, where the level
@@ -569,15 +499,38 @@ def strategy_factors(quotes, levels, spot: float, delta_pct: float | None = None
     position z_s is one free variable per cell.  With it, index trades at
     t = 0..T-1 cost ``delta_pct`` percent and the horizon liquidation is
     costless: the position changes by nonnegative purchase and sale legs per
-    cell.
+    cell.  Without ``dynamic`` there are no index positions at all.
+
+    The kernel places only the columns a space keeps.  With the grid's
+    ``masses`` (M,) it leaves out a quote side without quantity or whose
+    column is zero at every point, and a dynamic column whose nonzero points
+    carry less than 1e-12 of the mass: such a variable is unidentifiable from
+    the objective and would drift.  A quote with one side is that side's
+    column, ask - payoff or payoff - bid; the cash column exists beside a
+    quote with both sides.  A row in a dropped cell keeps a zero at cell
+    column 0.  Without ``masses`` (simulated paths) every column stays.
     """
     quotes = list(quotes)
-    T = len(levels)
+    T, J = len(levels), len(quotes)
     if delta_pct is not None and delta_pct < 0:
         raise ValueError("transaction cost percentage must be nonnegative")
     lead, last = np.broadcast_shapes(*(np.shape(x) for x in levels))
     basis_strikes = _strikes_by_period(quotes, T)
     names = [f"buy:{q.id}" for q in quotes] + [f"sell:{q.id}" for q in quotes]
+    ask = np.array([q.ask_price for q in quotes])
+    bid = np.array([q.bid_price for q in quotes])
+    payoffs = [option_payoff(q.kind, q.strike, levels[q.maturity - 1]) for q in quotes]
+    sides = np.ones((2, J), dtype=bool)  # the buy and sell side of each quote
+    if masses is not None:
+        W = np.reshape(masses, (lead, last))
+        sides &= np.array([[q.ask_qty > 0 for q in quotes], [q.bid_qty > 0 for q in quotes]],
+                          dtype=bool)
+        maturity = np.array([q.maturity for q in quotes])
+        for m in set(maturity.tolist()):
+            at = np.flatnonzero(maturity == m)
+            payoff = np.array([payoffs[j].ravel() for j in at])
+            sides[:, at] &= (payoff != np.stack([ask[at], bid[at]])[:, :, None]).any(axis=2)
+    keep = sides.ravel().tolist()
 
     # every column lands in A (constant along the last period) or in B
     # (constant along the leading ones), except the cell columns of a
@@ -586,95 +539,129 @@ def strategy_factors(quotes, levels, spot: float, delta_pct: float | None = None
     slot_at, slot_cells, slot_values = [], [], []
 
     def place(j, column):
-        if np.shape(column)[1] == 1:
+        # column is (M', 1), a column of A, or (1, N_T), one of B
+        if column.shape[1] == 1:
             lead_at.append(j)
-            lead_columns.append(np.broadcast_to(column, (lead, 1))[:, 0])
+            lead_columns.append(column.ravel())
         else:
             last_at.append(j)
-            last_columns.append(np.broadcast_to(column, (1, last))[0])
+            last_columns.append(column.ravel())
 
-    # a quote's net column, its negated payoff, at its buy variable, and one
-    # cash column of ones, at -1, for all of them
-    for j, q in enumerate(quotes):
-        place(j, -option_payoff(q.kind, q.strike, levels[q.maturity - 1]))
-    if quotes:
-        place(-1, np.ones((1, 1)))
-    cells = {}
-    for s in range(T):
+    # a quote with both sides is its net column, the negated payoff, at its
+    # buy variable, beside one cash column of ones, at -1, for all of them
+    for j, (q, payoff, buy, sell) in enumerate(zip(quotes, payoffs, *sides.tolist())):
+        if buy and sell:
+            place(j, -payoff)
+        elif buy:
+            place(j, q.ask_price - payoff)
+        elif sell:
+            place(J + j, payoff - q.bid_price)
+    both = sides.all(axis=0)
+    if both.any():
+        place(-1, np.ones((lead, 1)))
+    for s in range(T if dynamic else 0):
         strikes = basis_strikes[s - 1] if s else ()
         level = levels[s - 1] if s else spot
-        cells[s] = trading_cells(strikes)
+        cells = trading_cells(strikes)
         idx = cell_index(strikes, level)
         j = len(names)  # this period's first variable
         if delta_pct is None:
             # the row carries -z_s(X_s) (X_(s+1) - X_s)
             legs = [-(levels[s] - level)]
-            names += [f"z{s}[{lo:g},{hi:g})" for lo, hi in cells[s]] if s else ["z0"]
+            names += [f"z{s}[{lo:g},{hi:g})" for lo, hi in cells] if s else ["z0"]
         else:
             # the row carries the cost of the purchase and the sale, less
             # their costless liquidation at X_T
             d = delta_pct / 100.0
             legs = [(1.0 + d) * level - levels[-1], -(1.0 - d) * level + levels[-1]]
             names += [f"dz{side}{s}[{lo:g},{hi:g})"
-                      for lo, hi in cells[s] for side in ("buy", "sell")]
+                      for lo, hi in cells for side in ("buy", "sell")]
+        # live[n, leg]: the column of cell n's leg stays; one bincount per leg
+        # sums the mass of its nonzero points per cell
+        live = np.ones((len(cells), len(legs)), dtype=bool)
+        if masses is not None:
+            cell_of = np.broadcast_to(idx, W.shape).ravel()
+            live = np.array([np.bincount(cell_of, ((v != 0) * W).ravel(), minlength=len(cells))
+                             for v in legs]).T >= 1e-12
+        keep += live.ravel().tolist()
         shape = np.broadcast_shapes(idx.shape, *(np.shape(v) for v in legs))
         if shape[0] == 1 or shape[1] == 1:
-            for n in range(len(cells[s])):
-                for v in legs:
-                    place(j, np.where(idx == n, v, 0.0))
-                    j += 1
+            for n, leg in zip(*np.nonzero(live)):
+                place(j + n * len(legs) + leg, np.where(idx == n, legs[leg], 0.0))
             continue
+        # the slot of each leg with a live cell: a row's cell column, numbered
+        # among the kept ones, or 0 with a zero value where its cell went
+        rank = len(slot_at) + np.cumsum(live.ravel()).reshape(live.shape) - 1
+        idx = idx.ravel()
         for leg, v in enumerate(legs):
-            slot_cells.append(len(slot_at) + idx.ravel() * len(legs) + leg)
-            slot_values.append(np.broadcast_to(v, (lead, last)))
-        slot_at += range(j, len(names))
-    order = np.array(lead_at + last_at + slot_at, dtype=np.intp)
-    net = (order >= 0) & (order < len(quotes))
-    ask, bid = np.zeros(order.shape), np.zeros(order.shape)
-    ask[net] = [quotes[j].ask_price for j in order[net]]
-    bid[net] = [quotes[j].bid_price for j in order[net]]
+            if live[:, leg].any():
+                in_cell = live[idx, leg]
+                slot_cells.append(np.where(in_cell, rank[idx, leg], 0))
+                slot_values.append(np.where(in_cell[:, None], v, 0.0))
+        slot_at += (j + np.flatnonzero(live)).tolist()
+    keep = np.array(keep, dtype=bool)
+    renumber = np.cumsum(keep) - 1
+    at = np.array(lead_at + last_at + slot_at, dtype=np.intp)
+    # the net columns: a quote with both sides holds its sell variable and prices there
+    net = np.flatnonzero((at >= 0) & (at < J))
+    net = net[both[at[net]]]
+    sell, prices = np.full(at.shape, -1, dtype=np.intp), np.zeros((2,) + at.shape)
+    sell[net] = renumber[at[net] + J]
+    prices[:, net] = ask[at[net]], bid[at[net]]
+
+    def block(columns, size):
+        # BLAS rounds a product by its operand's memory layout, so the layout
+        # is part of every output's bits: grid blocks are column-major, path
+        # blocks row-major
+        if not columns:
+            return np.zeros((size, 0))
+        return np.asarray(np.array(columns).T, order="C" if masses is None else "F")
+
     factors = RowFactors(
-        lead=np.column_stack(lead_columns) if lead_columns else np.zeros((lead, 0)),
-        last=np.column_stack(last_columns) if last_columns else np.zeros((last, 0)),
+        lead=block(lead_columns, lead),
+        last=block(last_columns, last),
         cells=np.array(slot_cells, dtype=np.intp).reshape(-1, lead),
         values=np.array(slot_values, dtype=float).reshape(-1, lead, last),
         cell_count=len(slot_at),
-        order=order,
-        sell=np.where(net, order + len(quotes), -1),
-        ask=ask,
-        bid=bid,
+        order=np.where(at >= 0, renumber[at], -1),
+        sell=sell,
+        ask=prices[0],
+        bid=prices[1],
     )
-    return tuple(names), factors, cells
+    names = np.array(names, dtype=object)
+    return tuple(names[keep]), factors, tuple(names[~keep])
 
 
-def _assemble(quotes, grid, lot_size, delta_pct):
+def _assemble(quotes, grid, lot_size, delta_pct, dynamic=True):
     """The strategy space of ``quotes`` on ``grid``: the frictionless one
-    without ``delta_pct``, the transaction-cost one with it.  Every variable
-    with a finite lower bound starts at lower + min(upper - lower, 1) / 2,
-    halfway into its box or one half above its lower bound, and every free
-    variable at 0."""
+    without ``delta_pct``, the transaction-cost one with it, and the
+    static-only one without ``dynamic``.  Its columns are the ones
+    ``strategy_factors`` keeps on the grid's masses; the others are
+    ``layout.dropped``.  Every variable with a finite lower bound starts at
+    lower + min(upper - lower, 1) / 2, halfway into its box or one half above
+    its lower bound, and every free variable at 0."""
     quotes = list(quotes)
-    names, factors, cells = strategy_factors(quotes, _grid_levels(grid), grid.spot, delta_pct)
-    frictionless = delta_pct is None
-    J, dynamic = len(quotes), len(names) - 2 * len(quotes)
-    bounds = [position_bounds(q, lot_size) for q in quotes]
-    upper = np.array([hi for _, hi in bounds] + [-lo for lo, _ in bounds] + [np.inf] * dynamic)
-    lower = np.concatenate([np.zeros(2 * J), np.full(dynamic, -np.inf if frictionless else 0.0)])
+    names, factors, dropped = strategy_factors(
+        quotes, _grid_levels(grid), grid.spot, delta_pct, grid.masses, dynamic)
+    layout = DecisionLayout(quote_ids=tuple(q.id for q in quotes), names=names, dropped=dropped)
+    options = layout.options
+    index = len(names) - options  # the index positions
+    sides = {}  # the upper bound and unit cost of each quote side
+    for q in quotes:
+        lo, hi = position_bounds(q, lot_size)
+        sides[f"buy:{q.id}"], sides[f"sell:{q.id}"] = (hi, q.ask_price), (-lo, -q.bid_price)
+    upper = np.array([sides[n][0] for n in names[:options]] + [np.inf] * index)
+    lower = np.concatenate(
+        [np.zeros(options), np.full(index, -np.inf if delta_pct is None else 0.0)])
     start = np.where(np.isfinite(lower), lower + 0.5 * np.minimum(upper - lower, 1.0), 0.0)
-    space = AssembledProgram(
+    return AssembledProgram(
         objective="exp_sum",
-        layout=DecisionLayout(
-            quote_ids=tuple(q.id for q in quotes),
-            names=names,
-            cells=cells,
-        ),
+        layout=layout,
         factors=factors,
         offsets=np.zeros(grid.size),
         masses=grid.masses,
         kappa=None,
-        cost=np.concatenate(
-            [[q.ask_price for q in quotes], [-q.bid_price for q in quotes], np.zeros(dynamic)]
-        ),
+        cost=np.array([sides[n][1] for n in names[:options]] + [0.0] * index),
         budget=0.0,
         point_upper=None,
         lower=lower,
@@ -682,21 +669,15 @@ def _assemble(quotes, grid, lot_size, delta_pct):
         start=start,
         grid=grid,
     )
-    # drop variables fixed by a zero-width box, and variables whose columns
-    # are identically zero (such as dynamic cells no grid point activates).
-    # Dynamic variables whose cells carry negligible probability mass are
-    # unidentifiable from the objective and would drift to arbitrary values,
-    # so they go too.
-    keep = (upper - lower > 0) & (factors.support_mass(np.ones(grid.size)) > 0)
-    keep[2 * J :] &= factors.support_mass(grid.masses)[2 * J :] >= 1e-12
-    return space.keep(keep)
 
 
 def assemble_frictionless(
-    quotes, grid: QuadratureGrid, lot_size: float = 100.0
+    quotes, grid: QuadratureGrid, lot_size: float = 100.0, dynamic: bool = True
 ) -> AssembledProgram:
-    """Strategy space of the quotes with a perfectly liquid index, on ``grid``."""
-    return _assemble(quotes, grid, lot_size, None)
+    """Strategy space of the quotes with a perfectly liquid index, on
+    ``grid``; without ``dynamic`` the static-only space, the quotes alone,
+    which no index cost changes."""
+    return _assemble(quotes, grid, lot_size, None, dynamic)
 
 
 def assemble_transaction_cost(

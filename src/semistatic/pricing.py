@@ -4,7 +4,7 @@ subhedging costs on the truncated scenario grid, and arbitrage detection.
 
 Every price is an optimal value over one strategy space assembled from the
 quotes and the scenario grid alone; the agent and the claim enter only
-through ``leg``, ``keep`` and ``epigraph`` (see ``galerkin``).  A price report
+through ``leg`` and ``epigraph`` (see ``galerkin``).  A price report
 builds one grid and assembles one space for its six solves, run as two
 stacks of legs (``solver.solve_legs``): the baseline, seller and buyer
 log-values, then the super- and subhedging LPs and the hedging LP of the
@@ -96,6 +96,9 @@ class Market:
         if self.truncation is not None and len(self.truncation) != T:
             raise ValueError(f"need one truncation pair per period, got "
                              f"{len(self.truncation)} for T={T}")
+        if self.grid_strikes is not None and len(self.grid_strikes) != T:
+            raise ValueError(f"need one grid strike ladder per period, got "
+                             f"{len(self.grid_strikes)} for T={T}")
         for q in self.quotes:
             if q.maturity > T:
                 raise ValueError(f"quote {q.id!r} matures in period {q.maturity}, "
@@ -160,15 +163,11 @@ def _hedging_market(market: Market, claim: Claim, exclude_claim_quote: bool) -> 
 
 
 def _assemble(market, grid, delta_pct, allow_dynamic=True) -> AssembledProgram:
-    """The strategy space of ``market`` on ``grid``; without the dynamic legs
-    unless ``allow_dynamic``."""
-    if delta_pct is None:
-        space = assemble_frictionless(market.quotes, grid, market.lot_size)
-    else:
-        space = assemble_transaction_cost(market.quotes, grid, delta_pct, market.lot_size)
-    if not allow_dynamic:
-        space = space.keep(np.arange(space.variable_count) < space.layout.options)
-    return space
+    """The strategy space of ``market`` on ``grid``; without ``allow_dynamic``
+    the static-only space, the quotes alone, the same at every index cost."""
+    if delta_pct is None or not allow_dynamic:
+        return assemble_frictionless(market.quotes, grid, market.lot_size, allow_dynamic)
+    return assemble_transaction_cost(market.quotes, grid, delta_pct, market.lot_size)
 
 
 def _optima(programs, settings: SolveSettings | None) -> list[Solution]:

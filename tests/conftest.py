@@ -44,7 +44,6 @@ def stub_layout(n: int) -> DecisionLayout:
     return DecisionLayout(
         quote_ids=(),
         names=tuple(f"y{i}" for i in range(n)),
-        cells={},
     )
 
 

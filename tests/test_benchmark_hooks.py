@@ -56,3 +56,10 @@ def test_traced_report_spans(monkeypatch):
     for leg in tracing.LEGS:
         assert metrics[f"solver.{leg}.newton"] == report.legs[leg]["newton_iterations"] > 0
     assert metrics["pricing.report_s"] > 0
+
+    # the assembly counts are read off the program assemble_* returns: the
+    # report's space, built here on its own
+    terms = pricing._claim_terms(config.agent, config.claim, config.claim_units)
+    space = pricing._assemble(market, market.grid_for(terms), config.delta_pct)
+    assert metrics["galerkin.variables"] == space.variable_count
+    assert metrics["galerkin.dropped"] == len(space.layout.dropped) > 0

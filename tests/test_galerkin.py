@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,6 +74,9 @@ def _independent_loss(program, quotes, claim_terms, spot, wealth, y):
     for q in quotes:
         cash -= q.ask_price * values.get(f"buy:{q.id}", 0.0)
         cash += q.bid_price * values.get(f"sell:{q.id}", 0.0)
+    # the trading cells of each period: one at t = 0, then the strikes of maturity t
+    cells = [trading_cells({q.strike for q in quotes if q.maturity == t})
+             for t in range(program.grid.periods)]
     out = np.empty(program.grid.size)
     for i, path in enumerate(program.grid.points):
         total = 0.0
@@ -86,7 +90,7 @@ def _independent_loss(program, quotes, claim_terms, spot, wealth, y):
         if not any(name.startswith("dz") for name in names + layout.dropped):
             for t in range(len(path)):
                 z = 0.0
-                for lo, hi in layout.cells[t]:
+                for lo, hi in cells[t]:
                     if lo <= levels[t] < hi:
                         z = values.get(f"z{t}[{lo:g},{hi:g})" if t else "z0", 0.0)
                 total -= z * (levels[t + 1] - levels[t])
@@ -95,7 +99,7 @@ def _independent_loss(program, quotes, claim_terms, spot, wealth, y):
             holding = 0.0
             for t in range(len(path)):
                 buy = sell = 0.0
-                for lo, hi in layout.cells[t]:
+                for lo, hi in cells[t]:
                     if lo <= levels[t] < hi:
                         buy = values.get(f"dzbuy{t}[{lo:g},{hi:g})", 0.0)
                         sell = values.get(f"dzsell{t}[{lo:g},{hi:g})", 0.0)
@@ -298,12 +302,17 @@ def test_column_kernel_equals_assembled_rows(market, claim_terms, delta_pct):
     # built the program's rows: on the grid it gives them bit for bit
     grid = market.grid_for(claim_terms)
     program = _assemble(market, grid, delta_pct)
-    names, factors, cells = strategy_factors(market.quotes, path_levels(grid), grid.spot, delta_pct)
+    names, factors, dropped = strategy_factors(market.quotes, path_levels(grid), grid.spot,
+                                               delta_pct)
     columns = factors.dense()
-    assert set(names) == set(program.layout.names) | set(program.layout.dropped)
-    assert cells == program.layout.cells
-    kept = [names.index(name) for name in program.layout.names]
-    np.testing.assert_array_equal(columns[:, kept], program.rows)
+    # without masses every column stays; on the grid the kept and the
+    # dropped names split the kernel's, each in the kernel's order
+    assert dropped == ()
+    kept = set(program.layout.names)
+    assert tuple(n for n in names if n in kept) == program.layout.names
+    assert tuple(n for n in names if n not in kept) == program.layout.dropped
+    at = [names.index(name) for name in program.layout.names]
+    np.testing.assert_array_equal(columns[:, at], program.rows)
 
 
 @pytest.mark.parametrize("delta_pct", [None, 0.7])
@@ -335,19 +344,24 @@ def test_dense_rows_spell_each_quote_bit_for_bit(market, delta_pct):
     # the hedging LPs' epigraph adds a column of -1
     lifted = program.epigraph()
     np.testing.assert_array_equal(lifted.rows, np.column_stack([rows, -np.ones(grid.size)]))
-    # one quote loses its sell side, another its buy side: each keeps the
-    # other side as a full column, and the cash column stays for the rest
-    first, second = market.quotes[0].id, market.quotes[1].id
-    mask = np.array([n not in (f"sell:{first}", f"buy:{second}") for n in program.layout.names])
-    kept = program.keep(mask)
-    np.testing.assert_array_equal(kept.rows, kernel_rows(kept))
-    np.testing.assert_array_equal(kept.epigraph().rows,
-                                  np.column_stack([kernel_rows(kept), -np.ones(grid.size)]))
-    assert kept.factors.net_layout.quotes == program.factors.net_layout.quotes - 2
-    assert kept.factors.width == program.factors.width
+    # one quote without a bid quantity, one without an ask quantity and one
+    # without either: the first two keep their other side as a full column,
+    # the third goes, and the cash column stays for the rest
+    first, second, third, *rest = market.quotes
+    one_sided = _assemble(replace(market, quotes=(
+        replace(first, bid_qty=0), replace(second, ask_qty=0),
+        replace(third, bid_qty=0, ask_qty=0), *rest)), grid, delta_pct)
+    sides = {f"sell:{first.id}", f"buy:{second.id}", f"buy:{third.id}", f"sell:{third.id}"}
+    assert set(one_sided.layout.dropped) == set(program.layout.dropped) | sides
+    np.testing.assert_array_equal(one_sided.rows, kernel_rows(one_sided))
+    np.testing.assert_array_equal(one_sided.epigraph().rows,
+                                  np.column_stack([kernel_rows(one_sided), -np.ones(grid.size)]))
+    assert one_sided.factors.net_layout.quotes == program.factors.net_layout.quotes - 3
+    assert one_sided.factors.width == program.factors.width - 1
     # without a quote of both sides the cash column goes too
-    options = program.layout.options
-    sells = program.keep(np.arange(program.variable_count) >= options // 2)
+    sells = _assemble(replace(market, quotes=tuple(replace(q, ask_qty=0) for q in market.quotes)),
+                      grid, delta_pct)
+    assert sells.layout.options == len(market.quotes)
     np.testing.assert_array_equal(sells.rows, kernel_rows(sells))
     assert sells.factors.net_layout.quotes == 0 and (sells.factors.order >= 0).all()
 
@@ -393,14 +407,20 @@ def test_start_is_centred_in_each_box(market, claim_terms, delta_pct):
         np.testing.assert_array_equal(start[options:], 0.5)
 
 
-def test_keep_gives_the_static_only_space(market):
+def test_static_only_space_is_the_quote_columns(market):
+    # the quotes' columns of the dynamic space at any index cost; of the
+    # dropped names only the quote sides, here a side without quantity
+    first = market.quotes[0]
+    market = replace(market, quotes=(replace(first, bid_qty=0), *market.quotes[1:]))
     grid = market.grid_for(())
     program = _assemble(market, grid, None)
-    static = _assemble(market, grid, None, allow_dynamic=False)
     n_options = program.layout.options
-    assert n_options > 0 and static.layout.options == static.variable_count
-    assert static.layout.names == program.layout.names[:n_options]
-    assert static.layout.dropped == program.layout.dropped + program.layout.names[n_options:]
-    np.testing.assert_array_equal(static.rows, program.rows[:, :n_options])
-    for field in ("cost", "lower", "upper", "start"):
-        np.testing.assert_array_equal(getattr(static, field), getattr(program, field)[:n_options])
+    for delta_pct in (None, 0.1):
+        static = _assemble(market, grid, delta_pct, allow_dynamic=False)
+        assert n_options > 0 and static.layout.options == static.variable_count
+        assert static.layout.names == program.layout.names[:n_options]
+        assert static.layout.dropped == (f"sell:{first.id}",)
+        np.testing.assert_array_equal(static.rows, program.rows[:, :n_options])
+        for field in ("cost", "lower", "upper", "start"):
+            np.testing.assert_array_equal(getattr(static, field),
+                                          getattr(program, field)[:n_options])

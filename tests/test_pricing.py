@@ -411,6 +411,14 @@ class TestStaticValue:
         assert without >= with_quotes - 1e-9
 
 
+@pytest.mark.parametrize("ladders", [1, 3])
+def test_market_needs_one_grid_ladder_per_period(ladders):
+    # a missing ladder would fail inside grid_for and an extra one be ignored
+    ladder = (2300.0, 2400.0)
+    with pytest.raises(ValueError, match=f"ladder per period, got {ladders} for T=2"):
+        Market(quotes=(), model=BASE_MODEL, grid_strikes=(ladder,) * ladders)
+
+
 STRIKE_LADDER = (2100.0, 2200.0, 2300.0, 2400.0, 2500.0, 2600.0)
 
 
@@ -476,6 +484,13 @@ def hedging_band(market, claim, units, delta_pct, grid):
     return sup, sub
 
 
+def index_positions(market, grid, delta_pct):
+    """The names of every index position of ``market``'s space on ``grid``,
+    kept or dropped: one per trading cell of each period."""
+    layout = _assemble(market, grid, delta_pct).layout
+    return {n for n in layout.names + layout.dropped if not n.startswith(("buy:", "sell:"))}
+
+
 @settings(max_examples=20, deadline=None)
 @given(small_market_cases(), st.data())
 def test_hedging_bounds_widen_with_friction_and_fewer_quotes(case, data):
@@ -492,9 +507,7 @@ def test_hedging_bounds_widen_with_friction_and_fewer_quotes(case, data):
 
     drop = data.draw(st.integers(0, len(market.quotes) - 1), label="dropped quote")
     fewer = replace(market, quotes=market.quotes[:drop] + market.quotes[drop + 1:])
-    same_cells = _assemble(fewer, grid, delta_pct).layout.cells == _assemble(
-        market, grid, delta_pct
-    ).layout.cells
+    same_cells = index_positions(fewer, grid, delta_pct) == index_positions(market, grid, delta_pct)
     event(f"same_cells={same_cells}")
     if same_cells:
         sup, sub = hedging_band(market, claim, units, delta_pct, grid)

@@ -162,19 +162,34 @@ def test_assembled_programs(periods, delta_pct):
         assert factors.lead.shape[1] and factors.last.shape[1] and factors.cell_count
 
 
+def one_sided_markets(market):
+    """``market`` with one quote without a bid quantity, one without an ask
+    quantity and one without either; and with sells only, which has no cash
+    column."""
+    first, second, third, *rest = market.quotes
+    yield replace(market, quotes=(replace(first, bid_qty=0), replace(second, ask_qty=0),
+                                  replace(third, bid_qty=0, ask_qty=0), *rest))
+    yield replace(market, quotes=tuple(replace(q, ask_qty=0) for q in market.quotes))
+
+
 @pytest.mark.parametrize("delta_pct", [None, 0.1])
 @pytest.mark.parametrize("periods", [2, 3])
-def test_products_after_keep(periods, delta_pct):
-    market, program = grid_program(periods, delta_pct)
-    rows = kernel_rows(market, program, delta_pct)
-    # every other column goes, cell columns among them: rows whose cell
-    # column went keep a zero slot
-    mask = np.arange(program.variable_count) % 2 == 0
-    kept = program.keep(mask)
-    check_dense_products(kept.factors, rows[:, mask], program.masses)
-    static = program.keep(np.arange(program.variable_count) < program.layout.options)
-    assert static.factors.cells.shape[0] == 0 and static.factors.cell_count == 0
-    check_dense_products(static.factors, rows[:, :static.variable_count], program.masses)
+def test_products_of_one_sided_quotes(periods, delta_pct):
+    # a quote with one side is a plain column.  The last trading period's
+    # cell [0, 2200) carries too little mass, so its slot column goes, and
+    # the rows in that cell keep a zero slot
+    leg = "z" if delta_pct is None else "dzbuy"
+    for market in one_sided_markets(grid_market(periods)):
+        program = _assemble(market, market.grid_for(()), delta_pct)
+        factors = program.factors
+        check_dense_products(factors, kernel_rows(market, program, delta_pct), program.masses)
+        assert f"{leg}{periods - 1}[0,2200)" in program.layout.dropped
+        slots = factors.order[factors.width - factors.cell_count:]
+        assert f"{leg}{periods - 1}[2200,2300)" in {program.layout.names[c] for c in slots}
+        static = _assemble(market, program.grid, delta_pct, allow_dynamic=False)
+        assert static.factors.cells.shape[0] == 0 and static.factors.cell_count == 0
+        check_dense_products(static.factors, kernel_rows(market, static, delta_pct),
+                             program.masses)
 
 
 def test_wealth_column_lands_in_the_leading_group():
