@@ -332,6 +332,15 @@ def _reject_non_finite(name):
     raise ValidationError(f"non-finite number {name} in the config")
 
 
+def _built(section, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, whose ValueError becomes a ValidationError
+    naming the config ``section`` it was built from."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ValidationError(f"config.{section}: {exc}") from None
+
+
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Load, schema-validate and materialize a run configuration.  ``path``
     falls back to the environment override, then packaged defaults.
@@ -343,7 +352,9 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     one section -> key -> value map as the CLI flags give it, are checked
     against the same schema and, like the file, may hold no non-finite
     number.  A variance-gamma ``nu`` that ``scenario.check_nu`` rejects is
-    rejected too.  A rejected file or override raises ``ValidationError``.
+    rejected too, and so is a value that the model, agent, solver or claim
+    rejects, by its section.  A rejected file or override raises
+    ``ValidationError``.
     """
     data = {}
     if path is None:
@@ -361,34 +372,24 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
                     raise ValidationError(f"config.{section}.{key}: non-finite number {value!r}")
         merged = _merge(merged, overrides)
 
-    model = VGParams(
-        theta=merged["model"]["theta"],
-        sigma=merged["model"]["sigma"],
-        nu=merged["model"]["nu"],
-        spot=merged["model"]["spot"],
-        horizons=tuple(merged["model"]["horizons"]),
-    )
+    spec = merged["model"]
+    model = _built("model", VGParams, **(spec | {"horizons": tuple(spec["horizons"])}))
     try:
         check_nu(model)
     except ValueError as exc:
         raise ValidationError(f"config.model.nu: {exc}") from None
-    agent = AgentSpec(
-        initial_wealth=merged["agent"]["initial_wealth"],
-        risk_aversion=merged["agent"]["risk_aversion"],
-    )
     delta = None if merged["market"]["frictionless"] else merged["market"]["delta_pct"]
-    settings = SolveSettings(**merged["solver"])
 
     return RunConfig(
-        agent=agent,
+        agent=_built("agent", AgentSpec, **merged["agent"]),
         model=model,
         lot_size=merged["market"]["lot_size"],
         delta_pct=delta,
         truncation=tuple(tuple(t) for t in merged["market"]["truncation"]),
         maturities=tuple(merged["market"]["maturities"]),
         density_nodes=merged["grid"]["density_nodes"],
-        solver=settings,
-        claim=configured_claim(merged["claim"]),
+        solver=_built("solver", SolveSettings, **merged["solver"]),
+        claim=_built("claim", configured_claim, merged["claim"]),
         claim_units=merged["claim"]["units"],
         exclude_claim_strike=merged["flags"]["exclude_claim_strike"],
     )

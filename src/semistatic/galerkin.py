@@ -148,7 +148,10 @@ class RowFactors:
     - ``lead`` (M', nA): R[i, t, a] = lead[i, a];
     - ``last`` (N_T, nB): R[i, t, b] = last[t, b];
     - slots: R[i, t, c] = values[j, i, t] where c = cells[j, i], summed over
-      the K slots j; there are k = ``cell_count`` cell columns.
+      the K slots j; there are k = ``cell_count`` cell columns.  Each slot
+      of a row holds its own cell column, and a slot whose cell was dropped
+      holds 0 at cell column 0: no row has nonzero values in two slots at
+      one cell column, so the products add each entry of R once.
 
     Factor columns are ordered [A | B | cells].  ``order`` holds the program
     column of each, the buy variable at a quote's net column and -1 at the
@@ -161,7 +164,7 @@ class RowFactors:
     R_net^T diag(w) R_net has the blocks A^T diag(r) A, B^T diag(q) B and
     A^T W B (Van Loan 2000); the cell columns meet A and B through per-cell
     sums of the slots' weighted rows, and each other through one bincount
-    over cell pairs, after the slots of a row that share a cell are summed.
+    over cell pairs.
     A stack of legs (B, M) runs one bincount per leg on the same keys as a
     single leg, so each leg's entries are summed in its own row order, as
     they would be alone.
@@ -173,15 +176,9 @@ class RowFactors:
     values: np.ndarray   # (K, M', N_T) slot values
     cell_count: int
     order: np.ndarray    # (N,) program column of each factor column, -1 for cash
-    sell: np.ndarray = None   # (N,) sell variable of a quote's net column, else -1
-    ask: np.ndarray = None    # (N,) ask of a quote's net column, else 0
-    bid: np.ndarray = None    # (N,) bid of a quote's net column, else 0
-
-    def __post_init__(self):
-        if self.sell is None:  # no quote columns: R_net = R, P a permutation
-            object.__setattr__(self, "sell", np.full(self.order.shape, -1, dtype=np.intp))
-            object.__setattr__(self, "ask", np.zeros(self.order.shape))
-            object.__setattr__(self, "bid", np.zeros(self.order.shape))
+    sell: np.ndarray     # (N,) sell variable of a quote's net column, else -1
+    ask: np.ndarray      # (N,) ask of a quote's net column, else 0
+    bid: np.ndarray      # (N,) bid of a quote's net column, else 0
 
     @property
     def grid_shape(self) -> tuple[int, int]:
@@ -244,7 +241,7 @@ class RowFactors:
         out = (np.matmul(self.lead, W[:, :na, None])
                + np.matmul(self.last, W[:, na:na + nb, None]).transpose(0, 2, 1))
         rest = W[:, na + nb:]
-        for cells, values in zip(self.cells, self._merged_values):
+        for cells, values in zip(self.cells, self.values):
             out += values * rest.take(cells, axis=1)[:, :, None]
         return out.reshape(w.shape[:-1] + (-1,))
 
@@ -252,7 +249,7 @@ class RowFactors:
         """R_net^T v, on the net coordinates, for v (M,) or (B, M)."""
         V = v.reshape((-1,) + self.grid_shape)
         # each slot's weighted rows into its cell column, one bincount per leg
-        sums = (self._merged_values * V[:, None]).sum(axis=3).reshape(len(V), -1)
+        sums = (self.values * V[:, None]).sum(axis=3).reshape(len(V), -1)
         rest = np.array([np.bincount(self.cells.ravel(), leg, minlength=self.cell_count)
                          for leg in sums])
         out = np.concatenate([np.matmul(self.lead.T, V.sum(axis=2)[:, :, None])[:, :, 0],
@@ -263,19 +260,6 @@ class RowFactors:
     def product(self, y):
         """R y for y in program column order."""
         return self.matvec(self.net(y[self.net_layout.variables]))
-
-    @functools.cached_property
-    def _merged_values(self):
-        """The slot values with the slots of one row that share a cell summed
-        into the first of them, so that the products see each cell of a row
-        once, as the rows do."""
-        values = self.values.copy()
-        for j in range(1, len(values)):
-            for l in range(j):
-                shared = self.cells[l] == self.cells[j]
-                values[l, shared] += values[j, shared]
-                values[j, shared] = 0.0
-        return values
 
     @functools.cached_property
     def _cell_keys(self) -> tuple[np.ndarray, np.ndarray]:
@@ -327,13 +311,12 @@ class RowFactors:
         # the cell columns against A and B, per-cell sums of the slots' rows,
         # and each pair of slots j <= l: one bincount per leg fills its cell
         # rows, in the same order alone or in a stack
-        values = self._merged_values
         order, keys = self._cell_keys
-        weighted = values * W[:, None]   # (B, K, M', N_T)
+        weighted = self.values * W[:, None]   # (B, K, M', N_T)
         lead = A[:, None] if A.ndim == 3 else A
         last = B[:, None] if B.ndim == 3 else B
         K, p = self.cells.shape[0], na + nb
-        pairs = (weighted[:, :, None] * values).sum(axis=4).reshape(legs, K * K, W.shape[1])
+        pairs = (weighted[:, :, None] * self.values).sum(axis=4).reshape(legs, K * K, W.shape[1])
         sums = np.concatenate([
             (weighted.sum(axis=3)[..., None] * lead).reshape(legs, -1),
             np.matmul(weighted, last).reshape(legs, -1),

@@ -48,10 +48,12 @@ def stub_layout(n: int) -> DecisionLayout:
 
 
 def dense_factors(rows) -> RowFactors:
-    """Rows without a grid: every column in A, N_T = 1."""
+    """Rows without a grid or quotes: every column in A, N_T = 1, and P the
+    identity."""
     M, n = rows.shape
     return RowFactors(rows, np.zeros((1, 0)), np.zeros((0, M), dtype=np.intp),
-                      np.zeros((0, M, 1)), 0, np.arange(n))
+                      np.zeros((0, M, 1)), 0, np.arange(n),
+                      np.full(n, -1, dtype=np.intp), np.zeros(n), np.zeros(n))
 
 
 def make_exp_program(rows, offsets, masses, kappa, lower, upper, start, *,

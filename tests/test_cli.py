@@ -24,6 +24,7 @@ from semistatic.claims import (
     vanilla_call,
 )
 from semistatic.instruments import OptionKind
+from semistatic.pricing import SolverFailure
 from semistatic.solver import SolveSettings
 
 from oracles import CONFIG_VALIDATOR, acquisition_cost, claim_payout
@@ -108,6 +109,39 @@ def test_price_report_bytes_repeat(run, tmp_path):
     _, out = run("price")
     assert cli.main(["price", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "price_report.json").read_bytes() == (out / "price_report.json").read_bytes()
+
+
+@pytest.mark.parametrize("config, flags", [
+    ({"market": {"frictionless": False, "delta_pct": 0.1}}, []),
+    ({}, ["--delta-pct", "0.1"]),
+], ids=["over-the-config", "over-delta-pct"])
+def test_frictionless_flag_wins(run, tmp_path, config, flags):
+    # these price at a 0.1% index cost; with --frictionless they give the
+    # liquid index model's default prices
+    path = tmp_path / "cost.json"
+    path.write_text(json.dumps(config))
+    reports = []
+    for extra in ([], ["--frictionless"]):
+        out = tmp_path / f"out{len(extra)}"
+        assert cli.main(["price", "--config", str(path), *flags, *extra, "--out", str(out)]) == 0
+        reports.append(read_json(out / "price_report.json"))
+    costly, frictionless = reports
+    assert costly["delta_pct"] == 0.1
+    assert frictionless["delta_pct"] is None
+    _, default = run("price")
+    assert frictionless == read_json(default / "price_report.json")
+
+
+def test_solver_failure_exits_2_with_json_error(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise SolverFailure("solve ended with status unbounded")
+
+    monkeypatch.setattr(cli, "price_report", fail)
+    code = cli.main(["price", "--json-errors", "--out", str(tmp_path)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "solver", "message": "solve ended with status unbounded"}
+    assert not (tmp_path / "price_report.json").exists()
 
 
 def test_hedge_writes_positions_and_errors(run, quotes):
@@ -249,6 +283,36 @@ def test_ingest_rejects_non_finite_numbers(tmp_path, ticker, prices):
     assert "finite" in result.rejected[0][1]
 
 
+@pytest.mark.parametrize("row, message", [
+    ("SPX US 5/19/2017 C2350,call,5.0,50.0,51.0,5.0",
+     "unrecognized ticker format: 'SPX US 5/19/2017 C2350'"),
+    ("SPX US 5/19/2017 X2350 Index,call,5.0,50.0,51.0,5.0",
+     "invalid option kind token 'X2350' in 'SPX US 5/19/2017 X2350 Index'"),
+    ("SPX US 5/19/2017 C23x0 Index,call,5.0,50.0,51.0,5.0",
+     "invalid strike token 'C23x0' in 'SPX US 5/19/2017 C23x0 Index'"),
+    ("SPX US 6/16/2017 C2350 Index,call,5.0,50.0,51.0,5.0",
+     "unknown maturity date '6/16/2017' in 'SPX US 6/16/2017 C2350 Index'"),
+    ("SPX US 5/19/2017 C2350 Index,put,5.0,50.0,51.0,5.0",
+     "type column 'put' contradicts ticker kind 'call'"),
+    ("SPX US 5/19/2017 C2350 Index,call,5.0,50.0,51.0", "expected 6 columns, got 5"),
+], ids=["ticker-format", "kind-letter", "strike-token", "maturity-date", "type-column",
+        "five-columns"])
+def test_malformed_row_is_rejected_and_the_rest_price(run, tmp_path, capsys, row, message):
+    # the packaged chain with one malformed row on line 3: that row is
+    # rejected by its line number, and the others price as the packaged chain
+    lines = pathlib.Path(cli.packaged_chain_path()).read_text().splitlines()
+    chain = tmp_path / "chain.csv"
+    chain.write_text("\n".join(lines[:2] + [row] + lines[2:]) + "\n")
+    result = cli.ingest_quotes(chain, cli.load_config().maturities)
+    assert result.rejected == [(3, message)]
+    assert len(result.quotes) == len(lines) - 1
+    out = tmp_path / "out"
+    assert cli.main(["price", "--quotes", str(chain), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == f"warning: row 3 rejected: {message}\n"
+    _, packaged = run("price")
+    assert (out / "price_report.json").read_bytes() == (packaged / "price_report.json").read_bytes()
+
+
 def test_chain_with_every_row_rejected_exits_1(tmp_path, capsys):
     chain = write_chain(tmp_path / "chain.csv", ["SPX US 5/19/2017 X2350 Index"] * 2)
     code = cli.main(["price", "--quotes", str(chain), "--json-errors", "--out", str(tmp_path)])
@@ -371,6 +435,32 @@ def test_non_positive_contract_size_exits_1(tmp_path, capsys):
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["error"] == "ValidationError"
     assert "config.claim.contract_size" in error["message"]
+
+
+@pytest.mark.parametrize("data, error, needle", [
+    ({"solver": {"max_iter": 0}}, "ValidationError", "config.solver: iteration limit"),
+    ({"solver": {"gap_tol": 2}}, "ValidationError", "config.solver: tolerances"),
+    ({"solver": {"grad_tol": 0}}, "ValidationError", "config.solver: tolerances"),
+    ({"model": {"horizons": [0.2, 0.1]}}, "ValidationError", "config.model: horizons"),
+    ({"claim": {"strike": -5}}, "ValidationError", "config.claim: strike"),
+    ({"claim": {"variant": "knockout_call", "barrier": -1}}, "ValidationError",
+     "config.claim: knock-out claim needs a positive barrier"),
+    ({"claim": {"variant": "lookback_digital", "payout_level": 0}}, "ValidationError",
+     "config.claim: digital payout level"),
+    # an unreadable custom table is no config error
+    ({"claim": {"variant": "custom", "table_path": "missing.csv"}}, "FileNotFoundError",
+     "missing.csv"),
+], ids=["max-iter", "gap-tol", "grad-tol", "horizons", "strike", "barrier", "payout-level",
+        "missing-table"])
+def test_rejected_config_value_names_its_section(tmp_path, capsys, data, error, needle):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(data))
+    code = cli.main(["price", "--config", str(config), "--json-errors", "--out", str(tmp_path)])
+    assert code == 1
+    report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert report["error"] == error
+    assert needle in report["message"]
+    assert not (tmp_path / "price_report.json").exists()
 
 
 def test_nu_just_below_the_bound_loads(tmp_path):

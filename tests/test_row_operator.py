@@ -1,11 +1,20 @@
 """The row factors' products against the dense products of independent rows."""
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from semistatic.fixtures import small_market
+from semistatic import cli
+from semistatic.claims import knockout_call
+from semistatic.fixtures import (
+    crossed_quote_market,
+    planted_arbitrage_market,
+    replication_market,
+    small_market,
+    synthetic_market,
+)
 from semistatic.galerkin import RowFactors, strategy_factors
 from semistatic.pricing import Market, _assemble
 from semistatic.scenario import VGParams
@@ -162,6 +171,51 @@ def test_assembled_programs(periods, delta_pct):
         assert factors.lead.shape[1] and factors.last.shape[1] and factors.cell_count
 
 
+def contract_markets():
+    """The two-period markets, each bare and on a knock-out call's grid, and
+    two three-period ones, bare; (id, market, claim terms)."""
+    ladder = tuple(float(k) for k in range(1500, 2501, 50))
+    knockout = ((knockout_call(2350.0, 2400.0), 1.0),)
+    two = {
+        "packaged": lambda: cli._market(cli.load_config()),
+        "small": small_market,
+        "planted": planted_arbitrage_market,
+        "crossed": crossed_quote_market,
+        "synthetic": synthetic_market,
+        "replication": replication_market,
+        "step-50": lambda: replace(synthetic_market(), grid_strikes=(ladder, ladder)),
+    }
+    for name, build in two.items():
+        yield pytest.param(build, (), id=name)
+        yield pytest.param(build, knockout, id=f"{name}-knockout")
+    yield pytest.param(lambda: grid_market(3), (), id="three-periods")
+    yield pytest.param(lambda: Market(quotes=(), model=THREE_PERIODS), (),
+                       id="three-periods-no-quotes")
+
+
+@pytest.mark.parametrize("build, terms", contract_markets())
+def test_each_slot_of_a_row_holds_its_own_cell_column(build, terms):
+    # the products add the slots of a row one by one, so two nonzero slots
+    # of one row may not share a cell column; a slot whose cell was dropped
+    # holds 0 at column 0, where it may meet another slot
+    market = build()
+    grid = market.grid_for(terms)
+    slots = 0
+    for delta_pct in (None, 0.0, 0.1, 0.7):
+        for dynamic in (True, False):
+            program = _assemble(market, grid, delta_pct, allow_dynamic=dynamic)
+            for factors in (program.factors, program.factors.levelled):
+                cells, nonzero = factors.cells, factors.values != 0
+                assert np.all((cells >= 0) & (cells < factors.cell_count))
+                for j, l in itertools.combinations(range(len(cells)), 2):
+                    shared = (cells[j] == cells[l])[:, None] & nonzero[j] & nonzero[l]
+                    assert not shared.any(), (delta_pct, dynamic, j, l)
+                slots = max(slots, len(cells))
+    # the transaction-cost spaces hold two slots per trading period after
+    # the first, whose legs are columns of B
+    assert slots == 2 * (market.model.periods - 1)
+
+
 def one_sided_markets(market):
     """``market`` with one quote without a bid quantity, one without an ask
     quantity and one without either; and with sells only, which has no cash
@@ -214,12 +268,6 @@ def test_program_without_a_grid_is_dense():
 
 
 @settings(max_examples=60, deadline=None)
-# three slots of the one row share its cell: their values sum before the
-# Gram's products, which would otherwise cancel far below REL
-@example(grid=(1, 1), widths=(0, 0, 3, 1), seed=3)
-# and so do R_net w and R_net^T v: two shared slots cancel to 1.4e-4 from
-# terms of about 1.2
-@example(grid=(1, 1), widths=(0, 0, 2, 1), seed=408658)
 # R_net w cancels to 1.42e-5 from terms of about 0.1: a bound relative to
 # the product itself fails there, one on its terms does not
 @example(grid=(1, 1), widths=(1, 4, 0, 5), seed=0)
@@ -229,20 +277,26 @@ def test_program_without_a_grid_is_dense():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_random_product_grids(grid, widths, seed):
-    # random factors against rows spelled out one slot entry at a time;
-    # slots of one row may share a cell column
-    rng = np.random.default_rng(seed)
+    # random factors against rows spelled out one slot entry at a time; the
+    # slots of a row hold distinct cell columns, as the kernel's do
     (lead, last), (n_a, n_b, n_slots, n_cells) = grid, widths
-    cells = rng.integers(0, n_cells, size=(n_slots, lead))
+    assume(n_slots <= n_cells)
+    rng = np.random.default_rng(seed)
+    cells = np.array([rng.choice(n_cells, n_slots, replace=False)
+                      for _ in range(lead)], dtype=np.intp).T
+    n = n_a + n_b + n_cells
     factors = RowFactors(
         lead=rng.standard_normal((lead, n_a)),
         last=rng.standard_normal((last, n_b)),
         cells=cells,
         values=rng.standard_normal((n_slots, lead, last)),
         cell_count=n_cells,
-        order=rng.permutation(n_a + n_b + n_cells),
+        order=rng.permutation(n),
+        sell=np.full(n, -1, dtype=np.intp),
+        ask=np.zeros(n),
+        bid=np.zeros(n),
     )
-    by_factor = np.zeros((lead, last, n_a + n_b + n_cells))
+    by_factor = np.zeros((lead, last, n))
     by_factor[:, :, :n_a] = factors.lead[:, None, :]
     by_factor[:, :, n_a:n_a + n_b] = factors.last[None, :, :]
     for j in range(n_slots):
