@@ -7,6 +7,13 @@ thread count the process uses, so its results do not depend on that count:
 the solver's Newton systems run inside it.  Only OpenBLAS copies found in ``/proc/self/maps`` are
 pinned; a BLAS that is not OpenBLAS (MKL, Accelerate) or a system without
 ``/proc`` is not.
+
+The scope cannot stop the threads that OpenBLAS starts while it loads, which
+spin idle outside it.  So when the package is the first to import numpy, and
+none of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``
+names a thread count, ``semistatic/__init__.py`` loads numpy's OpenBLAS at one
+thread; set ``OPENBLAS_NUM_THREADS`` to choose another count.  Where numpy was
+imported first, its count stays the caller's.
 """
 from __future__ import annotations
 

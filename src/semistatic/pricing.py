@@ -338,15 +338,20 @@ def find_arbitrage(
     zero claim (``_hedging_lp``), solved alone.  Its least wealth w0 decides
     the find by the rule of a price report's flag (``_arbitrage``).
 
-    The reported ``strategy`` is the LP's optimum, which maximizes the
-    uniform excess -w0; it is the solver's point on the optimal face, not
-    the best strategy by any second criterion.  ``min_uniform_slack`` is w0,
-    whose solve stops by the LP gap rule ``gap_tol * (1 + |w0|)``.
+    A solve that ends other than optimal or unbounded decides nothing and
+    raises SolverFailure.  The reported ``strategy`` is the LP's optimum,
+    which maximizes the uniform excess -w0; it is the solver's point on the
+    optimal face, not the best strategy by any second criterion.
+    ``min_uniform_slack`` is w0, whose solve stops by the LP gap rule
+    ``gap_tol * (1 + |w0|)``.
     """
     if budget <= 0:
         raise ValueError("the arbitrage budget must be positive")
     space = _assemble(market, market.grid_for(()), delta_pct)
     w0, y, solution = feasibility_start(space.leg((), 0.0), settings)
+    if solution.status not in ("optimal", "unbounded"):
+        raise SolverFailure(f"the zero claim's hedging LP ended with status {solution.status}"
+                            f" (KKT residual {solution.kkt_residual:.3g})")
     if not _arbitrage(solution, budget):
         return ArbitrageReport(found=False, expected_excess=0.0, min_uniform_slack=w0)
     payout = budget - space.factors.product(y)

@@ -675,8 +675,12 @@ def solve_legs(programs, settings: SolveSettings | None = None):
     # the loop runs in the rows' variable order [plain | buys | sells]
     order = rows.net_layout.variables
     if exponential:
-        objective = _ExpSumObjective(rows, np.stack([p.offsets for p in programs]),
-                                     np.log(np.stack([p.masses for p in programs])),
+        # a point whose mass underflowed to 0 (far out on a wide box) keeps
+        # log mass -inf, which leaves it out of the exponential sum only: the
+        # hedging LPs still hold it as a pointwise row
+        with np.errstate(divide="ignore"):
+            log_masses = np.log(np.stack([p.masses for p in programs]))
+        objective = _ExpSumObjective(rows, np.stack([p.offsets for p in programs]), log_masses,
                                      np.array([[p.kappa] for p in programs], dtype=float))
     else:
         objective = _LinearObjective(np.stack([p.cost[order] for p in programs]))

@@ -191,6 +191,19 @@ def test_arbitrage_expectations(run):
     assert code == 2
 
 
+def test_unfinished_arbitrage_solve_exits_2(tmp_path, capsys):
+    # a zero-claim LP stopped at max_iter is a solver failure, not "none found"
+    config = tmp_path / "short.json"
+    config.write_text(json.dumps({"solver": {"max_iter": 3}}))
+    code = cli.main(["arbitrage", "--config", str(config), "--expect", "none",
+                     "--json-errors", "--out", str(tmp_path)])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "solver"
+    assert "status max_iter" in error["message"]
+    assert not (tmp_path / "arbitrage_summary.json").exists()
+
+
 @pytest.fixture(scope="module")
 def crossed_chain(tmp_path_factory):
     # a second quote on the May 2350 call bids above the chain's ask of 56.65

@@ -262,6 +262,13 @@ class TestArbitrage:
                                                 ()))
         assert report.min_uniform_slack == pytest.approx(exact, abs=lp_gap(exact))
 
+    def test_unfinished_solve_raises(self):
+        # a solve stopped at max_iter decides nothing, so it is no "not
+        # found" (its w0 would read 4.7e4 here)
+        market = cli._market(cli.load_config())
+        with pytest.raises(pricing.SolverFailure, match=r"status max_iter \(KKT residual "):
+            find_arbitrage(market, 1e5, None, SolveSettings(max_iter=3))
+
     @pytest.mark.parametrize("make_market, delta_pct, expected", [
         (planted_arbitrage_market, None, True),
         (planted_arbitrage_market, 0.1, False),
@@ -287,6 +294,20 @@ class TestArbitrage:
 
 
 class TestPriceReport:
+    def test_wide_box_prices_with_zero_mass_points(self):
+        # on (100, 10000) two far nodes' masses underflow to 0: they leave the
+        # exponential sums, and the report prices without a RuntimeWarning
+        config = cli.load_config()
+        market = replace(cli._market(config), truncation=((100.0, 10000.0),) * 2)
+        assert (market.grid_for([(config.claim, config.claim_units)]).masses == 0).sum() == 2
+        report = price_report(market, config.agent, config.claim, units=config.claim_units,
+                              delta_pct=config.delta_pct,
+                              exclude_claim_quote=config.exclude_claim_strike,
+                              settings=config.solver)
+        assert all(leg["status"] == "optimal" for leg in report.legs.values())
+        assert report.seller_price == pytest.approx(1727.5258093846446, rel=1e-9)
+        assert report.buyer_price == pytest.approx(1650.715586351259, rel=1e-9)
+
     def test_fields_and_ordering(self, market_small, agent, knockout):
         report = price_report(market_small, agent, knockout)
         assert report.claim == knockout.label

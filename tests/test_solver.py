@@ -862,6 +862,47 @@ def openblas_controls():
     return controls
 
 
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def thread_env(**variables) -> dict:
+    """``package_env`` in which, of the variables OpenBLAS reads its thread
+    count from, only ``variables`` are set."""
+    env = package_env(**variables)
+    for name in THREAD_VARIABLES:
+        if name not in variables:
+            env.pop(name, None)
+    return env
+
+
+def numpy_threads(code, **variables) -> int:
+    """The thread count of numpy's OpenBLAS after ``code`` runs in a fresh
+    interpreter with ``thread_env(**variables)``.  The child asserts that
+    its environment, in os.environ and in the C library, is what it was
+    before ``code``."""
+    probe = (
+        "import ctypes, os\n"
+        "getenv = ctypes.CDLL(None).getenv\n"
+        "getenv.argtypes, getenv.restype = [ctypes.c_char_p], ctypes.c_char_p\n"
+        "def variables():\n"
+        f"    return [(n, os.environ.get(n), getenv(n.encode())) for n in {THREAD_VARIABLES}]\n"
+        "before, environ = variables(), dict(os.environ)\n"
+        f"{code}\n"
+        "assert variables() == before and os.environ == environ\n"
+        "from semistatic.blas import _loaded_openblas\n"
+        "getters = [getattr(lib, 'scipy_openblas_get_num_threads64_', None)\n"
+        "           for lib in _loaded_openblas()]\n"
+        "print(*[get() for get in getters if get is not None])"
+    )
+    run = subprocess.run([sys.executable, "-c", probe], env=thread_env(**variables),
+                         capture_output=True, text=True, check=True, timeout=300)
+    counts = [int(count) for count in run.stdout.split()]
+    if not counts:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    (count,) = counts
+    return count
+
+
 class TestBlasThreads:
     def test_solve_runs_on_one_thread_and_restores_counts(self, monkeypatch):
         controls = openblas_controls()
@@ -890,16 +931,34 @@ class TestBlasThreads:
         assert seen and set(seen) == {(1,) * len(controls)}
         assert after == (2,) * len(controls)
 
+    def test_package_loads_numpy_openblas_at_one_thread(self):
+        # OpenBLAS starts its threads while it loads, so the package picks the
+        # count for the numpy it imports, and leaves no variable behind
+        assert numpy_threads("import semistatic") == 1
+
+    @pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_a_thread_variable_is_honoured(self, variable):
+        if numpy_threads("import numpy") < 2:
+            pytest.skip("OpenBLAS runs one thread on this machine whatever it is asked")
+        assert numpy_threads("import semistatic", **{variable: "2"}) == 2
+
+    def test_numpy_imported_first_keeps_its_count(self):
+        default = numpy_threads("import numpy")
+        if default < 2:
+            pytest.skip("OpenBLAS runs one thread on this machine whatever it is asked")
+        assert numpy_threads("import numpy; import semistatic") == default
+
     @pytest.mark.parametrize("flags", [[], ["--delta-pct", "0.1"]], ids=["frictionless", "cost"])
     def test_price_report_bytes_independent_of_thread_count(self, tmp_path, flags):
+        # unset runs at the package's own default, one thread
         openblas_controls()
         reports = []
-        for threads in ("1", "2"):
+        for threads in ("unset", "1", "2"):
             out = tmp_path / threads
+            variables = {} if threads == "unset" else {"OPENBLAS_NUM_THREADS": threads}
             subprocess.run(
                 [sys.executable, "-m", "semistatic.cli", "price", "--out", str(out), *flags],
-                env=package_env(OPENBLAS_NUM_THREADS=threads),
-                capture_output=True, check=True, timeout=300,
+                env=thread_env(**variables), capture_output=True, check=True, timeout=300,
             )
             reports.append((out / "price_report.json").read_bytes())
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]
